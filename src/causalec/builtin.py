@@ -7,6 +7,9 @@ R1={{1},{2,4},{2,3,5}}, R2={{2},{1,4},{1,3,5}}, R3={{5},{3,4},{1,2,3}}.
 The bundled edge weights reproduce the reference latency profile exactly:
 coded worst case 4.5 and average 2.83, the alternate code's average 2.7,
 and a replication baseline of worst case 6 with average 2.8.
+
+This module is the single source of the bundled scenarios: the files under
+``scenarios/`` are ``causalec scenarios`` output from ``BUNDLED``.
 """
 
 from __future__ import annotations
@@ -195,3 +198,7 @@ SCRIPTED_SCENARIOS = {
     "read_scenario_2": read_scenario_2_doc,
 }
 
+BUNDLED = dict(SCRIPTED_SCENARIOS,
+               fig1=fig1_scenario_doc,
+               appendix_a=appendix_a_scenario_doc,
+               ev_differential=differential_scenario_doc)

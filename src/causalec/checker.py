@@ -17,6 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
+from .field import Value
 from .simnet import OperationRecord, RunResult, max_tag_write_value
 from .tags import EQ, LT, vc_compare
 
@@ -67,6 +68,22 @@ def build_causal_order(ops: List[OperationRecord]) -> List[int]:
     return rel
 
 
+def _read_dictation(ops: List[OperationRecord], rel: List[int], i: int, v: Value,
+                    zero: Value) -> Tuple[bool, List[int]]:
+    """Whether read ``i`` returning ``v`` is dictated by a write it is
+    consistent with, plus its blockers: preceding writes of other values.
+    Without a preceding write of ``v``, only a zero ``v`` can be dictated."""
+    obj = ops[i].obj
+    bit = 1 << i
+    blockers = [j for j, w in enumerate(ops)
+                if w.kind == "write" and w.obj == obj and w.value != v and rel[j] & bit]
+    candidates = [j for j, w in enumerate(ops)
+                  if w.kind == "write" and w.obj == obj and w.value == v and rel[j] & bit]
+    if not candidates:
+        return v == zero and not blockers, blockers
+    return any(all(not rel[j] & (1 << b) for b in blockers) for j in candidates), blockers
+
+
 def check_causal(result: RunResult) -> Verdict:
     """Causal consistency of a completed run, with a minimal witness on failure."""
     ops = result.operation_list()
@@ -114,30 +131,23 @@ def check_causal(result: RunResult) -> Verdict:
     for i, op in enumerate(ops):
         if op.kind != "read" or not op.completed:
             continue
-        v = op.value
-        blockers = [j for j, w in enumerate(ops)
-                    if w.kind == "write" and w.obj == op.obj and w.value != v
-                    and rel[j] & (1 << i)]
-        candidates = [j for j, w in enumerate(ops)
-                      if w.kind == "write" and w.obj == op.obj and w.value == v
-                      and rel[j] & (1 << i)]
-        ok = False
-        if v == zero and not candidates:
-            # dictated by the initial value, which precedes everything
-            ok = not blockers
-        for j in candidates:
-            if all(not (rel[j] & (1 << b)) for b in blockers):
-                ok = True
-                break
+        ok, blockers = _read_dictation(ops, rel, i, op.value, zero)
         if not ok:
             blocker = ops[blockers[0]].opid if blockers else None
             return fail({"kind": "read-dictation", "read": op.opid,
-                         "value": v, "blocker": blocker})
+                         "value": op.value, "blocker": blocker})
     return Verdict("causal", True)
 
 
 def revalidate_witness(result: RunResult, witness: dict) -> bool:
-    """Re-derive a reported violation from scratch; True when it stands."""
+    """Re-derive a reported violation from scratch; True when it stands.
+
+    A read-dictation witness stands exactly when ``check_causal`` would
+    reject the read, ``not ok`` for ``_read_dictation``'s ``ok``: with
+    candidates, not any(all(no blocker follows j)) is all(any(some blocker
+    follows j)); without, not (v == zero and not blockers) is
+    (v != zero or blockers).
+    """
     ops = result.operation_list()
     idx = {op.opid: i for i, op in enumerate(ops)}
     rel = build_causal_order(ops)
@@ -155,20 +165,9 @@ def revalidate_witness(result: RunResult, witness: dict) -> bool:
         i, j = (idx[o] for o in witness["ops"])
         return ops[i].client == ops[j].client and not rel[i] & (1 << j)
     if kind == "read-dictation":
-        i = idx[witness["read"]]
-        op = ops[i]
-        v = witness["value"]
         zero = result.servers[1].code.zero_value()
-        blockers = [j for j, w in enumerate(ops)
-                    if w.kind == "write" and w.obj == op.obj and w.value != v
-                    and rel[j] & (1 << i)]
-        candidates = [j for j, w in enumerate(ops)
-                      if w.kind == "write" and w.obj == op.obj and w.value == v
-                      and rel[j] & (1 << i)]
-        if not candidates:
-            # only the initial value can dictate; it is overtaken by any blocker
-            return bool(blockers) if v == zero else True
-        return all(any(rel[j] & (1 << b) for b in blockers) for j in candidates)
+        ok, _ = _read_dictation(ops, rel, idx[witness["read"]], witness["value"], zero)
+        return not ok
     return False
 
 
@@ -215,14 +214,15 @@ def storage_accounting(result: RunResult) -> List[dict]:
                 else:
                     history += 1
         payload += sum(len(w) for e in srv.readl.values() for w in e.symbols if w is not None)
-        payload += sum(len(item.value) for item in srv.inqueue)
+        queued = [item for queue in srv.inqueue.values() for item in queue]
+        payload += sum(len(item.value) for item in queued)
         n = srv.n
         meta = n  # vector clock
         meta += srv.k * (n + 1) * 2  # symbol tag vector + tmax
         meta += sum(len(d) for d in srv.dell) * (n + 2)
         rows.append({"server": sid, "payload_elems": payload, "metadata_ints": meta,
                      "history_entries": history, "unwritten_sentinels": sentinels,
-                     "inqueue": len(srv.inqueue), "pending_reads": len(srv.readl)})
+                     "inqueue": len(queued), "pending_reads": len(srv.readl)})
     return rows
 
 

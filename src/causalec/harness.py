@@ -219,11 +219,7 @@ def cmd_latency(args) -> int:
 
 def cmd_scenarios(args) -> int:
     os.makedirs(args.out, exist_ok=True)
-    docs = dict(builtin.SCRIPTED_SCENARIOS)
-    docs["fig1"] = builtin.fig1_scenario_doc
-    docs["appendix_a"] = builtin.appendix_a_scenario_doc
-    docs["ev_differential"] = builtin.differential_scenario_doc
-    for name, builder in sorted(docs.items()):
+    for name, builder in sorted(builtin.BUNDLED.items()):
         path = os.path.join(args.out, f"{name}.json")
         with open(path, "w") as fh:
             json.dump(builder(), fh, indent=1)

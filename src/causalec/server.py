@@ -11,7 +11,7 @@ shared, so the variants differ exactly by the guard flags below.
 State per server (all tag vectors indexed by object-1):
 
 * ``vc``            vector clock, one counter per server
-* ``inqueue``       pending remote writes, smaller timestamps nearer the head
+* ``inqueue``       pending remote writes: origin -> FIFO deque, never empty
 * ``L[X]``          version history list: tag -> value
 * ``dell[X]``       delete notices seen: ordered set of (tag, server)
 * ``m_val/m_tagvec``the stored codeword symbol and the versions it encodes
@@ -22,8 +22,9 @@ State per server (all tag vectors indexed by object-1):
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, NamedTuple, Optional, Tuple
+from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
 
 from .coding import LinearCode
 from .field import Value
@@ -32,15 +33,16 @@ from .messages import (
     Del,
     Message,
     OpId,
+    Read,
     ReadReturn,
     TagVec,
     ValInq,
     ValResp,
     ValRespEncoded,
+    Write,
     WriteReturnAck,
 )
 from .tags import (
-    GT,
     LOCALHOST,
     LT,
     ProtocolInvariantViolation,
@@ -69,9 +71,7 @@ class ReadLEntry:
     symbols: List[Optional[Value]]
 
 
-@dataclass
-class InQueueItem:
-    origin: int
+class InQueueItem(NamedTuple):
     obj: int
     value: Value
     tag: Tag
@@ -91,7 +91,7 @@ class Server:
         zt = zero_tag(self.n)
         zv = code.zero_value()
         self.vc: List[int] = [0] * self.n
-        self.inqueue: List[InQueueItem] = []
+        self.inqueue: Dict[int, Deque[InQueueItem]] = {}
         self.L: List[Dict[Tag, Value]] = [{zt: zv} for _ in range(self.k)]
         self.dell: List[Dict[Tuple[Tag, int], None]] = [{} for _ in range(self.k)]
         self.m_val: Value = zv
@@ -108,17 +108,13 @@ class Server:
         self._holders = [
             [i for i in range(1, self.n + 1) if x in code.objects_at(i)]
             for x in range(1, self.k + 1)]
-        # incremental views of dell: per-object per-server newest tag, and
-        # which servers sent each exact tag
+        # incremental view of dell: per-object per-server newest tag
         self._del_max: List[Dict[int, Tag]] = [{} for _ in range(self.k)]
-        self._del_exact: List[Dict[Tag, set]] = [{} for _ in range(self.k)]
         # when present, L insertions are checked against the known write values
         self.write_registry = write_registry
         self._m_verified: Optional[tuple] = None
         # encode/collect have pending work only after a relevant mutation
         self.round_dirty = True
-        self._del_rev = [0] * self.k
-        self._gc_cache: List[Optional[tuple]] = [None] * self.k
 
     # -- small helpers -----------------------------------------------------
 
@@ -137,8 +133,6 @@ class Server:
         prev = self._del_max[obj - 1].get(srv)
         if prev is None or prev < tag:
             self._del_max[obj - 1][srv] = tag
-        self._del_exact[obj - 1].setdefault(tag, set()).add(srv)
-        self._del_rev[obj - 1] += 1
         self.round_dirty = True
 
     def _l_insert(self, obj: int, tag: Tag, value: Value) -> None:
@@ -217,13 +211,14 @@ class Server:
         return []
 
     def on_app(self, frm: int, obj: int, value: Value, tag: Tag) -> List[Send]:
-        item = InQueueItem(frm, obj, value, tag)
-        # insert before the suffix of strictly larger timestamps: a new tuple
-        # goes after every existing one with an equal or incomparable tag
-        idx = len(self.inqueue)
-        while idx > 0 and vc_compare(self.inqueue[idx - 1].tag.ts, tag.ts) == GT:
-            idx -= 1
-        self.inqueue.insert(idx, item)
+        # the channel is FIFO and the origin's own clock entry rises with each
+        # of its writes, so every origin's queue is a chain in causal order
+        queue = self.inqueue.get(frm)
+        last = queue[-1].tag.ts[frm - 1] if queue else self.vc[frm - 1]
+        if tag.ts[frm - 1] <= last:
+            raise ProtocolInvariantViolation(
+                f"server {self.id}: write {tag.render()} from server {frm} out of order")
+        self.inqueue.setdefault(frm, deque()).append(InQueueItem(obj, value, tag))
         return []
 
     def on_val_inq(self, frm: int, clientid: int, opid: OpId, obj: int,
@@ -325,48 +320,37 @@ class Server:
     def handle(self, frm: int, msg: Message) -> List[Send]:
         """Dispatch one received message; frm is a client id for Write/Read,
         a server id otherwise."""
-        from .messages import Read as ReadMsg, Write as WriteMsg
-
-        if isinstance(msg, WriteMsg):
-            return self.on_write(frm, msg.opid, msg.obj, msg.value)
-        if isinstance(msg, ReadMsg):
-            return self.on_read(frm, msg.opid, msg.obj)
-        if isinstance(msg, App):
-            return self.on_app(frm, msg.obj, msg.value, msg.tag)
-        if isinstance(msg, Del):
-            return self.on_del(frm, msg.obj, msg.tag)
-        if isinstance(msg, ValInq):
-            return self.on_val_inq(frm, msg.clientid, msg.opid, msg.obj, msg.wantedtagvec)
-        if isinstance(msg, ValResp):
-            return self.on_val_resp(frm, msg)
-        if isinstance(msg, ValRespEncoded):
-            return self.on_val_resp_encoded(frm, msg)
-        raise TypeError(f"server cannot handle {type(msg).__name__}")
+        handler = _HANDLERS.get(type(msg))
+        if handler is None:
+            raise TypeError(f"server cannot handle {type(msg).__name__}")
+        return handler(self, frm, msg)
 
     # -- internal actions ----------------------------------------------------
 
-    def _inqueue_head(self) -> InQueueItem:
-        # a minimal-timestamp item; among incomparable minima, lowest origin
-        best = None
-        for item in self.inqueue:
-            minimal = not any(
-                vc_compare(other.tag.ts, item.tag.ts) == LT for other in self.inqueue)
-            if minimal and (best is None or item.origin < best.origin):
-                best = item
-        return best if best is not None else self.inqueue[0]
+    def _inqueue_head(self) -> int:
+        """The origin whose queue head is applied next: the lowest origin
+        whose head no other head precedes.  Each origin's queue is a chain,
+        so these heads are exactly the minimal items of the whole queue."""
+        heads = [(j, queue[0].tag.ts) for j, queue in self.inqueue.items()]
+        return min(j for j, ts in heads
+                   if not any(vc_compare(other, ts) == LT for _, other in heads))
 
     def apply_inqueue(self) -> Tuple[bool, List[Send]]:
         if not self.inqueue:
             return False, []
-        item = self._inqueue_head()
-        j, t = item.origin, item.tag
+        j = self._inqueue_head()
+        queue = self.inqueue[j]
+        item = queue[0]
+        t = item.tag
         if self.variant == CAUSAL:
             ready = (t.ts[j - 1] == self.vc[j - 1] + 1
                      and all(t.ts[p] <= self.vc[p]
                              for p in range(self.n) if p != j - 1))
             if not ready:
                 return False, []
-        self.inqueue.remove(item)
+        queue.popleft()
+        if not queue:
+            del self.inqueue[j]
         self.vc[j - 1] = t.ts[j - 1]
         self._l_insert(item.obj, t, item.value)
         sends: List[Send] = []
@@ -464,10 +448,10 @@ class Server:
             mtag = self.m_tagvec[x - 1]
             lx = self.L[x - 1]
             if lx:
-                in_sbar = len(self._del_exact[x - 1].get(mtag, ())) == self.n
                 protected = {e.tagvec[x - 1] for e in self.readl.values()
                              if e.tagvec[x - 1] < mtag}
-                if tmax == mtag and in_sbar and max(lx) <= mtag:
+                if (tmax == mtag and max(lx) <= mtag
+                        and all((mtag, i) in self.dell[x - 1] for i in all_servers)):
                     doomed = [t for t in lx if t <= tmax and t not in protected]
                 elif tmax < mtag and x not in self.objects_here:
                     doomed = [t for t in lx if t <= tmax and t not in protected]
@@ -535,6 +519,19 @@ class Server:
             tuple(self.error1),
             tuple(self.error2),
             tuple(t.render() for t in self.tmax),
-            len(self.inqueue),
+            sum(map(len, self.inqueue.values())),
             len(self.readl),
         )
+
+
+# handlers are looked up on the server at call time, so wrappers set on the
+# class see every dispatched message
+_HANDLERS = {
+    Write: lambda s, frm, m: s.on_write(frm, m.opid, m.obj, m.value),
+    Read: lambda s, frm, m: s.on_read(frm, m.opid, m.obj),
+    App: lambda s, frm, m: s.on_app(frm, m.obj, m.value, m.tag),
+    Del: lambda s, frm, m: s.on_del(frm, m.obj, m.tag),
+    ValInq: lambda s, frm, m: s.on_val_inq(frm, m.clientid, m.opid, m.obj, m.wantedtagvec),
+    ValResp: lambda s, frm, m: s.on_val_resp(frm, m),
+    ValRespEncoded: lambda s, frm, m: s.on_val_resp_encoded(frm, m),
+}

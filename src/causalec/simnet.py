@@ -26,7 +26,7 @@ from typing import Dict, List, Optional, Tuple
 from .client import Client
 from .field import Value
 from .latency import format_ms
-from .messages import Message, OpId, ReadReturn, Write, WriteReturnAck
+from .messages import Message, OpId, ReadReturn, ValRespEncoded, Write, WriteReturnAck
 from .scenarios import Scenario, ScriptOp
 from .server import Send, Server
 from .tags import ProtocolInvariantViolation, Tag, tag_le, tag_max
@@ -180,7 +180,7 @@ class Simulation:
 
     # -- trace / probes --------------------------------------------------------
 
-    def _record(self, node: str, event: tuple, digest: Optional[tuple],
+    def _record(self, node: str, event: Optional[tuple], digest: Optional[tuple],
                 emitted: List[Send], notes: tuple = ()) -> None:
         self.steps += 1
         if not self.collect_trace:
@@ -211,7 +211,7 @@ class Simulation:
                 self._fatal = True
             self._prev_tagvec[srv.id] = tv
 
-    def _server_transition(self, sid: int, event: tuple, fn) -> bool:
+    def _server_transition(self, sid: int, event: Optional[tuple], fn) -> bool:
         """Run one handler atomically; returns whether state changed/emitted."""
         srv = self.servers[sid]
         srv.notes.clear()
@@ -242,8 +242,6 @@ class Simulation:
         return changed or bool(sends)
 
     def _check_outgoing(self, srv: Server, send: Send) -> None:
-        from .messages import ValRespEncoded
-
         if isinstance(send.msg, ValRespEncoded):
             try:
                 srv.check_symbol_legitimacy(send.msg.symbol, send.msg.tagvec)
@@ -255,7 +253,8 @@ class Simulation:
 
     def _deliver_to_server(self, sid: int, src_kind: str, src: int, msg: Message) -> None:
         srv = self.servers[sid]
-        event = ("recv", f"{'c' if src_kind == 'client' else 's'}{src}", msg.describe())
+        event = (("recv", f"{'c' if src_kind == 'client' else 's'}{src}", msg.describe())
+                 if self.collect_trace else None)
         self._server_transition(sid, event, lambda: srv.handle(src, msg))
         if isinstance(msg, Write):
             # write locality: the ack must come out of this very transition
@@ -268,7 +267,8 @@ class Simulation:
     def _deliver_to_client(self, cid: int, src_kind: str, src: int, msg: Message) -> None:
         client = self.clients[cid]
         completion = client.on_server_message(msg)
-        self._record(f"c{cid}", ("recv", f"s{src}", msg.describe()), None, [])
+        self._record(f"c{cid}", ("recv", f"s{src}", msg.describe())
+                     if self.collect_trace else None, None, [])
         if completion is None:
             return
         rec = self.ops[completion.opid]

@@ -63,14 +63,6 @@ def vc_compare(a: VectorClock, b: VectorClock) -> str:
     return LT if le else GT
 
 
-def vc_le(a: VectorClock, b: VectorClock) -> bool:
-    return vc_compare(a, b) in (LT, EQ)
-
-
-def vc_lt(a: VectorClock, b: VectorClock) -> bool:
-    return vc_compare(a, b) == LT
-
-
 def tag_less(t1: Tag, t2: Tag) -> bool:
     """Strict total order on tags: lexicographic on (timestamp, id).
 

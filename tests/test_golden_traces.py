@@ -27,10 +27,6 @@ from causalec.simnet import run
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_traces.json")
 
-BUNDLED = dict(builtin.SCRIPTED_SCENARIOS,
-               fig1=builtin.fig1_scenario_doc,
-               appendix_a=builtin.appendix_a_scenario_doc,
-               ev_differential=builtin.differential_scenario_doc)
 JITTERED = ("fig1", "appendix_a")
 SEEDS = range(10)
 
@@ -39,7 +35,7 @@ def cases():
     """(key, scenario name, seed, protocol) for every table entry."""
     out = []
     for protocol in VARIANTS:
-        for name in sorted(BUNDLED):
+        for name in sorted(builtin.BUNDLED):
             for seed in (SEEDS if name in JITTERED else (0,)):
                 out.append((name, seed, protocol))
         for seed in SEEDS:
@@ -48,15 +44,21 @@ def cases():
             for name, seed, protocol in out]
 
 
+CASES = cases()
+
+
 def entry(name, seed, protocol):
-    scenario = fuzz_scenario(seed) if name == "fuzz" else scenario_from_json(BUNDLED[name]())
+    if name == "fuzz":
+        scenario = fuzz_scenario(seed)
+    else:
+        scenario = scenario_from_json(builtin.BUNDLED[name]())
     result = run(scenario, seed, protocol=protocol, probes=True, collect_trace=True)
     return {"sha256": result.trace_sha256(),
             "verdicts": [[v.name, v.passed, v.inconclusive] for v in check_all(result)]}
 
 
 def table():
-    return {key: entry(name, seed, protocol) for key, name, seed, protocol in cases()}
+    return {key: entry(name, seed, protocol) for key, name, seed, protocol in CASES}
 
 
 def load_golden():
@@ -65,10 +67,10 @@ def load_golden():
 
 
 def test_table_covers_every_case():
-    assert sorted(load_golden()) == sorted(key for key, *_ in cases())
+    assert sorted(load_golden()) == sorted(key for key, *_ in CASES)
 
 
-@pytest.mark.parametrize("key,name,seed,protocol", cases(), ids=[c[0] for c in cases()])
+@pytest.mark.parametrize("key,name,seed,protocol", CASES, ids=[c[0] for c in CASES])
 def test_trace_matches_golden(key, name, seed, protocol):
     assert entry(name, seed, protocol) == load_golden()[key]
 

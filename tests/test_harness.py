@@ -35,6 +35,15 @@ def test_scenarios_emits_all_bundled_files(scenario_dir):
         json.load(open(scenario_dir / name))
 
 
+def test_scenarios_reproduces_committed_files(scenario_dir):
+    committed = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                             "scenarios")
+    assert sorted(os.listdir(committed)) == sorted(os.listdir(scenario_dir))
+    for name in os.listdir(committed):
+        with open(os.path.join(committed, name), "rb") as want:
+            assert (scenario_dir / name).read_bytes() == want.read(), name
+
+
 def test_run_green_scenario_exits_zero(scenario_dir, capsys):
     rc = main(["run", str(scenario_dir / "ev_differential.json"), "--seeds", "0"])
     out = capsys.readouterr().out

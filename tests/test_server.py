@@ -19,7 +19,7 @@ from causalec.messages import (
     WriteReturnAck,
 )
 from causalec.server import CAUSAL, ReadLEntry, Server
-from causalec.tags import LOCALHOST, Tag, zero_tag
+from causalec.tags import LOCALHOST, ProtocolInvariantViolation, Tag, zero_tag
 
 
 def replicated(n=3, p=7):
@@ -137,17 +137,49 @@ class TestDeleteNotices:
 
 
 class TestApplyQueue:
-    def test_insert_orders_by_timestamp(self):
+    def test_out_of_order_app_raises(self):
         srv = Server(1, replicated())
         srv.on_app(2, 1, (1,), tag([0, 2, 0], 2))
-        srv.on_app(2, 1, (2,), tag([0, 1, 0], 2))
-        assert [i.tag.ts for i in srv.inqueue] == [(0, 1, 0), (0, 2, 0)]
+        with pytest.raises(ProtocolInvariantViolation, match="out of order"):
+            srv.on_app(2, 1, (2,), tag([0, 1, 0], 2))
 
-    def test_incomparable_goes_after(self):
+    def test_app_behind_applied_clock_raises(self):
         srv = Server(1, replicated())
         srv.on_app(2, 1, (1,), tag([0, 1, 0], 2))
-        srv.on_app(3, 1, (2,), tag([0, 0, 1], 3))
-        assert [i.origin for i in srv.inqueue] == [2, 3]
+        srv.apply_inqueue()
+        with pytest.raises(ProtocolInvariantViolation, match="out of order"):
+            srv.on_app(2, 1, (2,), tag([0, 1, 0], 2))
+
+    def test_lower_origin_applies_first_among_ready_heads(self):
+        srv = Server(1, replicated(4))
+        t3, t2 = tag([0, 0, 1, 0], 3), tag([0, 1, 0, 0], 2)
+        srv.on_app(3, 1, (3,), t3)
+        srv.on_app(2, 1, (2,), t2)
+        changed, _ = srv.apply_inqueue()
+        assert changed and srv.vc == [0, 1, 0, 0] and list(srv.L[0])[-1] == t2
+        changed, _ = srv.apply_inqueue()
+        assert changed and srv.vc == [0, 1, 1, 0] and list(srv.L[0])[-1] == t3
+        assert not srv.inqueue
+
+    def test_blocked_head_waits_for_third_origin(self):
+        srv = Server(1, replicated(4))
+        t2 = tag([0, 1, 1, 0], 2)  # depends on server 3's first write
+        t3 = tag([0, 0, 1, 0], 3)
+        t4 = tag([0, 0, 0, 1], 4)
+        srv.on_app(2, 1, (2,), t2)
+        srv.on_app(4, 1, (4,), t4)
+        # server 2's head goes first and is blocked, so the ready head from
+        # server 4 waits behind it
+        changed, _ = srv.apply_inqueue()
+        assert not changed and srv.vc == [0, 0, 0, 0]
+        srv.on_app(3, 1, (3,), t3)
+        applied = []
+        while srv.inqueue:
+            changed, _ = srv.apply_inqueue()
+            assert changed
+            applied.append(list(srv.L[0])[-1])
+        assert applied == [t3, t2, t4]
+        assert srv.vc == [0, 1, 1, 1]
 
     def test_ready_head_applies(self):
         srv = Server(1, replicated())

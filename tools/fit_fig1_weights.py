@@ -9,7 +9,8 @@ a 0.25/0.05/0.025 grid and re-solves the rest, keeping the objective at
 zero.  The result is committed in causalec.builtin.FIG1_EDGES and verified
 by tests/test_acceptance.py in plain float arithmetic (errors < 1e-12).
 
-Needs scipy (not a package dependency); rerun with:
+Needs scipy (not a package dependency); rerun with (about 4.5 minutes on a
+2-core host):
 
     python tools/fit_fig1_weights.py
 """
@@ -74,6 +75,9 @@ def objective(w):
 
 def solve_free(w_start, fixed):
     free = [i for i in range(10) if i not in fixed]
+    if not free:
+        full = np.array([fixed[i] for i in range(10)], dtype=float)
+        return objective(full), full
 
     def obj(fw):
         full = np.array(w_start, dtype=float)
