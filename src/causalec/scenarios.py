@@ -121,6 +121,17 @@ def _expect(doc: dict, key: str, path: str):
     return doc[key]
 
 
+def _number(raw, path: str, low: float = 0.0, high: float = float("inf")) -> float:
+    try:
+        x = float(raw)
+    except (TypeError, ValueError) as e:
+        raise ScenarioError(f"{path}: must be a number, got {raw!r}") from e
+    if not low <= x <= high:
+        bound = f">= {low:g}" if high == float("inf") else f"in {low:g}..{high:g}"
+        raise ScenarioError(f"{path}: must be {bound}, got {raw!r}")
+    return x
+
+
 def scenario_from_json(doc) -> Scenario:
     """Parse a scenario document (dict, JSON text, or file path)."""
     if isinstance(doc, str):
@@ -160,10 +171,15 @@ def scenario_from_json(doc) -> Scenario:
             if not isinstance(ops, int) or ops < 0:
                 raise ScenarioError("workload.ops: must be a non-negative integer")
             think = w.get("think_ms", [0, 2000])
+            if not isinstance(think, (list, tuple)) or len(think) != 2:
+                raise ScenarioError("workload.think_ms: must be a [low, high] pair")
+            low = int(_number(think[0], "workload.think_ms"))
+            high = int(_number(think[1], "workload.think_ms", low))
             random_workload = RandomWorkload(
                 ops=ops,
-                read_fraction=float(w.get("read_fraction", 0.5)),
-                think_ms=(int(think[0]), int(think[1])),
+                read_fraction=_number(w.get("read_fraction", 0.5),
+                                      "workload.read_fraction", 0, 1),
+                think_ms=(low, high),
             )
         elif kind == "script":
             for i, op in enumerate(_expect(w, "ops", "workload.")):
@@ -189,15 +205,18 @@ def scenario_from_json(doc) -> Scenario:
             raise ScenarioError(f"workload.kind: unknown kind {kind!r}")
 
     delays = doc.get("delays", {"kind": "graph"})
+    if not isinstance(delays, dict):
+        raise ScenarioError(f"delays: must be an object, got {delays!r}")
     if delays.get("kind") not in ("graph", "jitter", "uniform"):
         raise ScenarioError(f"delays.kind: unknown kind {delays.get('kind')!r}")
-    if delays.get("kind") == "jitter" and float(delays.get("factor", 1)) < 1:
-        raise ScenarioError("delays.factor: jitter factor must be >= 1")
+    if delays.get("kind") == "jitter":
+        _number(delays.get("factor", 1), "delays.factor", 1)
 
     halts = {}
     for i, h in enumerate(doc.get("halts", [])):
-        if "server" not in h or "time" not in h:
+        if not isinstance(h, dict) or "server" not in h or "time" not in h:
             raise ScenarioError(f"halts[{i}]: needs fields 'server' and 'time'")
+        _number(h["time"], f"halts[{i}].time")
         halts[int(h["server"])] = to_ms(h["time"])
 
     extra = {}

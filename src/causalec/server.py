@@ -18,13 +18,18 @@ State per server (all tag vectors indexed by object-1):
 * ``readl``         pending reads: opid -> entry with per-server symbol slots
 * ``error1/error2`` per-object flags that provably stay 0
 * ``tmax[X]``       newest tag known to be deletable everywhere
+* ``_enc_dirty``, ``_gc_dirty`` the only objects ``encoding`` and
+                    ``garbage_collection`` visit, each emptied by its action.
+                    Both start full; an ``L[X]`` insertion or delete notice
+                    on X adds X to both, a collection from ``L[X]`` adds X
+                    to ``_enc_dirty``, a ``readl`` change adds every object.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque, Dict, List, NamedTuple, Optional, Tuple
+from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .coding import LinearCode
 from .field import Value
@@ -88,6 +93,7 @@ class Server:
         self.n = code.n
         self.k = code.k
         self.objects_here = code.objects_at(sid)
+        self._held = sorted(self.objects_here)
         zt = zero_tag(self.n)
         zv = code.zero_value()
         self.vc: List[int] = [0] * self.n
@@ -115,6 +121,8 @@ class Server:
         self._m_verified: Optional[tuple] = None
         # encode/collect have pending work only after a relevant mutation
         self.round_dirty = True
+        self._enc_dirty = set(self.object_indices())
+        self._gc_dirty = set(self.object_indices())
 
     # -- small helpers -----------------------------------------------------
 
@@ -128,12 +136,19 @@ class Server:
         t = max(lx)
         return t, lx[t]
 
+    def _dirty(self, objs: Iterable[int]) -> None:
+        """Queue objects for both internal actions.  A pending read's tag
+        vector spans every object, so a ``readl`` change queues them all."""
+        self._enc_dirty.update(objs)
+        self._gc_dirty.update(objs)
+        self.round_dirty = True
+
     def _add_del(self, obj: int, tag: Tag, srv: int) -> None:
         self.dell[obj - 1][(tag, srv)] = None
         prev = self._del_max[obj - 1].get(srv)
         if prev is None or prev < tag:
             self._del_max[obj - 1][srv] = tag
-        self.round_dirty = True
+        self._dirty((obj,))
 
     def _l_insert(self, obj: int, tag: Tag, value: Value) -> None:
         if self.write_registry is not None and tag != self._zero_tag():
@@ -143,7 +158,7 @@ class Server:
                     f"server {self.id}: list entry {tag.render()} on X{obj} does not "
                     f"match the write with that tag")
         self.L[obj - 1][tag] = value
-        self.round_dirty = True
+        self._dirty((obj,))
 
     def _readl_add(self, entry: ReadLEntry) -> None:
         if entry.opid in self._readl_opids_seen:
@@ -151,11 +166,11 @@ class Server:
                 f"server {self.id}: second pending-read tuple for opid {entry.opid}")
         self._readl_opids_seen.add(entry.opid)
         self.readl[entry.opid] = entry
-        self.round_dirty = True
+        self._dirty(self.object_indices())
 
     def _readl_remove(self, opid: OpId) -> None:
         del self.readl[opid]
-        self.round_dirty = True
+        self._dirty(self.object_indices())
 
     def _other_servers(self) -> List[int]:
         return [j for j in range(1, self.n + 1) if j != self.id]
@@ -237,7 +252,7 @@ class Server:
         resp_tagvec = list(self.m_tagvec)
         zt = self._zero_tag()
         zv = self.code.zero_value()
-        for x in sorted(self.objects_here):
+        for x in self._held:
             mt = self.m_tagvec[x - 1]
             if mt == wantedtagvec[x - 1]:
                 continue
@@ -369,7 +384,8 @@ class Server:
     def encoding(self) -> Tuple[bool, List[Send]]:
         changed = False
         sends: List[Send] = []
-        for x in sorted(self.objects_here):
+        dirty, self._enc_dirty = self._enc_dirty, set()
+        for x in [x for x in self._held if x in dirty]:
             highest = self._highest(x)
             if highest is None or not self.m_tagvec[x - 1] < highest[0]:
                 continue
@@ -398,9 +414,7 @@ class Server:
                     for j in self._other_servers():
                         sends.append(Send("server", j, msg))
                     changed = True
-        for x in self.object_indices():
-            if x in self.objects_here:
-                continue
+        for x in sorted(dirty - self.objects_here):
             highest = self._highest(x)
             if highest is None or not self.m_tagvec[x - 1] < highest[0]:
                 continue
@@ -437,7 +451,8 @@ class Server:
         changed = False
         sends: List[Send] = []
         all_servers = list(range(1, self.n + 1))
-        for x in self.object_indices():
+        dirty, self._gc_dirty = self._gc_dirty, set()
+        for x in sorted(dirty):
             new_tmax = self._per_server_del_max(x, all_servers)
             if new_tmax is None:
                 new_tmax = self._zero_tag()
@@ -459,6 +474,7 @@ class Server:
                     doomed = [t for t in lx if t < tmax and t not in protected]
                 for t in doomed:
                     del lx[t]
+                    self._enc_dirty.add(x)  # encoding reads L[X]
                     changed = True
             if x in self.objects_here:
                 max_u = self._per_server_del_max(x, self._servers_with(x))

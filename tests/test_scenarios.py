@@ -75,6 +75,30 @@ class TestValidation:
         with pytest.raises(ScenarioError, match="halts"):
             scenario_from_json(doc)
 
+    def test_delays_must_be_an_object(self):
+        doc = builtin.fig1_scenario_doc()
+        doc["delays"] = 5
+        with pytest.raises(ScenarioError, match=r"^delays:"):
+            scenario_from_json(doc)
+
+    def test_think_range_must_not_be_empty(self):
+        doc = builtin.fig1_scenario_doc()
+        doc["workload"]["think_ms"] = [5, 1]
+        with pytest.raises(ScenarioError, match=r"^workload\.think_ms:"):
+            scenario_from_json(doc)
+
+    def test_read_fraction_must_be_a_number(self):
+        doc = builtin.fig1_scenario_doc()
+        doc["workload"]["read_fraction"] = "abc"
+        with pytest.raises(ScenarioError, match=r"^workload\.read_fraction:"):
+            scenario_from_json(doc)
+
+    def test_halt_time_must_not_be_negative(self):
+        doc = builtin.fig1_scenario_doc()
+        doc["halts"] = [{"server": 2, "time": -3}]
+        with pytest.raises(ScenarioError, match=r"^halts\[0\]\.time:"):
+            scenario_from_json(doc)
+
     def test_random_scripts_are_seed_stable(self):
         sc = scenario_from_json(builtin.fig1_scenario_doc())
         assert sc.build_scripts(4) == sc.build_scripts(4)

@@ -1,11 +1,17 @@
 """Single-server transition semantics, hand-executed.
 
 Each test drives one handler on a directly constructed server and compares
-the state delta and emitted batch against the expected step-by-step result.
+the state delta and emitted batch against the expected step-by-step result,
+except ``TestDirtySets``, which checks the internal actions' dirty sets
+against full sweeps over whole fuzz runs.
 """
+
+import copy
+import pickle
 
 import pytest
 
+from causalec import simnet
 from causalec.builtin import FIG1_COEFFS
 from causalec.coding import LinearCode
 from causalec.field import PrimeField
@@ -18,7 +24,8 @@ from causalec.messages import (
     ValRespEncoded,
     WriteReturnAck,
 )
-from causalec.server import CAUSAL, ReadLEntry, Server
+from causalec.harness import fuzz_scenario
+from causalec.server import CAUSAL, VARIANTS, ReadLEntry, Server
 from causalec.tags import LOCALHOST, ProtocolInvariantViolation, Tag, zero_tag
 
 
@@ -455,3 +462,46 @@ class TestGarbageCollection:
         assert [s.dst for s in sends_of(Del, sends)] == [1, 3, 4, 5]
         _, sends = srv.garbage_collection()
         assert not sends, "identical notice must not be re-broadcast"
+
+
+class FullSweepTwin(Server):
+    """After each internal action, replays it on a copy that visits every
+    object; the copy must find nothing to do and leave the state as is."""
+
+    STATE = ("L", "dell", "m_tagvec", "m_val", "tmax", "readl")
+    calls = 0
+    partial = 0  # calls whose dirty set left some object out
+
+    def encoding(self):
+        return self._against_full_sweep(Server.encoding, self._enc_dirty)
+
+    def garbage_collection(self):
+        return self._against_full_sweep(Server.garbage_collection, self._gc_dirty)
+
+    def _against_full_sweep(self, action, dirty):
+        FullSweepTwin.calls += 1
+        FullSweepTwin.partial += len(dirty) < self.k
+        result = action(self)
+        # a deep copy sharing only the code and the write registry, which the
+        # actions never write; pickling is about ten times faster than deepcopy
+        twin = copy.copy(self)
+        vars(twin).update(pickle.loads(pickle.dumps(
+            {k: v for k, v in vars(self).items() if k not in ("code", "write_registry")})))
+        twin._enc_dirty = set(self.object_indices())
+        twin._gc_dirty = set(self.object_indices())
+        assert action(twin) == (False, [])
+        for name in self.STATE:
+            assert getattr(twin, name) == getattr(self, name), name
+        return result
+
+
+class TestDirtySets:
+    def test_objects_outside_the_dirty_sets_are_fixed_points(self, monkeypatch):
+        monkeypatch.setattr(simnet, "Server", FullSweepTwin)
+        monkeypatch.setattr(FullSweepTwin, "calls", 0)
+        monkeypatch.setattr(FullSweepTwin, "partial", 0)
+        for variant in VARIANTS:
+            for seed in range(40):
+                simnet.run(fuzz_scenario(seed), seed, protocol=variant,
+                           collect_trace=False, probes=True)
+        assert FullSweepTwin.partial > FullSweepTwin.calls // 2 > 0
