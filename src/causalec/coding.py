@@ -13,7 +13,6 @@ update, ``symbol + coeffs[i][k] * (new - old)``.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from itertools import combinations
 from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
@@ -56,17 +55,8 @@ class LinearCode:
     # -- construction -----------------------------------------------------
 
     @classmethod
-    def from_json(cls, doc) -> "LinearCode":
-        """Build from ``{"field_p": 7, "value_len": 1, "coeffs": [[...], ...]}``.
-
-        Accepts a dict, a JSON string, or a file path.
-        """
-        if isinstance(doc, str):
-            try:
-                doc = json.loads(doc)
-            except json.JSONDecodeError:
-                with open(doc) as fh:
-                    doc = json.load(fh)
+    def from_json(cls, doc: dict) -> "LinearCode":
+        """Build from ``{"field_p": 7, "value_len": 1, "coeffs": [[...], ...]}``."""
         if "coeffs" not in doc:
             raise ValueError("code spec missing required field 'coeffs'")
         field = PrimeField(doc.get("field_p", 257))

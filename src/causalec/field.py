@@ -65,9 +65,6 @@ class PrimeField:
             raise ZeroDivisionError("0 has no multiplicative inverse")
         return pow(a, self.p - 2, self.p)
 
-    def div(self, a: int, b: int) -> int:
-        return self.mul(a, self.inv(b))
-
     # -- vector (Value) helpers ------------------------------------------
 
     def zero_value(self, length: int) -> Value:

@@ -84,6 +84,10 @@ class Scenario:
         for srv in self.halts:
             if not 1 <= srv <= self.code.n:
                 raise ScenarioError(f"halts: server {srv} out of range 1..{self.code.n}")
+        for src, dst in self.channel_extra_ms:
+            if not (1 <= src <= self.code.n and 1 <= dst <= self.code.n):
+                raise ScenarioError(
+                    f"channel_extra: channel {src}->{dst} out of range 1..{self.code.n}")
         if self.random_workload is not None and not self.clients:
             raise ScenarioError("clients: random workload needs at least one client")
 
@@ -132,6 +136,22 @@ def _number(raw, path: str, low: float = 0.0, high: float = float("inf")) -> flo
     return x
 
 
+def _integer(raw, path: str, low: float = 0.0, high: float = float("inf")) -> int:
+    x = _number(raw, path, low, high)
+    if not x.is_integer():
+        raise ScenarioError(f"{path}: must be an integer, got {raw!r}")
+    return int(x)
+
+
+def _ticks(raw, path: str) -> int:
+    """A non-negative time in latency units, as integer ticks."""
+    x = _number(raw, path)
+    try:
+        return to_ms(x)
+    except (ArithmeticError, ValueError) as e:  # too fine, or infinite
+        raise ScenarioError(f"{path}: {e}") from e
+
+
 def scenario_from_json(doc) -> Scenario:
     """Parse a scenario document (dict, JSON text, or file path)."""
     if isinstance(doc, str):
@@ -146,6 +166,7 @@ def scenario_from_json(doc) -> Scenario:
     code_doc = _expect(doc, "code", "")
     try:
         code = LinearCode.from_json(code_doc)
+        code.check_recoverable()
     except (ValueError, TypeError) as e:
         raise ScenarioError(f"code: {e}") from e
 
@@ -159,7 +180,8 @@ def scenario_from_json(doc) -> Scenario:
     for i, c in enumerate(doc.get("clients", [])):
         if not isinstance(c, dict) or "id" not in c or "home" not in c:
             raise ScenarioError(f"clients[{i}]: needs fields 'id' and 'home'")
-        clients.append(ClientSpec(int(c["id"]), int(c["home"])))
+        clients.append(ClientSpec(_integer(c["id"], f"clients[{i}].id", 1),
+                                  _integer(c["home"], f"clients[{i}].home", 1)))
 
     random_workload = None
     scripts: Dict[int, List[ScriptOp]] = {}
@@ -184,6 +206,8 @@ def scenario_from_json(doc) -> Scenario:
         elif kind == "script":
             for i, op in enumerate(_expect(w, "ops", "workload.")):
                 path = f"workload.ops[{i}]"
+                if not isinstance(op, dict):
+                    raise ScenarioError(f"{path}: must be an object")
                 for fld in ("client", "op", "object"):
                     if fld not in op:
                         raise ScenarioError(f"{path}.{fld}: missing required field")
@@ -195,12 +219,16 @@ def scenario_from_json(doc) -> Scenario:
                     raw = _expect(op, "value", path + ".")
                     if isinstance(raw, int):
                         raw = [raw]
+                    if not isinstance(raw, list) or not set(map(type, raw)) <= {int}:
+                        raise ScenarioError(
+                            f"{path}.value: must be an integer or a list of integers")
                     value = code.field.value(raw)
                     if len(value) != code.value_len:
                         raise ScenarioError(
                             f"{path}.value: length {len(value)} != code value_len {code.value_len}")
-                scripts.setdefault(int(op["client"]), []).append(
-                    ScriptOp(to_ms(op.get("time", 0)), kind_op, int(op["object"]), value))
+                scripts.setdefault(_integer(op["client"], f"{path}.client", 1), []).append(
+                    ScriptOp(_ticks(op.get("time", 0), f"{path}.time"), kind_op,
+                             _integer(op["object"], f"{path}.object", 1, code.k), value))
         else:
             raise ScenarioError(f"workload.kind: unknown kind {kind!r}")
 
@@ -211,20 +239,26 @@ def scenario_from_json(doc) -> Scenario:
         raise ScenarioError(f"delays.kind: unknown kind {delays.get('kind')!r}")
     if delays.get("kind") == "jitter":
         _number(delays.get("factor", 1), "delays.factor", 1)
+    elif delays.get("kind") == "uniform":
+        _number(delays.get("max", 1), "delays.max", _number(delays.get("min", 0), "delays.min"))
 
     halts = {}
     for i, h in enumerate(doc.get("halts", [])):
         if not isinstance(h, dict) or "server" not in h or "time" not in h:
             raise ScenarioError(f"halts[{i}]: needs fields 'server' and 'time'")
-        _number(h["time"], f"halts[{i}].time")
-        halts[int(h["server"])] = to_ms(h["time"])
+        halts[_integer(h["server"], f"halts[{i}].server", 1)] = _ticks(
+            h["time"], f"halts[{i}].time")
 
     extra = {}
     for i, e in enumerate(doc.get("channel_extra", [])):
+        path = f"channel_extra[{i}]"
+        if not isinstance(e, dict):
+            raise ScenarioError(f"{path}: needs fields 'from', 'to' and 'extra'")
         for fld in ("from", "to", "extra"):
             if fld not in e:
-                raise ScenarioError(f"channel_extra[{i}].{fld}: missing required field")
-        extra[(int(e["from"]), int(e["to"]))] = to_ms(e["extra"])
+                raise ScenarioError(f"{path}.{fld}: missing required field")
+        chan = (_integer(e["from"], f"{path}.from", 1), _integer(e["to"], f"{path}.to", 1))
+        extra[chan] = _ticks(e["extra"], f"{path}.extra")
 
     return Scenario(
         name=doc.get("name", "scenario"),
@@ -237,6 +271,6 @@ def scenario_from_json(doc) -> Scenario:
         delays=delays,
         halts=halts,
         channel_extra_ms=extra,
-        fairness=doc.get("fairness"),
-        step_cap=int(doc.get("step_cap", DEFAULT_STEP_CAP)),
+        fairness=None if doc.get("fairness") is None else _integer(doc["fairness"], "fairness"),
+        step_cap=_integer(doc.get("step_cap", DEFAULT_STEP_CAP), "step_cap"),
     )

@@ -19,10 +19,16 @@ State per server (all tag vectors indexed by object-1):
 * ``error1/error2`` per-object flags that provably stay 0
 * ``tmax[X]``       newest tag known to be deletable everywhere
 * ``_enc_dirty``, ``_gc_dirty`` the only objects ``encoding`` and
-                    ``garbage_collection`` visit, each emptied by its action.
-                    Both start full; an ``L[X]`` insertion or delete notice
-                    on X adds X to both, a collection from ``L[X]`` adds X
-                    to ``_enc_dirty``, a ``readl`` change adds every object.
+                    ``garbage_collection`` visit, each emptied by its action,
+                    and the only record of pending internal work
+                    (``has_internal_work``).  Both start full; an ``L[X]``
+                    insertion or delete notice on X adds X to both, a
+                    collection from ``L[X]`` adds X to ``_enc_dirty``, a
+                    ``tmax[X]`` change or delete-notice broadcast for X adds
+                    X to ``_gc_dirty``, and a ``readl`` change adds every
+                    object.  So an action that changes an object leaves it
+                    dirty, and a round that changed something is always
+                    followed by one that confirms the fixed point.
 """
 
 from __future__ import annotations
@@ -106,7 +112,6 @@ class Server:
         self.error1: List[int] = [0] * self.k
         self.error2: List[int] = [0] * self.k
         self.tmax: List[Tag] = [zt] * self.k
-        self.halted = False
         self.notes: List[tuple] = []  # per-transition annotations, drained by the simulator
         self._opid_counter = 0
         self._gc_del_sent: List[Optional[Tag]] = [None] * self.k
@@ -119,8 +124,6 @@ class Server:
         # when present, L insertions are checked against the known write values
         self.write_registry = write_registry
         self._m_verified: Optional[tuple] = None
-        # encode/collect have pending work only after a relevant mutation
-        self.round_dirty = True
         self._enc_dirty = set(self.object_indices())
         self._gc_dirty = set(self.object_indices())
 
@@ -141,7 +144,11 @@ class Server:
         vector spans every object, so a ``readl`` change queues them all."""
         self._enc_dirty.update(objs)
         self._gc_dirty.update(objs)
-        self.round_dirty = True
+
+    @property
+    def has_internal_work(self) -> bool:
+        """Whether ``encoding`` or ``garbage_collection`` has an object to visit."""
+        return bool(self._enc_dirty or self._gc_dirty)
 
     def _add_del(self, obj: int, tag: Tag, srv: int) -> None:
         self.dell[obj - 1][(tag, srv)] = None
@@ -172,6 +179,15 @@ class Server:
         del self.readl[opid]
         self._dirty(self.object_indices())
 
+    def _answer_reads(self, entries: List[ReadLEntry], value: Value) -> List[Send]:
+        """Drop the given pending reads, returning value to each client read;
+        an internal (localhost) read has no client to answer."""
+        sends = [Send("client", e.clientid, ReadReturn(e.opid, value))
+                 for e in entries if e.clientid != LOCALHOST]
+        for e in entries:
+            self._readl_remove(e.opid)
+        return sends
+
     def _other_servers(self) -> List[int]:
         return [j for j in range(1, self.n + 1) if j != self.id]
 
@@ -194,12 +210,10 @@ class Server:
             self.write_registry[t] = (obj, value)
         self._l_insert(obj, t, value)
         sends = [Send("client", clientid, WriteReturnAck(opid))]
-        for j in self._other_servers():
-            sends.append(Send("server", j, App(obj, value, t)))
-        for entry in [e for e in self.readl.values()
-                      if e.obj == obj and e.clientid != LOCALHOST]:
-            sends.append(Send("client", entry.clientid, ReadReturn(entry.opid, value)))
-            self._readl_remove(entry.opid)
+        sends += [Send("server", j, App(obj, value, t)) for j in self._other_servers()]
+        sends += self._answer_reads(
+            [e for e in self.readl.values() if e.obj == obj and e.clientid != LOCALHOST],
+            value)
         return sends
 
     def on_read(self, clientid: int, opid: OpId, obj: int) -> List[Send]:
@@ -268,7 +282,6 @@ class Server:
         return [Send("server", frm, msg)]
 
     def on_val_resp(self, frm: int, msg: ValResp) -> List[Send]:
-        sends: List[Send] = []
         if self.variant == CAUSAL:
             entry = self.readl.get(msg.opid)
             if (entry is None or entry.clientid != msg.clientid
@@ -276,17 +289,11 @@ class Server:
                 return []
             if entry.clientid == LOCALHOST:
                 self._l_insert(msg.obj, msg.requestedtags[msg.obj - 1], msg.value)
-            else:
-                sends.append(Send("client", entry.clientid, ReadReturn(entry.opid, msg.value)))
-            self._readl_remove(entry.opid)
-            return sends
+            return self._answer_reads([entry], msg.value)
         # eventual: the response names no operation, so it answers every
         # pending read on the object; localhost tuples are dropped unserved
-        for entry in [e for e in self.readl.values() if e.obj == msg.obj]:
-            if entry.clientid != LOCALHOST:
-                sends.append(Send("client", entry.clientid, ReadReturn(entry.opid, msg.value)))
-            self._readl_remove(entry.opid)
-        return sends
+        return self._answer_reads(
+            [e for e in self.readl.values() if e.obj == msg.obj], msg.value)
 
     def on_val_resp_encoded(self, frm: int, msg: ValRespEncoded) -> List[Send]:
         for i in range(self.k):
@@ -318,7 +325,6 @@ class Server:
             return []
         entry.symbols[frm - 1] = modified
         populated = {i + 1 for i, w in enumerate(entry.symbols) if w is not None}
-        sends: List[Send] = []
         for rs in self.code.minimal_recovery_sets(entry.obj):
             if rs.members <= populated:
                 symbols = {j: entry.symbols[j - 1] for j in rs.members}
@@ -326,11 +332,8 @@ class Server:
                 self.notes.append(("decoded", entry.obj, tuple(sorted(rs.members)), entry.opid))
                 if entry.clientid == LOCALHOST:
                     self._l_insert(entry.obj, self.m_tagvec[entry.obj - 1], v)
-                else:
-                    sends.append(Send("client", entry.clientid, ReadReturn(entry.opid, v)))
-                self._readl_remove(entry.opid)
-                break
-        return sends
+                return self._answer_reads([entry], v)
+        return []
 
     def handle(self, frm: int, msg: Message) -> List[Send]:
         """Dispatch one received message; frm is a client id for Write/Read,
@@ -368,68 +371,55 @@ class Server:
             del self.inqueue[j]
         self.vc[j - 1] = t.ts[j - 1]
         self._l_insert(item.obj, t, item.value)
-        sends: List[Send] = []
-        for entry in [e for e in self.readl.values()
-                      if e.obj == item.obj and e.clientid != LOCALHOST]:
-            if self.variant == CAUSAL and not entry.tagvec[item.obj - 1] <= t:
-                continue
-            sends.append(Send("client", entry.clientid, ReadReturn(entry.opid, item.value)))
-            self._readl_remove(entry.opid)
-        for entry in [e for e in self.readl.values()
-                      if e.obj == item.obj and e.clientid == LOCALHOST
-                      and e.tagvec[item.obj - 1] == t]:
-            self._readl_remove(entry.opid)
-        return True, sends
+        # a client read takes the write if (causal) it asked for no newer
+        # version; an internal read waiting for exactly this version is done
+        served = [e for e in self.readl.values() if e.obj == item.obj and (
+            e.tagvec[item.obj - 1] == t if e.clientid == LOCALHOST
+            else self.variant == EVENTUAL or e.tagvec[item.obj - 1] <= t)]
+        return True, self._answer_reads(served, item.value)
 
     def encoding(self) -> Tuple[bool, List[Send]]:
         changed = False
         sends: List[Send] = []
         dirty, self._enc_dirty = self._enc_dirty, set()
-        for x in [x for x in self._held if x in dirty]:
+        # held objects first, then the others, each in index order
+        for x in sorted(dirty, key=lambda x: (x not in self.objects_here, x)):
             highest = self._highest(x)
-            if highest is None or not self.m_tagvec[x - 1] < highest[0]:
-                continue
-            ht, hv = highest
-            old = self.L[x - 1].get(self.m_tagvec[x - 1])
-            if old is not None:
-                self.m_val = self.code.reencode(self.id, x, self.m_val, old, hv)
-                self.m_tagvec[x - 1] = ht
-                for j in self._servers_with(x):
-                    if j != self.id:
-                        sends.append(Send("server", j, Del(x, ht)))
-                self._add_del(x, ht, self.id)
-                changed = True
-            else:
-                pending = any(
-                    e.clientid == LOCALHOST and e.obj == x
-                    and e.tagvec[x - 1] == self.m_tagvec[x - 1]
-                    for e in self.readl.values())
-                if not pending:
-                    opid = self._next_internal_opid()
-                    symbols: List[Optional[Value]] = [None] * self.n
-                    symbols[self.id - 1] = self.m_val
-                    self._readl_add(
-                        ReadLEntry(LOCALHOST, opid, x, tuple(self.m_tagvec), symbols))
-                    msg = ValInq(LOCALHOST, opid, x, tuple(self.m_tagvec))
-                    for j in self._other_servers():
-                        sends.append(Send("server", j, msg))
-                    changed = True
-        for x in sorted(dirty - self.objects_here):
-            highest = self._highest(x)
-            if highest is None or not self.m_tagvec[x - 1] < highest[0]:
-                continue
-            threshold = self._per_server_del_max(x, self._servers_with(x))
-            if threshold is None:
-                continue
             mt = self.m_tagvec[x - 1]
-            candidates = [t for t in self.L[x - 1] if mt < t <= threshold]
-            if candidates:
-                newtag = max(candidates)
-                self.m_tagvec[x - 1] = newtag
-                self._add_del(x, newtag, self.id)
-                for j in self._other_servers():
-                    sends.append(Send("server", j, Del(x, newtag)))
-                changed = True
+            if highest is None or not mt < highest[0]:
+                continue
+            if x in self.objects_here:
+                ht, hv = highest
+                old = self.L[x - 1].get(mt)
+                if old is None:
+                    # the symbol's version is gone from L[X]: fetch it once
+                    if not any(e.clientid == LOCALHOST and e.obj == x
+                               and e.tagvec[x - 1] == mt for e in self.readl.values()):
+                        opid = self._next_internal_opid()
+                        symbols: List[Optional[Value]] = [None] * self.n
+                        symbols[self.id - 1] = self.m_val
+                        self._readl_add(
+                            ReadLEntry(LOCALHOST, opid, x, tuple(self.m_tagvec), symbols))
+                        msg = ValInq(LOCALHOST, opid, x, tuple(self.m_tagvec))
+                        sends += [Send("server", j, msg) for j in self._other_servers()]
+                        changed = True
+                    continue
+                self.m_val = self.code.reencode(self.id, x, self.m_val, old, hv)
+                dsts = [j for j in self._servers_with(x) if j != self.id]
+            else:
+                # the symbol does not depend on X: its tag follows the newest
+                # version every holder of X has deleted past
+                threshold = self._per_server_del_max(x, self._servers_with(x))
+                newer = [] if threshold is None else [
+                    t for t in self.L[x - 1] if mt < t <= threshold]
+                if not newer:
+                    continue
+                ht = max(newer)
+                dsts = self._other_servers()
+            self.m_tagvec[x - 1] = ht
+            self._add_del(x, ht, self.id)
+            sends += [Send("server", j, Del(x, ht)) for j in dsts]
+            changed = True
         return changed, sends
 
     def _per_server_del_max(self, obj: int, servers: List[int]) -> Optional[Tag]:
@@ -456,8 +446,10 @@ class Server:
             new_tmax = self._per_server_del_max(x, all_servers)
             if new_tmax is None:
                 new_tmax = self._zero_tag()
+            # each change below leaves X dirty, so the next round confirms it
             if new_tmax != self.tmax[x - 1]:
                 self.tmax[x - 1] = new_tmax
+                self._gc_dirty.add(x)
                 changed = True
             tmax = self.tmax[x - 1]
             mtag = self.m_tagvec[x - 1]
@@ -465,13 +457,13 @@ class Server:
             if lx:
                 protected = {e.tagvec[x - 1] for e in self.readl.values()
                              if e.tagvec[x - 1] < mtag}
-                if (tmax == mtag and max(lx) <= mtag
-                        and all((mtag, i) in self.dell[x - 1] for i in all_servers)):
-                    doomed = [t for t in lx if t <= tmax and t not in protected]
-                elif tmax < mtag and x not in self.objects_here:
-                    doomed = [t for t in lx if t <= tmax and t not in protected]
-                else:
-                    doomed = [t for t in lx if t < tmax and t not in protected]
+                # tmax itself goes once every server has deleted past the
+                # symbol's version, or when the symbol does not depend on X
+                inclusive = ((tmax == mtag and max(lx) <= mtag
+                              and all((mtag, i) in self.dell[x - 1] for i in all_servers))
+                             or (tmax < mtag and x not in self.objects_here))
+                doomed = [t for t in lx if (t < tmax or inclusive and t == tmax)
+                          and t not in protected]
                 for t in doomed:
                     del lx[t]
                     self._enc_dirty.add(x)  # encoding reads L[X]
@@ -482,8 +474,8 @@ class Server:
                     # re-broadcasting the same notice forever would keep the
                     # run from quiescing; only a new max goes out
                     self._gc_del_sent[x - 1] = max_u
-                    for j in self._other_servers():
-                        sends.append(Send("server", j, Del(x, max_u)))
+                    sends += [Send("server", j, Del(x, max_u)) for j in self._other_servers()]
+                    self._gc_dirty.add(x)
                     changed = True
         return changed, sends
 

@@ -21,7 +21,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .client import Client
 from .field import Value
@@ -44,7 +44,6 @@ class OperationRecord:
     t_invoke: int
     t_response: Optional[int] = None
     ts: Optional[Tuple[int, ...]] = None  # home server's clock when it answered
-    write_tag: Optional[Tag] = None
     probe: bool = False
 
     @property
@@ -134,6 +133,7 @@ class Simulation:
         self._prev_vc: Dict[int, Tuple[int, ...]] = {}
         self._prev_tagvec: Dict[int, Tuple[Tag, ...]] = {}
         self._last_full_round: Dict[int, int] = {s: 0 for s in self.servers}
+        self.halted: Set[int] = set()  # a halted server processes nothing further
         self._next_fair_scan = 0
         self._fatal = False
         self.fairness = scenario.fairness_window()
@@ -180,13 +180,16 @@ class Simulation:
 
     # -- trace / probes --------------------------------------------------------
 
-    def _record(self, node: str, event: Optional[tuple], digest: Optional[tuple],
+    def _record(self, node: str, event: Optional[tuple], srv: Optional[Server],
                 emitted: List[Send], notes: tuple = ()) -> None:
+        """Count one transition; when tracing, log it with the digest of the
+        server that took it (None for client and halt steps)."""
         self.steps += 1
         if not self.collect_trace:
             return
         self.trace.append(TraceRecord(
-            seq=self.steps, t=self.now, node=node, event=event, digest=digest,
+            seq=self.steps, t=self.now, node=node, event=event,
+            digest=srv.digest() if srv is not None else None,
             emitted=tuple((s.kind, s.dst, s.msg.describe()) for s in emitted),
             notes=notes))
 
@@ -212,21 +215,17 @@ class Simulation:
             self._prev_tagvec[srv.id] = tv
 
     def _server_transition(self, sid: int, event: Optional[tuple], fn) -> bool:
-        """Run one handler atomically; returns whether state changed/emitted."""
+        """Run one step ``fn() -> (changed, sends)`` atomically; returns
+        whether it changed state or emitted."""
         srv = self.servers[sid]
         srv.notes.clear()
         try:
-            out = fn()
+            changed, sends = fn()
         except ProtocolInvariantViolation as e:
             self.violations.append(str(e))
             self._fatal = True
-            self._record(f"s{sid}", event, srv.digest() if self.collect_trace else None, [])
+            self._record(f"s{sid}", event, srv, [])
             return False
-        changed = True
-        if isinstance(out, tuple):
-            changed, sends = out
-        else:
-            sends = out
         for s in sends:
             self._check_outgoing(srv, s)
             self._schedule_send("server", sid, s)
@@ -234,10 +233,7 @@ class Simulation:
                 rec = self.ops.get(s.msg.opid)
                 if rec is not None and rec.ts is None:
                     rec.ts = tuple(srv.vc)
-                    if rec.kind == "write":
-                        rec.write_tag = Tag(rec.ts, rec.client)
-        digest = srv.digest() if self.collect_trace else None
-        self._record(f"s{sid}", event, digest, sends, tuple(srv.notes))
+        self._record(f"s{sid}", event, srv, sends, tuple(srv.notes))
         self._probe_after(srv)
         return changed or bool(sends)
 
@@ -255,7 +251,7 @@ class Simulation:
         srv = self.servers[sid]
         event = (("recv", f"{'c' if src_kind == 'client' else 's'}{src}", msg.describe())
                  if self.collect_trace else None)
-        self._server_transition(sid, event, lambda: srv.handle(src, msg))
+        self._server_transition(sid, event, lambda: (True, srv.handle(src, msg)))
         if isinstance(msg, Write):
             # write locality: the ack must come out of this very transition
             rec = self.ops.get(msg.opid)
@@ -301,10 +297,10 @@ class Simulation:
 
     def _service_round(self, sid: int, force: bool = False) -> bool:
         """Apply-drain then encode and collect.  Unless forced, the encode
-        and collect steps run only when some prior mutation could have
-        enabled them; forced rounds certify quiescence and fairness."""
+        and collect steps run only when the server has internal work (a
+        dirty object); forced rounds certify quiescence and fairness."""
         srv = self.servers[sid]
-        if srv.halted:
+        if sid in self.halted:
             return False
         any_change = False
         attempted = False
@@ -314,18 +310,15 @@ class Simulation:
             any_change |= changed
             if not changed or self._fatal:
                 break
-        if self._fatal or not (force or srv.round_dirty):
+        if self._fatal or not (force or srv.has_internal_work):
             return any_change
         if not attempted:
-            self._record(f"s{sid}", ("apply",),
-                         srv.digest() if self.collect_trace else None, [])
+            self._record(f"s{sid}", ("apply",), srv, [])
         self._last_full_round[sid] = self.steps
         ch_e = self._server_transition(sid, ("encode",), srv.encoding)
         if self._fatal:
             return any_change or ch_e
         ch_g = self._server_transition(sid, ("gc",), srv.garbage_collection)
-        if not ch_e and not ch_g:
-            srv.round_dirty = False
         return any_change or ch_e or ch_g
 
     def _fairness_rounds(self) -> None:
@@ -333,7 +326,7 @@ class Simulation:
             return
         self._next_fair_scan = self.steps + 4
         due = [s for s, last in self._last_full_round.items()
-               if not self.servers[s].halted and self.steps - last >= self.fairness]
+               if s not in self.halted and self.steps - last >= self.fairness]
         for s in sorted(due):
             if self._fatal:
                 return
@@ -346,14 +339,14 @@ class Simulation:
             t, _, kind, payload = heapq.heappop(self.heap)
             self.now = max(self.now, t)
             if kind == "halt":
-                self.servers[payload].halted = True
+                self.halted.add(payload)
                 self._record(f"s{payload}", ("halt",), None, [])
             elif kind == "invoke":
                 self._try_invoke(payload)
             else:
                 dst_kind, dst, src_kind, src, msg = payload
                 if dst_kind == "server":
-                    if self.servers[dst].halted:
+                    if dst in self.halted:
                         continue
                     self._deliver_to_server(dst, src_kind, src, msg)
                     if not self._fatal:
@@ -369,7 +362,7 @@ class Simulation:
                 break
             swept = False
             for s in sorted(self.servers):
-                if not self.servers[s].halted:
+                if s not in self.halted:
                     swept |= self._service_round(s, force=True)
             if not swept and not self.heap:
                 return True
@@ -379,7 +372,7 @@ class Simulation:
         """One read per (live server, object), issued by fresh probe clients."""
         idx = 0
         for s in sorted(self.servers):
-            if self.servers[s].halted:
+            if s in self.halted:
                 continue
             for obj in range(1, self.code.k + 1):
                 idx += 1
@@ -402,7 +395,7 @@ class Simulation:
             violations=self.violations,
             write_locality_breaks=self.write_locality_breaks,
             pending_opids=sorted(pending),
-            halted=sorted(s for s in self.servers if self.servers[s].halted),
+            halted=sorted(self.halted),
             probe_results=self.probe_results,
             servers=self.servers,
             write_registry=self.write_registry,
@@ -419,8 +412,7 @@ def run(scenario: Scenario, seed: int, protocol: Optional[str] = None,
     """
     sim = Simulation(scenario, seed, protocol=protocol, collect_trace=collect_trace)
     quiescent = sim.run_to_quiescence()
-    any_halted = any(s.halted for s in sim.servers.values())
-    if probes and quiescent and not sim._fatal and not any_halted:
+    if probes and quiescent and not sim._fatal and not sim.halted:
         # convergence is only promised when every server keeps taking steps
         sim.inject_probes()
         quiescent = sim.run_to_quiescence()

@@ -5,10 +5,14 @@ has to survive; the tests assert the staged mechanism actually fired, not
 just that the run ended well.
 """
 
+import json
+import re
+
 import pytest
 
 from causalec import builtin
 from causalec.checker import all_passed, check_all
+from causalec.harness import main
 from causalec.scenarios import ScenarioError, scenario_from_json
 from causalec.simnet import run
 
@@ -32,6 +36,76 @@ def write_tag(result, obj, value):
     (t,) = [t for t, (o, v) in result.write_registry.items()
             if o == obj and v == value]
     return t
+
+
+def _set(path, value, doc_fn=builtin.fig1_scenario_doc):
+    """A bundled document with the field at path (keys and indices) replaced."""
+    def build():
+        doc = doc_fn()
+        node = doc
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return doc
+    return build
+
+
+def _zero_coeffs():
+    doc = builtin.fig1_scenario_doc()
+    doc["code"]["coeffs"] = [[0] * len(row) for row in doc["code"]["coeffs"]]
+    return doc
+
+
+# (malformed document, the field path its ScenarioError must start with)
+MALFORMED = {
+    "home_not_int": (_set(["clients", 0, "home"], "x"), r"clients\[0\]\.home:"),
+    "id_not_int": (_set(["clients", 0, "id"], "y"), r"clients\[0\]\.id:"),
+    "halt_server_not_int": (
+        _set(["halts"], [{"server": "a", "time": 1}]), r"halts\[0\]\.server:"),
+    "channel_from_not_int": (
+        _set(["channel_extra"], [{"from": "q", "to": 2, "extra": 1}]),
+        r"channel_extra\[0\]\.from:"),
+    "step_cap_not_int": (_set(["step_cap"], "abc"), r"step_cap:"),
+    "fairness_not_int": (_set(["fairness"], "abc"), r"fairness:"),
+    "halt_time_too_fine": (
+        _set(["halts"], [{"server": 2, "time": 0.0001}]), r"halts\[0\]\.time:"),
+    "channel_extra_too_fine": (
+        _set(["channel_extra"], [{"from": 1, "to": 2, "extra": 0.0001}]),
+        r"channel_extra\[0\]\.extra:"),
+    "op_time_too_fine": (
+        _set(["workload", "ops", 0, "time"], 0.0001, builtin.read_scenario_2_doc),
+        r"workload\.ops\[0\]\.time:"),
+    "op_object_out_of_range": (
+        _set(["workload", "ops", 0, "object"], 7, builtin.read_scenario_2_doc),
+        r"workload\.ops\[0\]\.object:"),
+    "op_not_an_object": (
+        _set(["workload", "ops", 0], 5, builtin.read_scenario_2_doc), r"workload\.ops\[0\]:"),
+    "op_value_not_int": (
+        _set(["workload", "ops", 0, "value"], "abc", builtin.read_scenario_2_doc),
+        r"workload\.ops\[0\]\.value:"),
+    "uniform_delay_not_a_number": (
+        _set(["delays"], {"kind": "uniform", "min": "a"}), r"delays\.min:"),
+    "uniform_delay_range_empty": (
+        _set(["delays"], {"kind": "uniform", "min": 2, "max": 1}), r"delays\.max:"),
+    "code_unrecoverable": (_zero_coeffs, r"code:"),
+    "channel_from_out_of_range": (
+        _set(["channel_extra"], [{"from": 9, "to": 2, "extra": 1}]), r"channel_extra:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED))
+def test_malformed_field_raises_scenario_error(case):
+    build, field_path = MALFORMED[case]
+    with pytest.raises(ScenarioError, match="^" + field_path):
+        scenario_from_json(build())
+
+
+def test_cli_exits_two_on_every_malformed_field(tmp_path, capsys):
+    for case, (build, field_path) in sorted(MALFORMED.items()):
+        path = tmp_path / f"{case}.json"
+        path.write_text(json.dumps(build()))
+        assert main(["run", str(path), "--seeds", "0"]) == 2, case
+        assert re.search(field_path, capsys.readouterr().err), case
 
 
 class TestValidation:

@@ -466,7 +466,9 @@ class TestGarbageCollection:
 
 class FullSweepTwin(Server):
     """After each internal action, replays it on a copy that visits every
-    object; the copy must find nothing to do and leave the state as is."""
+    object; the copy must find nothing to do and leave the state as is.  An
+    action that changed something must leave work behind, so that the next
+    round, which confirms the fixed point, is scheduled."""
 
     STATE = ("L", "dell", "m_tagvec", "m_val", "tmax", "readl")
     calls = 0
@@ -482,6 +484,8 @@ class FullSweepTwin(Server):
         FullSweepTwin.calls += 1
         FullSweepTwin.partial += len(dirty) < self.k
         result = action(self)
+        if result[0]:
+            assert self.has_internal_work
         # a deep copy sharing only the code and the write registry, which the
         # actions never write; pickling is about ten times faster than deepcopy
         twin = copy.copy(self)
