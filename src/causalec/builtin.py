@@ -45,16 +45,18 @@ FIG1_EDGES = [
 ]
 
 
+# each document gets its own copy of the rows, so editing one leaves the
+# module constants alone
 def fig1_code_doc(value_len: int = 1) -> dict:
-    return {"field_p": 7, "value_len": value_len, "coeffs": FIG1_COEFFS}
+    return {"field_p": 7, "value_len": value_len, "coeffs": [list(r) for r in FIG1_COEFFS]}
 
 
 def alt_code_doc(value_len: int = 1) -> dict:
-    return {"field_p": 7, "value_len": value_len, "coeffs": ALT_COEFFS}
+    return {"field_p": 7, "value_len": value_len, "coeffs": [list(r) for r in ALT_COEFFS]}
 
 
 def fig1_graph_doc() -> dict:
-    return {"n": 5, "edges": FIG1_EDGES}
+    return {"n": 5, "edges": [list(e) for e in FIG1_EDGES]}
 
 
 def fig1_scenario_doc() -> dict:

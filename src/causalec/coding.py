@@ -1,23 +1,37 @@
 """Cross-object linear codes over GF(p).
 
 A code for K objects on N servers is an N x K coefficient matrix.  Server
-``i`` stores the codeword symbol ``sum_k coeffs[i][k] * x_k`` (coordinate-wise
-over value vectors), so a symbol mixes the values of *different* objects
-rather than fragments of one object.  Servers and objects are numbered from
-1 throughout the public API.
+``i`` stores ``sum_k coeffs[i][k] * x_k`` (coordinate-wise over value
+vectors), so a symbol mixes the values of *different* objects rather than
+fragments of one object.  Servers and objects are numbered from 1 in the
+public API.  Re-encoding after one object changes is a single scaled update,
+``symbol + coeffs[i][k] * (new - old)``.
 
-Recovery sets and decoding reduce to solving ``e_k = sum a_j row_j`` over
-GF(p); re-encoding a symbol after one object changes is a single scaled
-update, ``symbol + coeffs[i][k] * (new - old)``.
+Server set S recovers object X when the unit vector ``e_X`` is a combination
+``sum a_j row_j`` of S's rows; the ``a_j`` decode X from S's symbols.  All
+recovery algebra runs on one kernel, ``_insert``, which adds a row to a
+reduced row-echelon basis whose vectors carry, in N extra columns, their
+combination over server rows: ``e_X`` is in the span iff the vector pivoted
+on column X is ``e_X``, and its extra columns are then the decode coefficients.
+
+A minimal recovery set is linearly independent (a dependent set has a proper
+subset with the same span), and over an independent set the combination
+giving ``e_X`` is unique, so S is minimal iff no coefficient of it is zero.
+``minimal_recovery_sets`` is one depth-first search over independent sets in
+ascending server order, for all objects at once; each object's sets are
+ordered by size, then lexicographically.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
-from typing import Dict, FrozenSet, List, Mapping, Optional, Sequence
+from typing import Dict, FrozenSet, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .field import PrimeField, Value
+
+# pivot column -> basis vector: K coefficient columns, then N columns giving
+# the vector as a combination of server rows
+Basis = Dict[int, List[int]]
 
 
 @dataclass(frozen=True)
@@ -36,19 +50,23 @@ class RecoverySet:
 
 class LinearCode:
     def __init__(self, field: PrimeField, coeffs: Sequence[Sequence[int]], value_len: int = 1):
-        if not coeffs:
-            raise ValueError("coefficient matrix must have at least one row")
-        k = len(coeffs[0])
-        if k == 0 or any(len(row) != k for row in coeffs):
-            raise ValueError("coefficient matrix rows must be non-empty and equal-length")
-        if value_len < 1:
-            raise ValueError("value_len must be >= 1")
+        """A bad argument raises ValueError whose message starts with its name."""
+        if not (isinstance(coeffs, (list, tuple)) and coeffs and all(
+                isinstance(row, (list, tuple)) and row and len(row) == len(coeffs[0])
+                for row in coeffs)):
+            raise ValueError("coeffs: must be a non-empty list of equal-length non-empty lists")
+        for i, row in enumerate(coeffs):
+            for j, c in enumerate(row):
+                if type(c) is not int:
+                    raise ValueError(f"coeffs[{i}][{j}]: must be an integer, got {c!r}")
+        if type(value_len) is not int or value_len < 1:
+            raise ValueError(f"value_len: must be an integer >= 1, got {value_len!r}")
         self.field = field
         self.value_len = value_len
         self.n = len(coeffs)
-        self.k = k
+        self.k = len(coeffs[0])
         self.coeffs = tuple(tuple(c % field.p for c in row) for row in coeffs)
-        self._minimal_cache: Dict[int, List[RecoverySet]] = {}
+        self._minimal: Optional[Tuple[Tuple[RecoverySet, ...], ...]] = None
         self._objects_at = tuple(
             frozenset(j + 1 for j, c in enumerate(row) if c) for row in self.coeffs)
 
@@ -56,10 +74,16 @@ class LinearCode:
 
     @classmethod
     def from_json(cls, doc: dict) -> "LinearCode":
-        """Build from ``{"field_p": 7, "value_len": 1, "coeffs": [[...], ...]}``."""
+        """Build from ``{"field_p": 7, "value_len": 1, "coeffs": [[...], ...]}``.
+
+        A bad field raises ValueError whose message starts with its name.
+        """
         if "coeffs" not in doc:
-            raise ValueError("code spec missing required field 'coeffs'")
-        field = PrimeField(doc.get("field_p", 257))
+            raise ValueError("coeffs: missing required field")
+        try:
+            field = PrimeField(doc.get("field_p", 257))
+        except ValueError as e:
+            raise ValueError(f"field_p: {e}") from e
         return cls(field, doc["coeffs"], value_len=doc.get("value_len", 1))
 
     def to_json(self) -> dict:
@@ -122,50 +146,55 @@ class LinearCode:
             raise ValueError(f"server index {server} out of range 1..{self.n}")
         return self._objects_at[server - 1]
 
-    def _solve(self, rows: Sequence[int], obj: int) -> Optional[Dict[int, int]]:
-        """Coefficients a_j with sum a_j row_j = e_obj, or None.
+    def _insert(self, basis: Basis, server: int) -> Optional[Basis]:
+        """``basis`` with ``server``'s row added, or None if the row is in its span.
 
-        Gaussian elimination with lowest-server-index pivoting, so decode
-        coefficients are deterministic.
+        The reduced row is scaled to 1 at its first nonzero column, which is
+        then cleared from the other vectors, so each is 0 at the others' pivots.
         """
-        p = self.field.p
-        n_un = len(rows)
-        # augmented system: one equation per object column
-        eqs = [[self.coeffs[j - 1][c] for j in rows] + [1 if c == obj - 1 else 0]
-               for c in range(self.k)]
-        pivots: List[int] = []
-        r = 0
-        for c in range(n_un):
-            pr = next((i for i in range(r, len(eqs)) if eqs[i][c] % p), None)
-            if pr is None:
-                continue
-            eqs[r], eqs[pr] = eqs[pr], eqs[r]
-            inv = pow(eqs[r][c], p - 2, p)
-            eqs[r] = [(v * inv) % p for v in eqs[r]]
-            for i in range(len(eqs)):
-                if i != r and eqs[i][c] % p:
-                    f = eqs[i][c]
-                    eqs[i] = [(a - f * b) % p for a, b in zip(eqs[i], eqs[r])]
-            pivots.append(c)
-            r += 1
-        if any(eqs[i][n_un] % p for i in range(r, len(eqs))):
+        p, k = self.field.p, self.k
+        v = [*self.coeffs[server - 1], *([0] * self.n)]
+        v[k + server - 1] = 1
+        for piv, b in basis.items():
+            f = v[piv]
+            if f:
+                v = [(a - f * c) % p for a, c in zip(v, b)]
+        piv = next((i for i in range(k) if v[i]), None)
+        if piv is None:
             return None
-        sol = [0] * n_un
-        for i, c in enumerate(pivots):
-            sol[c] = eqs[i][n_un]
-        return {srv: sol[i] for i, srv in enumerate(rows)}
+        inv = self.field.inv(v[piv])
+        v = [a * inv % p for a in v]
+        out = {bp: [(a - b[piv] * c) % p for a, c in zip(b, v)] if b[piv] else b
+               for bp, b in basis.items()}
+        out[piv] = v
+        return out
+
+    def _decoder(self, basis: Basis, obj: int) -> Optional[List[int]]:
+        """Per-server coefficients (N of them) combining the basis to e_obj, or None."""
+        v = basis.get(obj - 1)
+        if v is None or any(v[i] for i in range(self.k) if i != obj - 1):
+            return None
+        return v[self.k:]
+
+    def _span(self, servers: Iterable[int]) -> Basis:
+        basis: Basis = {}
+        for s in servers:
+            basis = self._insert(basis, s) or basis
+        return basis
 
     def is_recovery_set(self, servers, obj: int) -> Optional[RecoverySet]:
-        """RecoverySet with decode coefficients iff ``servers`` suffice for ``obj``."""
+        """RecoverySet with decode coefficients iff ``servers`` suffice for ``obj``;
+        a member whose row depends on lower-numbered members gets coefficient 0."""
         members = sorted(set(servers))
         if any(not 1 <= s <= self.n for s in members):
             raise ValueError(f"server indices {members} out of range 1..{self.n}")
         if not 1 <= obj <= self.k:
             raise ValueError(f"object index {obj} out of range 1..{self.k}")
-        sol = self._solve(members, obj)
-        if sol is None:
+        a = self._decoder(self._span(members), obj)
+        if a is None:
             return None
-        return RecoverySet(object=obj, members=frozenset(members), decode_coeffs=sol)
+        return RecoverySet(object=obj, members=frozenset(members),
+                           decode_coeffs={s: a[s - 1] for s in members})
 
     def singleton_recovery(self, server: int, obj: int) -> Optional[RecoverySet]:
         """Recovery set {server} for obj, if the object is locally decodable."""
@@ -178,31 +207,48 @@ class LinearCode:
             decode_coeffs={server: self.field.inv(row[obj - 1])},
         )
 
-    def minimal_recovery_sets(self, obj: int) -> List[RecoverySet]:
-        """All inclusion-minimal recovery sets for ``obj``.
+    def minimal_recovery_sets(self, obj: int) -> Tuple[RecoverySet, ...]:
+        """All inclusion-minimal recovery sets for ``obj``, by size then members.
 
-        Subset search ordered by cardinality with superset pruning; fine for
-        the intended N <= 12.  Raises if the object is unrecoverable.
+        One search finds every object's sets and caches them.  Raises if the
+        object is unrecoverable.
         """
-        if obj not in self._minimal_cache:
-            found: List[RecoverySet] = []
-            for size in range(1, self.n + 1):
-                for S in combinations(range(1, self.n + 1), size):
-                    if any(rs.members <= set(S) for rs in found):
-                        continue
-                    rs = self.is_recovery_set(S, obj)
-                    if rs is not None:
-                        found.append(rs)
-            if not found:
-                raise ValueError(f"object {obj} is not recoverable under this code")
-            self._minimal_cache[obj] = found
-        return list(self._minimal_cache[obj])
+        if not 1 <= obj <= self.k:
+            raise ValueError(f"object index {obj} out of range 1..{self.k}")
+        if self._minimal is None:
+            self._minimal = self._enumerate_minimal()
+        if not self._minimal[obj - 1]:
+            raise ValueError(f"object {obj} is not recoverable under this code")
+        return self._minimal[obj - 1]
+
+    def _enumerate_minimal(self) -> Tuple[Tuple[RecoverySet, ...], ...]:
+        found: List[list] = [[] for _ in range(self.k)]  # per object: (members, decoder)
+        stack: List[Tuple[Tuple[int, ...], Basis]] = [((), {})]
+        while stack:
+            members, basis = stack.pop()
+            for s in range(members[-1] + 1 if members else 1, self.n + 1):
+                grown = self._insert(basis, s)
+                if grown is None:
+                    continue
+                ms = members + (s,)
+                for x in range(1, self.k + 1):
+                    a = self._decoder(grown, x)
+                    if a is not None and all(a[j - 1] for j in ms):
+                        found[x - 1].append((ms, a))
+                if len(grown) < self.k:
+                    stack.append((ms, grown))
+        return tuple(
+            tuple(RecoverySet(object=x, members=frozenset(ms),
+                              decode_coeffs={j: a[j - 1] for j in ms})
+                  for ms, a in sorted(sets, key=lambda e: (len(e[0]), e[0])))
+            for x, sets in enumerate(found, start=1))
 
     def check_recoverable(self) -> None:
-        """Raise unless every object is recoverable from the full server set."""
-        for obj in range(1, self.k + 1):
-            if self.is_recovery_set(range(1, self.n + 1), obj) is None:
-                raise ValueError(f"object {obj} cannot be recovered from any server set")
+        """Raise unless the rows have rank K, so every object is recoverable."""
+        basis = self._span(range(1, self.n + 1))
+        if len(basis) < self.k:
+            obj = next(x for x in range(1, self.k + 1) if self._decoder(basis, x) is None)
+            raise ValueError(f"object {obj} cannot be recovered from any server set")
 
     def decode(self, obj: int, rs: RecoverySet, symbols: Mapping[int, Value]) -> Value:
         """Combine symbols of a recovery set into the object value."""

@@ -30,35 +30,14 @@ class PrimeField:
     """GF(p) for an odd prime p.  Elements are ints reduced mod p."""
 
     def __init__(self, p: int = 257):
-        if not _is_prime(p):
-            raise ValueError(f"field order must be prime, got {p}")
+        if type(p) is not int or not _is_prime(p):
+            raise ValueError(f"field order must be a prime integer, got {p!r}")
         if p == 2:
             raise ValueError("field characteristic must be odd")
         self.p = p
 
     def __repr__(self) -> str:
         return f"PrimeField({self.p})"
-
-    def __eq__(self, other: object) -> bool:
-        return isinstance(other, PrimeField) and other.p == self.p
-
-    def __hash__(self) -> int:
-        return hash(("PrimeField", self.p))
-
-    def element(self, a: int) -> int:
-        return a % self.p
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.p
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.p
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.p
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.p
 
     def inv(self, a: int) -> int:
         if a % self.p == 0:
@@ -90,11 +69,3 @@ class PrimeField:
         c %= p
         return tuple((c * a) % p for a in v)
 
-    def all_values(self, length: int):
-        """Every value of the given length, in lexicographic order.
-
-        Only sensible for tiny fields; used by brute-force oracles.
-        """
-        from itertools import product
-
-        return product(range(self.p), repeat=length)

@@ -63,10 +63,6 @@ class LatencyGraph:
             raise ValueError("latency graph needs fields 'n' and 'edges'")
         return cls(doc["n"], {(int(i), int(j)): w for i, j, w in doc["edges"]})
 
-    def to_json(self) -> dict:
-        return {"n": self.n,
-                "edges": [[i, j, float(Decimal(ms) / MS)] for (i, j), ms in sorted(self._ms.items())]}
-
     def delay_ms(self, i: int, j: int) -> int:
         if i == j:
             return 0
@@ -87,7 +83,6 @@ def analyze_latency(graph: LatencyGraph, code: LinearCode) -> LatencyReport:
     """Best-recovery-set read latency for every (server, object) pair."""
     if graph.n != code.n:
         raise ValueError(f"graph has {graph.n} servers but code has {code.n}")
-    code.check_recoverable()
     per_pair: Dict[Tuple[int, int], float] = {}
     for obj in range(1, code.k + 1):
         sets = code.minimal_recovery_sets(obj)
@@ -96,27 +91,6 @@ def analyze_latency(graph: LatencyGraph, code: LinearCode) -> LatencyReport:
                 max((graph.weight(s, j) for j in rs.members if j != s), default=0.0)
                 for rs in sets)
             per_pair[(s, obj)] = best
-    vals = list(per_pair.values())
-    return LatencyReport(per_pair, max(vals), sum(vals) / len(vals))
-
-
-def all_recovery_latency(graph: LatencyGraph, code: LinearCode) -> LatencyReport:
-    """Brute-force variant minimising over *every* recovery set, not just
-    the minimal ones; agreement with analyze_latency is a test oracle."""
-    per_pair: Dict[Tuple[int, int], float] = {}
-    servers = range(1, code.n + 1)
-    for obj in range(1, code.k + 1):
-        sets = []
-        for size in range(1, code.n + 1):
-            for S in combinations(servers, size):
-                if code.is_recovery_set(S, obj) is not None:
-                    sets.append(S)
-        if not sets:
-            raise ValueError(f"object {obj} unrecoverable")
-        for s in servers:
-            per_pair[(s, obj)] = min(
-                max((graph.weight(s, j) for j in S if j != s), default=0.0)
-                for S in sets)
     vals = list(per_pair.values())
     return LatencyReport(per_pair, max(vals), sum(vals) / len(vals))
 

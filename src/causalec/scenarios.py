@@ -164,10 +164,15 @@ def scenario_from_json(doc) -> Scenario:
         raise ScenarioError(": scenario must be a JSON object")
 
     code_doc = _expect(doc, "code", "")
+    if not isinstance(code_doc, dict):
+        raise ScenarioError("code: must be a JSON object")
     try:
         code = LinearCode.from_json(code_doc)
+    except ValueError as e:
+        raise ScenarioError(f"code.{e}") from e
+    try:
         code.check_recoverable()
-    except (ValueError, TypeError) as e:
+    except ValueError as e:
         raise ScenarioError(f"code: {e}") from e
 
     graph_doc = _expect(doc, "latency_graph", "")

@@ -2,7 +2,9 @@
 
 The oracle for encoding is a naive matrix-vector product written separately
 from the library path; decode and re-encode are checked against it by brute
-force over entire small fields.
+force over entire small fields.  The oracle for recovery sets tries every
+coefficient vector over every server subset, so it shares no linear algebra
+with the library.
 """
 
 import random
@@ -36,6 +38,57 @@ def code_of(coeffs, p=7, value_len=1):
 
 def wrap(*scalars):
     return [(s,) for s in scalars]
+
+
+def oracle_recovery(p, coeffs):
+    """Brute force over GF(p): ``(minimal, exact)`` for a small code.
+
+    ``exact[S]`` maps each object X to the coefficient vectors, with no zero
+    entry, that combine the rows of server tuple S into the unit vector e_X.
+    A set recovers X iff some subset of it is in ``exact`` for X, and is
+    minimal iff it is and no proper subset is.  ``minimal[X]`` lists the
+    minimal sets by size, then lexicographically, each with its decode
+    coefficients, which must be unique.
+    """
+    n, k = len(coeffs), len(coeffs[0])
+    units = {tuple(int(i == x) for i in range(k)): x + 1 for x in range(k)}
+    exact = {}
+    minimal = {x: [] for x in range(1, k + 1)}
+    for size in range(1, n + 1):
+        for S in combinations(range(1, n + 1), size):
+            rows = [coeffs[s - 1] for s in S]
+            hits = {}
+            for a in product(range(1, p), repeat=size):
+                comb = tuple(sum(c * row[i] for c, row in zip(a, rows)) % p
+                             for i in range(k))
+                if comb in units:
+                    hits.setdefault(units[comb], []).append(a)
+            exact[S] = hits
+            for x, sols in hits.items():
+                if not any(x in exact[T] for r in range(1, size)
+                           for T in combinations(S, r)):
+                    assert len(sols) == 1, (S, x, sols)
+                    minimal[x].append((S, dict(zip(S, sols[0]))))
+    return minimal, exact
+
+
+def oracle_recovers(exact, S, x):
+    return any(x in exact[T] for r in range(1, len(S) + 1) for T in combinations(S, r))
+
+
+def random_small_codes(count=50, seed=23):
+    rng = random.Random(seed)
+    for _ in range(count):
+        p = rng.choice([3, 5, 7])
+        n = rng.randint(2, 6)
+        k = rng.randint(1, min(3, n))
+        yield p, [[rng.randrange(p) if rng.random() < 0.7 else 0 for _ in range(k)]
+                  for _ in range(n)]
+
+
+ORACLE_CODES = ([(7, FIG1_COEFFS), (7, ALT_COEFFS), (7, CHAIN_COEFFS)]
+                + list(random_small_codes()))
+ORACLE_IDS = ["fig1", "alt", "chain"] + [f"random{i}" for i in range(len(ORACLE_CODES) - 3)]
 
 
 class TestEncode:
@@ -163,6 +216,44 @@ class TestRecoverySets:
         assert as_sets(2) == {(2,), (1, 3), (3, 4, 5)}
         assert as_sets(3) == {(3, 4), (1, 2, 4), (1, 2, 5), (1, 3, 5),
                               (2, 3, 5), (2, 4, 5)}
+
+    def test_dependent_member_gets_zero(self):
+        # row 3 = row 1 + row 2, so server 3 is dependent and takes no part
+        rs = code_of(CHAIN_COEFFS).is_recovery_set({1, 2, 3}, 1)
+        assert rs.decode_coeffs == {1: 1, 2: 0, 3: 0}
+
+    def test_minimal_sets_are_cached(self):
+        code = code_of(FIG1_COEFFS)
+        assert code.minimal_recovery_sets(2) is code.minimal_recovery_sets(2)
+        with pytest.raises(ValueError):
+            code.minimal_recovery_sets(4)
+
+    @pytest.mark.parametrize("p,coeffs", ORACLE_CODES, ids=ORACLE_IDS)
+    def test_against_brute_force_oracle(self, p, coeffs):
+        code = code_of(coeffs, p=p)
+        minimal, exact = oracle_recovery(p, coeffs)
+        for x in range(1, code.k + 1):
+            if not minimal[x]:
+                with pytest.raises(ValueError):
+                    code.minimal_recovery_sets(x)
+                continue
+            got = [(tuple(sorted(rs.members)), dict(rs.decode_coeffs))
+                   for rs in code.minimal_recovery_sets(x)]
+            assert got == minimal[x]
+        recoverable = all(minimal[x] for x in minimal)
+        if recoverable:
+            code.check_recoverable()
+        else:
+            with pytest.raises(ValueError):
+                code.check_recoverable()
+        for S in exact:
+            for x in range(1, code.k + 1):
+                rs = code.is_recovery_set(S, x)
+                assert (rs is not None) == oracle_recovers(exact, S, x), (S, x)
+                if rs is not None:
+                    comb = [sum(rs.decode_coeffs[s] * coeffs[s - 1][i] for s in S) % p
+                            for i in range(code.k)]
+                    assert comb == [int(i == x - 1) for i in range(code.k)]
 
     def test_unrecoverable_object(self):
         code = code_of([[1, 0], [1, 0]])

@@ -88,6 +88,12 @@ MALFORMED = {
     "uniform_delay_range_empty": (
         _set(["delays"], {"kind": "uniform", "min": 2, "max": 1}), r"delays\.max:"),
     "code_unrecoverable": (_zero_coeffs, r"code:"),
+    "code_not_an_object": (_set(["code"], 5), r"code:"),
+    "field_p_not_int": (_set(["code", "field_p"], "7"), r"code\.field_p:"),
+    "value_len_not_int": (_set(["code", "value_len"], 1.5), r"code\.value_len:"),
+    "coeffs_not_a_matrix": (_set(["code", "coeffs"], "ab"), r"code\.coeffs:"),
+    "coeffs_rows_ragged": (_set(["code", "coeffs", 1], [1]), r"code\.coeffs:"),
+    "coeff_not_int": (_set(["code", "coeffs", 0, 1], 1.5), r"code\.coeffs\[0\]\[1\]:"),
     "channel_from_out_of_range": (
         _set(["channel_extra"], [{"from": 9, "to": 2, "extra": 1}]), r"channel_extra:"),
 }

@@ -16,13 +16,29 @@ from causalec.coding import LinearCode
 from causalec.field import PrimeField
 from causalec.latency import (
     LatencyGraph,
-    all_recovery_latency,
+    LatencyReport,
     analyze_latency,
     replication_baseline,
     to_ms,
 )
 from causalec.scenarios import ClientSpec, Scenario, ScriptOp, scenario_from_json
 from causalec.simnet import run
+
+
+def all_recovery_latency(graph, code):
+    """Brute-force oracle for analyze_latency: minimise over *every*
+    recovery set, not just the minimal ones."""
+    per_pair = {}
+    servers = range(1, code.n + 1)
+    for obj in range(1, code.k + 1):
+        sets = [S for size in range(1, code.n + 1) for S in combinations(servers, size)
+                if code.is_recovery_set(S, obj) is not None]
+        for s in servers:
+            per_pair[(s, obj)] = min(
+                max((graph.weight(s, j) for j in S if j != s), default=0.0)
+                for S in sets)
+    vals = list(per_pair.values())
+    return LatencyReport(per_pair, max(vals), sum(vals) / len(vals))
 
 
 def small_scenario(**kw):
