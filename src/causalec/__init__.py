@@ -32,16 +32,7 @@ from .latency import (
 from .scenarios import ClientSpec, RandomWorkload, Scenario, ScenarioError, scenario_from_json
 from .server import CAUSAL, EVENTUAL, Server
 from .simnet import RunResult, Simulation, run
-from .tags import (
-    LOCALHOST,
-    ProtocolInvariantViolation,
-    Tag,
-    tag_le,
-    tag_less,
-    tag_max,
-    vc_compare,
-    zero_tag,
-)
+from .tags import LOCALHOST, ProtocolInvariantViolation, Tag, vc_compare, zero_tag
 
 __all__ = [
     "CAUSAL",
@@ -78,9 +69,6 @@ __all__ = [
     "revalidate_witness",
     "run",
     "scenario_from_json",
-    "tag_le",
-    "tag_less",
-    "tag_max",
     "vc_compare",
     "zero_tag",
 ]

@@ -57,12 +57,6 @@ class LatencyGraph:
                 if (i, j) not in self._ms:
                     raise ValueError(f"missing edge ({i},{j}); the graph must be complete")
 
-    @classmethod
-    def from_json(cls, doc: dict) -> "LatencyGraph":
-        if "n" not in doc or "edges" not in doc:
-            raise ValueError("latency graph needs fields 'n' and 'edges'")
-        return cls(doc["n"], {(int(i), int(j)): w for i, j, w in doc["edges"]})
-
     def delay_ms(self, i: int, j: int) -> int:
         if i == j:
             return 0

@@ -128,7 +128,7 @@ def _expect(doc: dict, key: str, path: str):
 def _number(raw, path: str, low: float = 0.0, high: float = float("inf")) -> float:
     try:
         x = float(raw)
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ScenarioError(f"{path}: must be a number, got {raw!r}") from e
     if not low <= x <= high:
         bound = f">= {low:g}" if high == float("inf") else f"in {low:g}..{high:g}"
@@ -141,6 +141,12 @@ def _integer(raw, path: str, low: float = 0.0, high: float = float("inf")) -> in
     if not x.is_integer():
         raise ScenarioError(f"{path}: must be an integer, got {raw!r}")
     return int(x)
+
+
+def _list(raw, path: str) -> list:
+    if not isinstance(raw, list):
+        raise ScenarioError(f"{path}: must be a list, got {raw!r}")
+    return raw
 
 
 def _ticks(raw, path: str) -> int:
@@ -176,13 +182,24 @@ def scenario_from_json(doc) -> Scenario:
         raise ScenarioError(f"code: {e}") from e
 
     graph_doc = _expect(doc, "latency_graph", "")
+    if not isinstance(graph_doc, dict):
+        raise ScenarioError(f"latency_graph: must be an object, got {graph_doc!r}")
+    n = _integer(_expect(graph_doc, "n", "latency_graph."), "latency_graph.n", 1)
+    weights = {}
+    edges = _list(_expect(graph_doc, "edges", "latency_graph."), "latency_graph.edges")
+    for i, e in enumerate(edges):
+        path = f"latency_graph.edges[{i}]"
+        if not isinstance(e, list) or len(e) != 3:
+            raise ScenarioError(f"{path}: must be [i, j, weight], got {e!r}")
+        weights[_integer(e[0], path + "[0]", 1), _integer(e[1], path + "[1]", 1)] = \
+            _number(e[2], path + "[2]")
     try:
-        graph = LatencyGraph.from_json(graph_doc)
-    except (ValueError, TypeError) as e:
+        graph = LatencyGraph(n, weights)
+    except (ArithmeticError, ValueError) as e:  # a bad edge set, or an infinite weight
         raise ScenarioError(f"latency_graph: {e}") from e
 
     clients = []
-    for i, c in enumerate(doc.get("clients", [])):
+    for i, c in enumerate(_list(doc.get("clients", []), "clients")):
         if not isinstance(c, dict) or "id" not in c or "home" not in c:
             raise ScenarioError(f"clients[{i}]: needs fields 'id' and 'home'")
         clients.append(ClientSpec(_integer(c["id"], f"clients[{i}].id", 1),
@@ -192,6 +209,8 @@ def scenario_from_json(doc) -> Scenario:
     scripts: Dict[int, List[ScriptOp]] = {}
     w = doc.get("workload")
     if w is not None:
+        if not isinstance(w, dict):
+            raise ScenarioError(f"workload: must be an object, got {w!r}")
         kind = _expect(w, "kind", "workload.")
         if kind == "random":
             ops = _expect(w, "ops", "workload.")
@@ -209,7 +228,7 @@ def scenario_from_json(doc) -> Scenario:
                 think_ms=(low, high),
             )
         elif kind == "script":
-            for i, op in enumerate(_expect(w, "ops", "workload.")):
+            for i, op in enumerate(_list(_expect(w, "ops", "workload."), "workload.ops")):
                 path = f"workload.ops[{i}]"
                 if not isinstance(op, dict):
                     raise ScenarioError(f"{path}: must be an object")
@@ -248,14 +267,14 @@ def scenario_from_json(doc) -> Scenario:
         _number(delays.get("max", 1), "delays.max", _number(delays.get("min", 0), "delays.min"))
 
     halts = {}
-    for i, h in enumerate(doc.get("halts", [])):
+    for i, h in enumerate(_list(doc.get("halts", []), "halts")):
         if not isinstance(h, dict) or "server" not in h or "time" not in h:
             raise ScenarioError(f"halts[{i}]: needs fields 'server' and 'time'")
         halts[_integer(h["server"], f"halts[{i}].server", 1)] = _ticks(
             h["time"], f"halts[{i}].time")
 
     extra = {}
-    for i, e in enumerate(doc.get("channel_extra", [])):
+    for i, e in enumerate(_list(doc.get("channel_extra", []), "channel_extra")):
         path = f"channel_extra[{i}]"
         if not isinstance(e, dict):
             raise ScenarioError(f"{path}: needs fields 'from', 'to' and 'extra'")

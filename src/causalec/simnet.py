@@ -29,7 +29,7 @@ from .latency import format_ms
 from .messages import Message, OpId, ReadReturn, ValRespEncoded, Write, WriteReturnAck
 from .scenarios import Scenario, ScriptOp
 from .server import Send, Server
-from .tags import ProtocolInvariantViolation, Tag, tag_le, tag_max
+from .tags import ProtocolInvariantViolation, Tag
 
 PROBE_CLIENT_BASE = 1_000_000
 
@@ -208,8 +208,7 @@ class Simulation:
             self._prev_vc[srv.id] = vc
         tv = tuple(srv.m_tagvec)
         if tv != self._prev_tagvec[srv.id]:
-            if any(not tag_le(old, new)
-                   for old, new in zip(self._prev_tagvec[srv.id], tv)):
+            if any(old > new for old, new in zip(self._prev_tagvec[srv.id], tv)):
                 self.violations.append(f"server {srv.id}: symbol tag vector decreased")
                 self._fatal = True
             self._prev_tagvec[srv.id] = tv
@@ -424,5 +423,5 @@ def max_tag_write_value(result: RunResult, obj: int, code_zero: Value) -> Value:
     tags = [t for t, (o, _v) in result.write_registry.items() if o == obj]
     if not tags:
         return code_zero
-    newest = tag_max(tags)
+    newest = max(tags)
     return result.write_registry[newest][1]

@@ -15,7 +15,7 @@ assumes a unique maximum, so the tie-break must stay lexicographic.
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple, Tuple
+from typing import NamedTuple, Tuple
 
 VectorClock = Tuple[int, ...]
 
@@ -30,6 +30,8 @@ class ProtocolInvariantViolation(Exception):
 
 
 class Tag(NamedTuple):
+    """A write tag.  Tags compare as tuples, lexicographically on (ts, id)."""
+
     ts: VectorClock
     id: int
 
@@ -37,12 +39,8 @@ class Tag(NamedTuple):
         return f"(({','.join(str(c) for c in self.ts)}),{self.id})"
 
 
-def zero_clock(n: int) -> VectorClock:
-    return (0,) * n
-
-
 def zero_tag(n: int) -> Tag:
-    return Tag(zero_clock(n), 0)
+    return Tag((0,) * n, 0)
 
 
 def vc_compare(a: VectorClock, b: VectorClock) -> str:
@@ -61,35 +59,3 @@ def vc_compare(a: VectorClock, b: VectorClock) -> str:
     if le and ge:
         return EQ
     return LT if le else GT
-
-
-def tag_less(t1: Tag, t2: Tag) -> bool:
-    """Strict total order on tags: lexicographic on (timestamp, id).
-
-    Dominance-compatible: ts1 < ts2 componentwise implies t1 < t2.  Distinct
-    writes always compare strictly (their timestamps already differ).  This
-    coincides with the tuple order of Tag itself, so hot code may compare
-    tags directly.
-    """
-    if len(t1.ts) != len(t2.ts):
-        raise ValueError(f"tag dimension mismatch: {len(t1.ts)} vs {len(t2.ts)}")
-    return t1 < t2
-
-
-def tag_le(t1: Tag, t2: Tag) -> bool:
-    return t1 <= t2
-
-
-def tag_max(tags: Iterable[Tag]) -> Tag:
-    """The unique maximum; raises ValueError on an empty collection."""
-    try:
-        return max(tags)
-    except ValueError:
-        raise ValueError("tag_max of empty set") from None
-
-
-def tag_min(tags: Iterable[Tag]) -> Tag:
-    try:
-        return min(tags)
-    except ValueError:
-        raise ValueError("tag_min of empty set") from None

@@ -1,12 +1,22 @@
-"""Checker behaviour, including negative controls on corrupted inputs."""
+"""Checker behaviour, including negative controls on corrupted inputs.
+
+The causal checker is also compared against a reference oracle: an
+all-pairs successor-bitmask checker, which scans the white-box order for
+irreflexivity, antisymmetry and transitivity, checks program order on every
+pair of a client's operations and read dictation against every operation.
+On arbitrary small histories both must agree on the verdict and the witness
+kind.
+"""
 
 import copy
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalec.builtin import differential_scenario_doc, fig1_scenario_doc
 from causalec.checker import (
-    build_causal_order,
+    _leads_to,
     check_all,
     check_causal,
     check_eventual,
@@ -20,7 +30,7 @@ from causalec.coding import LinearCode
 from causalec.field import PrimeField
 from causalec.latency import LatencyGraph
 from causalec.scenarios import ClientSpec, Scenario, ScriptOp, scenario_from_json
-from causalec.simnet import run
+from causalec.simnet import OperationRecord, RunResult, run
 from causalec.tags import Tag
 
 
@@ -50,15 +60,13 @@ class TestCausal:
         assert check_causal(r).passed
 
     def test_program_order_contained(self, fig1_run):
-        ops = fig1_run.operation_list()
-        rel = build_causal_order(ops)
         by_client = {}
-        for i, op in enumerate(ops):
-            by_client.setdefault(op.client, []).append(i)
-        for idxs in by_client.values():
-            idxs.sort(key=lambda i: ops[i].opid[1])
-            for a, b in zip(idxs, idxs[1:]):
-                assert rel[a] & (1 << b)
+        for op in fig1_run.operation_list():
+            by_client.setdefault(op.client, []).append(op)
+        for client_ops in by_client.values():
+            client_ops.sort(key=lambda op: op.opid[1])
+            for a, b in zip(client_ops, client_ops[1:]):
+                assert _leads_to(a, b)
 
     def test_witness_revalidates(self):
         sc = scenario_from_json(differential_scenario_doc())
@@ -79,6 +87,30 @@ class TestCausal:
         assert not verdict.passed
         assert verdict.details["witness"]["kind"] == "read-dictation"
         assert revalidate_witness(bad, verdict.details["witness"])
+
+    def test_doctored_equal_write_stamps_caught(self):
+        sc = small({1: [ScriptOp(0, "write", 1, (5,))],
+                    2: [ScriptOp(2000, "write", 1, (6,))]})
+        r = run(sc, seed=0)
+        assert check_causal(r).passed
+        bad = copy.deepcopy(r)
+        first, second = bad.operation_list()
+        second.ts = first.ts
+        witness = check_causal(bad).details["witness"]
+        assert witness == {"kind": "antisymmetry", "ops": [first.opid, second.opid]}
+        assert revalidate_witness(bad, witness)
+
+    def test_doctored_smaller_later_stamp_caught(self):
+        sc = small({1: [ScriptOp(0, "write", 1, (5,)), ScriptOp(2000, "read", 1)]})
+        r = run(sc, seed=0)
+        assert check_causal(r).passed
+        bad = copy.deepcopy(r)
+        write, read = bad.operation_list()
+        read.ts = tuple(0 for _ in read.ts)
+        witness = check_causal(bad).details["witness"]
+        assert witness == {"kind": "program-order", "client": 1,
+                           "ops": [write.opid, read.opid]}
+        assert revalidate_witness(bad, witness)
 
 
 class TestEventual:
@@ -185,3 +217,119 @@ class TestInvariantProbes:
         a = [v.line() for v in check_all(fig1_run)]
         b = [v.line() for v in check_all(fig1_run)]
         assert a == b
+
+
+# -- reference oracle: the all-pairs bitmask checker --------------------------------
+
+
+def oracle_relation(ops):
+    """Successor bitmask per operation index under the white-box order."""
+    rel = [0] * len(ops)
+    for i, a in enumerate(ops):
+        for j, b in enumerate(ops):
+            if i != j and _leads_to(a, b):
+                rel[i] |= 1 << j
+    return rel
+
+
+def oracle_read_dictation(ops, rel, i, v, zero):
+    obj = ops[i].obj
+    bit = 1 << i
+    blockers = [j for j, w in enumerate(ops)
+                if w.kind == "write" and w.obj == obj and w.value != v and rel[j] & bit]
+    candidates = [j for j, w in enumerate(ops)
+                  if w.kind == "write" and w.obj == obj and w.value == v and rel[j] & bit]
+    if not candidates:
+        return v == zero and not blockers, blockers
+    return any(all(not rel[j] & (1 << b) for b in blockers) for j in candidates), blockers
+
+
+def oracle_witness(ops, zero):
+    """The first violation the bitmask checker finds, or None."""
+    rel = oracle_relation(ops)
+    n = len(ops)
+    for i in range(n):
+        if rel[i] & (1 << i):
+            return {"kind": "irreflexivity", "op": ops[i].opid}
+    for i in range(n):
+        for j in range(n):
+            if not rel[i] & (1 << j):
+                continue
+            if rel[j] & (1 << i):
+                return {"kind": "antisymmetry", "ops": [ops[i].opid, ops[j].opid]}
+            extra = rel[j] & ~rel[i] & ~(1 << i)
+            if extra:
+                k = extra.bit_length() - 1
+                return {"kind": "transitivity", "ops": [ops[i].opid, ops[j].opid, ops[k].opid]}
+    by_client = {}
+    for i, op in enumerate(ops):
+        by_client.setdefault(op.client, []).append(i)
+    for client, idxs in by_client.items():
+        idxs.sort(key=lambda i: ops[i].opid[1])
+        for a in range(len(idxs)):
+            for b in range(a + 1, len(idxs)):
+                i, j = idxs[a], idxs[b]
+                if not rel[i] & (1 << j):
+                    return {"kind": "program-order", "client": client,
+                            "ops": [ops[i].opid, ops[j].opid]}
+    for i, op in enumerate(ops):
+        if op.kind == "read" and op.completed:
+            ok, blockers = oracle_read_dictation(ops, rel, i, op.value, zero)
+            if not ok:
+                return {"kind": "read-dictation", "read": op.opid, "value": op.value,
+                        "blocker": ops[blockers[0]].opid if blockers else None}
+    return None
+
+
+ZERO = (0,)
+CLOCK = st.none() | st.tuples(st.integers(0, 2), st.integers(0, 2))
+OP = st.tuples(st.integers(1, 3), st.sampled_from(["read", "write"]), st.integers(1, 2),
+               st.integers(0, 2), st.integers(0, 3), st.booleans(), CLOCK)
+
+
+def history(rows):
+    """A stand-in run result: what the causal checker reads of one."""
+    ops = {}
+    seq = {}
+    for client, kind, obj, value, t_invoke, completed, ts in rows:
+        seq[client] = seq.get(client, 0) + 1
+        opid = (client, seq[client])
+        ops[opid] = OperationRecord(opid, client, kind, obj, (value,), t_invoke,
+                                    t_response=t_invoke + 1 if completed else None, ts=ts)
+    code = SimpleNamespace(zero_value=lambda: ZERO)
+    h = SimpleNamespace(ops=ops, servers={1: SimpleNamespace(code=code)})
+    h.operation_list = lambda: RunResult.operation_list(h)
+    return h
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(st.lists(OP, min_size=1, max_size=9))
+def test_check_causal_agrees_with_bitmask_oracle(rows):
+    h = history(rows)
+    ops = h.operation_list()
+    verdict = check_causal(h)
+    want = oracle_witness(ops, ZERO)
+    assert verdict.passed == (want is None)
+    if want is None:
+        return
+    got = verdict.details["witness"]
+    assert got["kind"] == want["kind"]
+    if got["kind"] != "program-order":
+        assert got == want
+    assert revalidate_witness(h, got)
+    assert revalidate_witness(h, want)
+
+
+@settings(derandomize=True, database=None, max_examples=500, deadline=None)
+@given(st.lists(OP, min_size=2, max_size=6))
+def test_order_is_transitive_and_antisymmetric_but_for_equal_write_stamps(rows):
+    ops = history(rows).operation_list()
+    for a in ops:
+        for b in ops:
+            if a is b or not _leads_to(a, b):
+                continue
+            if _leads_to(b, a):
+                assert a.kind == b.kind == "write" and a.ts is not None and a.ts == b.ts
+            for c in ops:
+                if c is not a and c is not b and _leads_to(b, c):
+                    assert _leads_to(a, c)

@@ -13,8 +13,10 @@ hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
 from causalec import builtin  # noqa: E402
+from causalec.checker import check_all  # noqa: E402
 from causalec.scenarios import ScenarioError, scenario_from_json  # noqa: E402
 from causalec.server import Server  # noqa: E402
+from causalec.simnet import run  # noqa: E402
 
 CODE_LEAVES = [("field_p",), ("value_len",)] + [
     ("coeffs", i, j) for i, row in enumerate(builtin.FIG1_COEFFS) for j in range(len(row))]
@@ -45,3 +47,27 @@ def test_code_leaf_edits_load_or_name_the_code(edits):
         Server(sid, code, scenario.protocol)
     zero = code.zero_value()
     assert code.encode([zero] * code.k) == [zero] * code.n
+
+
+# Every top-level field the loader reads; fig1's document leaves out the last two.
+TOP_LEVEL = sorted(builtin.fig1_scenario_doc()) + ["channel_extra", "fairness"]
+DELETE = object()
+
+
+@settings(derandomize=True, database=None, max_examples=300, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(TOP_LEVEL), JSON | st.just(DELETE)),
+                min_size=1, max_size=3))
+def test_top_level_edits_load_or_name_the_field(edits):
+    doc = builtin.fig1_scenario_doc()
+    for key, value in edits:
+        if value is DELETE:
+            doc.pop(key, None)
+        else:
+            doc[key] = value
+    try:
+        scenario = scenario_from_json(doc)
+    except ScenarioError as e:
+        assert str(e).startswith(tuple(key for key, _ in edits)), str(e)
+        return
+    scenario.step_cap = min(scenario.step_cap, 2000)
+    check_all(run(scenario, 0, probes=True))

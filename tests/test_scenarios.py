@@ -96,6 +96,14 @@ MALFORMED = {
     "coeff_not_int": (_set(["code", "coeffs", 0, 1], 1.5), r"code\.coeffs\[0\]\[1\]:"),
     "channel_from_out_of_range": (
         _set(["channel_extra"], [{"from": 9, "to": 2, "extra": 1}]), r"channel_extra:"),
+    "workload_not_an_object": (_set(["workload"], 5), r"workload:"),
+    "clients_not_a_list": (_set(["clients"], 5), r"clients:"),
+    "halts_not_a_list": (_set(["halts"], 5), r"halts:"),
+    "channel_extra_not_a_list": (_set(["channel_extra"], 5), r"channel_extra:"),
+    "latency_graph_not_an_object": (_set(["latency_graph"], 5), r"latency_graph:"),
+    "latency_edge_too_short": (
+        _set(["latency_graph"], {"n": 5, "edges": [[1, 2]]}), r"latency_graph\.edges\[0\]:"),
+    "field_p_too_large": (_set(["code", "field_p"], 2**89 - 1), r"code\.field_p:"),
 }
 
 
