@@ -10,6 +10,7 @@ Prints the interesting trace lines, then the checker verdicts.  Run with:
 from causalec import check_all
 from causalec.builtin import read_scenario_2_doc
 from causalec.latency import format_ms
+from causalec.messages import ReadReturn, ValInq, ValRespEncoded, Write
 from causalec.scenarios import scenario_from_json
 from causalec.simnet import run
 
@@ -17,7 +18,7 @@ scenario = scenario_from_json(read_scenario_2_doc())
 result = run(scenario, seed=0, probes=True, collect_trace=True)
 
 print("timeline (writes, inquiries, decodes, returns):")
-interesting = {"Write", "ValInq", "ValRespEncoded", "ReadReturn"}
+interesting = (Write, ValInq, ValRespEncoded, ReadReturn)
 for rec in result.trace:
     if rec.notes:
         for note in rec.notes:
@@ -25,8 +26,8 @@ for rec in result.trace:
                 _, obj, via, opid = note
                 print(f"  t={format_ms(rec.t):>6}  {rec.node} decodes X{obj} "
                       f"from servers {set(via)} for op {opid}")
-    if rec.event[0] == "recv" and rec.event[2][0] in interesting:
-        kind = rec.event[2][0]
+    if rec.event[0] == "recv" and isinstance(rec.event[2], interesting):
+        kind = type(rec.event[2]).__name__
         print(f"  t={format_ms(rec.t):>6}  {rec.node} <- {rec.event[1]}  {kind}")
 
 print("\noperations:")

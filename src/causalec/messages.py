@@ -9,7 +9,7 @@ are globally unique without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Callable, Optional, Tuple
 
 from .field import Value
 from .tags import Tag
@@ -20,16 +20,20 @@ TagVec = Tuple[Tag, ...]
 
 @dataclass(frozen=True)
 class Message:
-    def describe(self) -> tuple:
+    def describe(self, render_tag: Callable[[Tag], str] = Tag.render) -> tuple:
+        """The message as trace data: its type name, then each field in
+        declaration order, with every tag (alone or in a tag vector) passed
+        through ``render_tag``."""
         name = type(self).__name__
-        return (name,) + tuple(_render(getattr(self, f)) for f in self.__dataclass_fields__)
+        return (name,) + tuple(_render(getattr(self, f), render_tag)
+                               for f in self.__dataclass_fields__)
 
 
-def _render(v):
+def _render(v, render_tag: Callable[[Tag], str]):
     if isinstance(v, Tag):
-        return v.render()
+        return render_tag(v)
     if isinstance(v, tuple) and v and all(isinstance(e, Tag) for e in v):
-        return tuple(e.render() for e in v)
+        return tuple(map(render_tag, v))
     return v
 
 

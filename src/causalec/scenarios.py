@@ -126,9 +126,13 @@ def _expect(doc: dict, key: str, path: str):
 
 
 def _number(raw, path: str, low: float = 0.0, high: float = float("inf")) -> float:
+    """A JSON number within low..high.  The exact type test rejects booleans
+    (an ``int`` subclass) and numeric strings (which ``float`` would parse)."""
+    if type(raw) not in (int, float):
+        raise ScenarioError(f"{path}: must be a number, got {raw!r}")
     try:
         x = float(raw)
-    except (TypeError, ValueError, OverflowError) as e:
+    except OverflowError as e:
         raise ScenarioError(f"{path}: must be a number, got {raw!r}") from e
     if not low <= x <= high:
         bound = f">= {low:g}" if high == float("inf") else f"in {low:g}..{high:g}"
@@ -214,7 +218,7 @@ def scenario_from_json(doc) -> Scenario:
         kind = _expect(w, "kind", "workload.")
         if kind == "random":
             ops = _expect(w, "ops", "workload.")
-            if not isinstance(ops, int) or ops < 0:
+            if type(ops) is not int or ops < 0:
                 raise ScenarioError("workload.ops: must be a non-negative integer")
             think = w.get("think_ms", [0, 2000])
             if not isinstance(think, (list, tuple)) or len(think) != 2:
@@ -284,8 +288,12 @@ def scenario_from_json(doc) -> Scenario:
         chan = (_integer(e["from"], f"{path}.from", 1), _integer(e["to"], f"{path}.to", 1))
         extra[chan] = _ticks(e["extra"], f"{path}.extra")
 
+    name = doc.get("name", "scenario")
+    if not isinstance(name, str):
+        raise ScenarioError(f"name: must be a string, got {name!r}")
+
     return Scenario(
-        name=doc.get("name", "scenario"),
+        name=name,
         code=code,
         graph=graph,
         protocol=doc.get("protocol", CAUSAL),

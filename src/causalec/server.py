@@ -519,14 +519,18 @@ class Server:
                 f"server {self.id}: stored symbol is not the encoding of its tag vector")
 
     def digest(self) -> tuple:
-        """Compact per-transition snapshot used by traces and probes."""
+        """Compact per-transition snapshot used by traces and probes:
+        ``(vc, m_tagvec, history sizes, error1, error2, tmax, inqueue size,
+        pending reads)``.  It holds only tuples of ints and (immutable)
+        ``Tag`` objects, so it stays valid after the server moves on; tags
+        are rendered as text only when the trace is serialised."""
         return (
             tuple(self.vc),
-            tuple(t.render() for t in self.m_tagvec),
-            tuple(len(self.L[x]) for x in range(self.k)),
+            tuple(self.m_tagvec),
+            tuple(map(len, self.L)),
             tuple(self.error1),
             tuple(self.error2),
-            tuple(t.render() for t in self.tmax),
+            tuple(self.tmax),
             sum(map(len, self.inqueue.values())),
             len(self.readl),
         )

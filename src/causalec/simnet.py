@@ -53,24 +53,70 @@ class OperationRecord:
 
 @dataclass
 class TraceRecord:
+    """One transition, kept structured while the simulation runs.
+
+    ``event`` is ``("recv", source, Message)``, ``("invoke", kind, obj,
+    value)`` or an internal step such as ``("apply",)``; ``digest`` is the
+    acting server's ``Server.digest()`` (None for client and halt steps);
+    ``emitted`` holds the ``Send`` tuples the transition produced.  Messages
+    and tags are immutable, so a record is a snapshot.  Text appears only in
+    ``to_json_dict``, through the serialising run's ``TraceRenderer``.
+    """
+
     seq: int
     t: int
     node: str
     event: tuple
     digest: Optional[tuple]
-    emitted: tuple
+    emitted: Tuple[Send, ...]
     notes: tuple = ()
 
-    def to_json_dict(self) -> dict:
+    def to_json_dict(self, render: "TraceRenderer") -> dict:
+        event = self.event
+        if event[0] == "recv":
+            event = event[:2] + (render.message(event[2]),)
         return {
             "seq": self.seq,
             "t": format_ms(self.t),
             "node": self.node,
-            "event": self.event,
-            "digest": self.digest,
-            "emitted": self.emitted,
+            "event": event,
+            "digest": None if self.digest is None else render.digest(self.digest),
+            "emitted": tuple((s.kind, s.dst, render.message(s.msg)) for s in self.emitted),
             "notes": self.notes,
         }
+
+
+class TraceRenderer:
+    """The memo of one trace serialisation: each distinct ``Tag``, server
+    digest and message is rendered once.  A run has only as many tags as
+    writes, while its records repeat them on every transition."""
+
+    def __init__(self) -> None:
+        self._tags: Dict[Tag, str] = {}
+        self._digests: Dict[tuple, tuple] = {}
+        # by identity: a message is recorded once when sent and once per
+        # delivery; holding it keeps its id from being reused
+        self._messages: Dict[int, Tuple[Message, tuple]] = {}
+
+    def tag(self, t: Tag) -> str:
+        text = self._tags.get(t)
+        if text is None:
+            text = self._tags[t] = t.render()
+        return text
+
+    def message(self, msg: Message) -> tuple:
+        hit = self._messages.get(id(msg))
+        if hit is None:
+            hit = self._messages[id(msg)] = (msg, msg.describe(self.tag))
+        return hit[1]
+
+    def digest(self, d: tuple) -> tuple:
+        out = self._digests.get(d)
+        if out is None:
+            vc, tagvec, lsizes, err1, err2, tmax, inq, readl = d
+            out = self._digests[d] = (vc, tuple(map(self.tag, tagvec)), lsizes, err1, err2,
+                                      tuple(map(self.tag, tmax)), inq, readl)
+        return out
 
 
 @dataclass
@@ -92,9 +138,10 @@ class RunResult:
     client_homes: Dict[int, int]
 
     def trace_jsonl(self) -> str:
-        return "\n".join(
-            json.dumps(r.to_json_dict(), sort_keys=True, separators=(",", ":"))
-            for r in self.trace)
+        """The trace as JSON lines, rendered with one memo for the whole run."""
+        render = TraceRenderer()
+        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
+        return "\n".join(encode(r.to_json_dict(render)) for r in self.trace)
 
     def trace_sha256(self) -> str:
         return hashlib.sha256(self.trace_jsonl().encode()).hexdigest()
@@ -190,7 +237,7 @@ class Simulation:
         self.trace.append(TraceRecord(
             seq=self.steps, t=self.now, node=node, event=event,
             digest=srv.digest() if srv is not None else None,
-            emitted=tuple((s.kind, s.dst, s.msg.describe()) for s in emitted),
+            emitted=tuple(emitted),
             notes=notes))
 
     def _probe_after(self, srv: Server) -> None:
@@ -248,7 +295,7 @@ class Simulation:
 
     def _deliver_to_server(self, sid: int, src_kind: str, src: int, msg: Message) -> None:
         srv = self.servers[sid]
-        event = (("recv", f"{'c' if src_kind == 'client' else 's'}{src}", msg.describe())
+        event = (("recv", f"{'c' if src_kind == 'client' else 's'}{src}", msg)
                  if self.collect_trace else None)
         self._server_transition(sid, event, lambda: (True, srv.handle(src, msg)))
         if isinstance(msg, Write):
@@ -262,8 +309,8 @@ class Simulation:
     def _deliver_to_client(self, cid: int, src_kind: str, src: int, msg: Message) -> None:
         client = self.clients[cid]
         completion = client.on_server_message(msg)
-        self._record(f"c{cid}", ("recv", f"s{src}", msg.describe())
-                     if self.collect_trace else None, None, [])
+        self._record(f"c{cid}", ("recv", f"s{src}", msg) if self.collect_trace else None,
+                     None, [])
         if completion is None:
             return
         rec = self.ops[completion.opid]

@@ -13,7 +13,7 @@ from causalec.checker import (
 )
 from causalec.coding import LinearCode
 from causalec.field import PrimeField
-from causalec.messages import ReadReturn, ValInq, ValResp
+from causalec.messages import App, ReadReturn, ValInq, ValResp
 from causalec.scenarios import scenario_from_json
 from causalec.server import EVENTUAL, ReadLEntry, Server
 from causalec.simnet import run
@@ -105,7 +105,7 @@ class TestDifferential:
         # deliveries of the workload's write fan-out happen at identical times
         def app_times(r):
             return [(rec.t, rec.node) for rec in r.trace
-                    if rec.event[0] == "recv" and rec.event[2][0] == "App"]
+                    if rec.event[0] == "recv" and isinstance(rec.event[2], App)]
         assert app_times(causal) == app_times(eventual)
 
     def test_causal_variant_passes(self, runs):

@@ -13,6 +13,7 @@ import pytest
 from causalec import builtin
 from causalec.checker import all_passed, check_all
 from causalec.harness import main
+from causalec.messages import ValInq
 from causalec.scenarios import ScenarioError, scenario_from_json
 from causalec.simnet import run
 
@@ -104,6 +105,12 @@ MALFORMED = {
     "latency_edge_too_short": (
         _set(["latency_graph"], {"n": 5, "edges": [[1, 2]]}), r"latency_graph\.edges\[0\]:"),
     "field_p_too_large": (_set(["code", "field_p"], 2**89 - 1), r"code\.field_p:"),
+    "name_is_a_number": (_set(["name"], 5), r"name:"),
+    "name_is_a_list": (_set(["name"], [1]), r"name:"),
+    "fairness_is_a_bool": (_set(["fairness"], True), r"fairness:"),
+    "step_cap_is_a_bool": (_set(["step_cap"], True), r"step_cap:"),
+    "step_cap_is_a_numeric_string": (_set(["step_cap"], "100"), r"step_cap:"),
+    "random_ops_is_a_bool": (_set(["workload", "ops"], True), r"workload\.ops:"),
 }
 
 
@@ -209,8 +216,8 @@ class TestEncodingScenario2:
     def test_symbol_reencoded_in_place(self):
         r = run_doc(builtin.encoding_scenario_2_doc())
         assert r.quiescent and all_passed(check_all(r))
-        t3 = write_tag(r, 2, (3,)).render()
-        t4 = write_tag(r, 2, (4,)).render()
+        t3 = write_tag(r, 2, (3,))
+        t4 = write_tag(r, 2, (4,))
         steps = []
         prev = None
         for rec in r.trace:
@@ -234,8 +241,8 @@ class TestReadScenario1:
         t4 = write_tag(r, 2, (4,))
         resp = next(rec for rec in r.trace
                     if rec.node == "s4" and rec.event[0] == "recv"
-                    and rec.event[2][0] == "ValInq" and rec.event[2][2] == read.opid)
-        assert resp.digest[1][1] != t4.render()
+                    and isinstance(rec.event[2], ValInq) and rec.event[2].opid == read.opid)
+        assert resp.digest[1][1] != t4
         assert all_passed(check_all(r))
 
 

@@ -1,6 +1,7 @@
 """Simulation fabric: FIFO channels, determinism, halting, quiescence,
-fairness, and the latency analysis."""
+fairness, trace serialisation, and the latency analysis."""
 
+import json
 import random
 from itertools import combinations
 
@@ -10,19 +11,24 @@ from causalec.builtin import (
     ALT_COEFFS,
     FIG1_COEFFS,
     FIG1_EDGES,
+    appendix_a_scenario_doc,
     fig1_scenario_doc,
 )
 from causalec.coding import LinearCode
 from causalec.field import PrimeField
+from causalec.harness import fuzz_scenario
 from causalec.latency import (
     LatencyGraph,
     LatencyReport,
     analyze_latency,
+    format_ms,
     replication_baseline,
     to_ms,
 )
+from causalec.messages import App
 from causalec.scenarios import ClientSpec, Scenario, ScriptOp, scenario_from_json
 from causalec.simnet import run
+from causalec.tags import Tag
 
 
 def all_recovery_latency(graph, code):
@@ -82,7 +88,7 @@ class TestChannels:
         # the write fans out at t=0; the app reaches server 2 after exactly d(1,2)
         arrivals = [rec.t for rec in r.trace
                     if rec.node == "s2" and rec.event[0] == "recv"
-                    and rec.event[2][0] == "App"]
+                    and isinstance(rec.event[2], App)]
         assert arrivals[0] == to_ms(2)
 
     def test_send_to_halted_never_delivers(self):
@@ -119,6 +125,64 @@ class TestDeterminism:
         sc = scenario_from_json(fig1_scenario_doc())
         hashes = {run(sc, seed, collect_trace=True).trace_sha256() for seed in range(4)}
         assert len(hashes) == 4
+
+
+def reference_jsonl(result):
+    """The trace rendered without any memo: ``Tag.render`` and
+    ``Message.describe`` on every occurrence, one ``json.dumps`` per record."""
+    def tags(ts):
+        return tuple(t.render() for t in ts)
+
+    lines = []
+    for rec in result.trace:
+        event = rec.event
+        if event[0] == "recv":
+            event = event[:2] + (event[2].describe(),)
+        digest = rec.digest
+        if digest is not None:
+            vc, tagvec, lsizes, err1, err2, tmax, inq, readl = digest
+            digest = (vc, tags(tagvec), lsizes, err1, err2, tags(tmax), inq, readl)
+        lines.append(json.dumps(
+            {"seq": rec.seq, "t": format_ms(rec.t), "node": rec.node, "event": event,
+             "digest": digest,
+             "emitted": [(kind, dst, msg.describe()) for kind, dst, msg in rec.emitted],
+             "notes": rec.notes},
+            sort_keys=True, separators=(",", ":")))
+    return "\n".join(lines)
+
+
+def traced_run(name, seed, protocol="causalec"):
+    if name == "fuzz":
+        scenario = fuzz_scenario(seed)
+    else:
+        doc = {"fig1": fig1_scenario_doc, "appendix_a": appendix_a_scenario_doc}[name]()
+        scenario = scenario_from_json(doc)
+    return run(scenario, seed, protocol=protocol, collect_trace=True, probes=True)
+
+
+class TestTraceSerialisation:
+    @pytest.mark.parametrize("name,seed,protocol", [
+        ("fig1", 0, "causalec"), ("fig1", 1, "eventualec"), ("appendix_a", 2, "causalec"),
+        ("fuzz", 0, "causalec"), ("fuzz", 3, "eventualec"), ("fuzz", 7, "causalec")])
+    def test_memoised_rendering_matches_reference(self, name, seed, protocol):
+        r = traced_run(name, seed, protocol)
+        assert r.trace_jsonl() == reference_jsonl(r)
+
+    def test_hash_is_repeatable(self):
+        r = traced_run("fig1", 0)
+        assert r.trace_sha256() == r.trace_sha256()
+
+    def test_records_are_snapshots(self):
+        # the trace must not see server state that changes after the run
+        r = traced_run("fig1", 0)
+        before = r.trace_sha256()
+        for srv in r.servers.values():
+            late = Tag((99,) * srv.n, 99)
+            srv.vc[0] += 100
+            srv.m_tagvec[0] = late
+            srv.tmax[0] = late
+            srv.L[0][late] = srv.m_val
+        assert r.trace_sha256() == before
 
 
 class TestQuiescence:
