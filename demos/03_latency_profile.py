@@ -22,7 +22,7 @@ for label, coeffs in (("bundled code", FIG1_COEFFS), ("alternate code", ALT_COEF
         print(f"  server {s}:  {row}")
     print(f"  worst {rep.worst:.2f}   average {rep.average:.4f}\n")
 
-repl = replication_baseline(graph, k=3, capacity=1)
+repl = replication_baseline(graph, k=3)
 print("best replication of whole objects (one per server):")
 print(f"  worst {repl.best_worst:.2f}   average {repl.best_average:.4f}")
 print(f"  worst-case-optimal placement: {repl.worst_placement}")

@@ -1,4 +1,8 @@
-"""Client automaton: one outstanding operation, messages only to its home server."""
+"""Client automaton: one outstanding operation, messages only to its home server.
+
+The client holds only the id of the operation it waits on; what was invoked
+and what a read returned are recorded by the simulator, not here.
+"""
 
 from __future__ import annotations
 
@@ -15,66 +19,34 @@ class WellFormednessError(Exception):
 
 
 @dataclass
-class Pending:
-    opid: OpId
-    kind: str  # "read" or "write"
-    obj: int
-    value: Optional[Value] = None
-
-
-@dataclass
-class Completion:
-    opid: OpId
-    kind: str
-    obj: int
-    value: Optional[Value]  # written value for writes, returned value for reads
-
-
-@dataclass
 class Client:
     id: int
     home: int
     opcounter: int = 0
-    pending: Optional[Pending] = None
+    pending: Optional[OpId] = None
     stale_responses: List[OpId] = field(default_factory=list)
 
     def __post_init__(self):
         if self.id < 1:
             raise ValueError("client ids start at 1; 0 is reserved for internal reads")
 
-    def _new_opid(self) -> OpId:
+    def invoke(self, kind: str, obj: int, value: Optional[Value] = None) -> Tuple[OpId, Send]:
+        """Start a "write" of value to obj, or a "read" of obj."""
+        if self.pending is not None:
+            raise WellFormednessError(
+                f"client {self.id} invoked a {kind} while {self.pending} is pending")
         self.opcounter += 1
-        return (self.id, self.opcounter)
+        opid = self.pending = (self.id, self.opcounter)
+        msg = Write(opid, obj, value) if kind == "write" else Read(opid, obj)
+        return opid, Send("server", self.home, msg)
 
-    def invoke_write(self, obj: int, value: Value) -> Tuple[OpId, Send]:
-        if self.pending is not None:
-            raise WellFormednessError(
-                f"client {self.id} invoked a write while {self.pending.opid} is pending")
-        opid = self._new_opid()
-        self.pending = Pending(opid, "write", obj, value)
-        return opid, Send("server", self.home, Write(opid, obj, value))
-
-    def invoke_read(self, obj: int) -> Tuple[OpId, Send]:
-        if self.pending is not None:
-            raise WellFormednessError(
-                f"client {self.id} invoked a read while {self.pending.opid} is pending")
-        opid = self._new_opid()
-        self.pending = Pending(opid, "read", obj)
-        return opid, Send("server", self.home, Read(opid, obj))
-
-    def on_server_message(self, msg: Message) -> Optional[Completion]:
-        """Complete the pending operation, or drop a stale response."""
-        if isinstance(msg, WriteReturnAck):
-            opid, value = msg.opid, None
-        elif isinstance(msg, ReadReturn):
-            opid, value = msg.opid, msg.value
-        else:
+    def on_server_message(self, msg: Message) -> Optional[OpId]:
+        """Complete the pending operation and return its id, or drop a stale
+        response and return None."""
+        if not isinstance(msg, (WriteReturnAck, ReadReturn)):
             raise TypeError(f"client cannot handle {type(msg).__name__}")
-        if self.pending is None or self.pending.opid != opid:
-            self.stale_responses.append(opid)
+        if msg.opid != self.pending:
+            self.stale_responses.append(msg.opid)
             return None
-        done = self.pending
         self.pending = None
-        if done.kind == "write":
-            return Completion(opid, "write", done.obj, done.value)
-        return Completion(opid, "read", done.obj, value)
+        return msg.opid

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import hashlib
 import json
 import os
 import random
@@ -110,7 +111,7 @@ def verdicts_to_json(result: RunResult, verdicts: List[Verdict]) -> dict:
 
 def latency_report_json(code: LinearCode, graph: LatencyGraph) -> dict:
     coded = analyze_latency(graph, code)
-    repl = replication_baseline(graph, code.k, capacity=1)
+    repl = replication_baseline(graph, code.k)
     return {
         "per_pair": {f"s{s}/x{k}": v for (s, k), v in sorted(coded.per_pair.items())},
         "coded": {"worst": coded.worst,
@@ -124,7 +125,7 @@ def latency_report_json(code: LinearCode, graph: LatencyGraph) -> dict:
 
 def latency_report_table(code: LinearCode, graph: LatencyGraph) -> str:
     coded = analyze_latency(graph, code)
-    repl = replication_baseline(graph, code.k, capacity=1)
+    repl = replication_baseline(graph, code.k)
     lines = ["read latency by (server, object):"]
     header = "server " + " ".join(f"   X{k}" for k in range(1, code.k + 1))
     lines.append(header)
@@ -157,8 +158,9 @@ def _run_one(doc: dict, seed: int, protocol: Optional[str], fairness: Optional[i
                           collect_trace=collect_trace, probes=True)
     report = verdicts_to_json(result, check_all(result))
     if collect_trace:
-        report["trace_sha256"] = result.trace_sha256()
-        report["_trace_jsonl"] = result.trace_jsonl()
+        text = result.trace_jsonl()
+        report["trace_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+        report["_trace_jsonl"] = text
     return report
 
 

@@ -3,15 +3,16 @@
 Fetching from several servers costs the maximum of the individual link
 latencies, so the best read latency of object k at server s is the minimum
 over k's recovery sets of that maximum (zero when s can decode alone).  The
-replication baseline searches every placement of whole objects under a
-per-server capacity to get the best achievable worst case and average.
+replication baseline searches every placement of whole objects, at most one
+per server (equal storage), to get the best achievable worst case and
+average.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from decimal import Decimal
-from itertools import combinations, product
+from itertools import product
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .coding import LinearCode
@@ -97,20 +98,17 @@ class ReplicationReport:
     average_placement: Tuple[Tuple[int, ...], ...]
 
 
-def replication_baseline(graph: LatencyGraph, k: int, capacity: int = 1) -> ReplicationReport:
-    """Exhaustive search over placements of whole objects, <= capacity per server.
+def replication_baseline(graph: LatencyGraph, k: int) -> ReplicationReport:
+    """Exhaustive search over placements of whole objects, <= 1 per server.
 
     latency(s, obj) is 0 when obj is stored at s, else the nearest replica's
     link latency.  Returns the placements minimising worst case and average
     (independently).
     """
     n = graph.n
-    if k > n * capacity:
-        raise ValueError(f"cannot place {k} objects on {n} servers of capacity {capacity}")
-    per_server_choices: List[Tuple[Tuple[int, ...], ...]] = []
-    choices: List[Tuple[int, ...]] = [()]
-    for size in range(1, capacity + 1):
-        choices.extend(combinations(range(1, k + 1), size))
+    if k > n:
+        raise ValueError(f"cannot place {k} objects on {n} servers holding one each")
+    choices: List[Tuple[int, ...]] = [()] + [(obj,) for obj in range(1, k + 1)]
     if len(choices) ** n > 2_000_000:
         raise ValueError("placement space too large for exhaustive search")
     best_worst: Optional[float] = None

@@ -223,8 +223,8 @@ def scenario_from_json(doc) -> Scenario:
             think = w.get("think_ms", [0, 2000])
             if not isinstance(think, (list, tuple)) or len(think) != 2:
                 raise ScenarioError("workload.think_ms: must be a [low, high] pair")
-            low = int(_number(think[0], "workload.think_ms"))
-            high = int(_number(think[1], "workload.think_ms", low))
+            low = _integer(think[0], "workload.think_ms[0]")
+            high = _integer(think[1], "workload.think_ms[1]", low)
             random_workload = RandomWorkload(
                 ops=ops,
                 read_fraction=_number(w.get("read_fraction", 0.5),

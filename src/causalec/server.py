@@ -16,7 +16,6 @@ State per server (all tag vectors indexed by object-1):
 * ``dell[X]``       delete notices seen: ordered set of (tag, server)
 * ``m_val/m_tagvec``the stored codeword symbol and the versions it encodes
 * ``readl``         pending reads: opid -> entry with per-server symbol slots
-* ``error1/error2`` per-object flags that provably stay 0
 * ``tmax[X]``       newest tag known to be deletable everywhere
 * ``_enc_dirty``, ``_gc_dirty`` the only objects ``encoding`` and
                     ``garbage_collection`` visit, each emptied by its action,
@@ -109,8 +108,6 @@ class Server:
         self.m_val: Value = zv
         self.m_tagvec: List[Tag] = [zt] * self.k
         self.readl: Dict[OpId, ReadLEntry] = {}
-        self.error1: List[int] = [0] * self.k
-        self.error2: List[int] = [0] * self.k
         self.tmax: List[Tag] = [zt] * self.k
         self.notes: List[tuple] = []  # per-transition annotations, drained by the simulator
         self._opid_counter = 0
@@ -126,6 +123,10 @@ class Server:
         self._m_verified: Optional[tuple] = None
         self._enc_dirty = set(self.object_indices())
         self._gc_dirty = set(self.object_indices())
+        # the paper's per-object error flags provably stay 0, and a flag that
+        # would be set raises instead; the trace format keeps their two digest
+        # slots, all zero, until ROADMAP item 4's re-bless
+        self._zero_flags = (0,) * self.k
 
     # -- small helpers -----------------------------------------------------
 
@@ -296,14 +297,11 @@ class Server:
             [e for e in self.readl.values() if e.obj == msg.obj], msg.value)
 
     def on_val_resp_encoded(self, frm: int, msg: ValRespEncoded) -> List[Send]:
-        for i in range(self.k):
-            self.error1[i] = 0
-            self.error2[i] = 0
-        modified = msg.symbol
         entry = self.readl.get(msg.opid)
         if (entry is None or entry.clientid != msg.clientid
                 or entry.obj != msg.obj or entry.tagvec != msg.requestedtags):
             return []
+        modified = msg.symbol
         zt = self._zero_tag()
         zv = self.code.zero_value()
         for x in sorted(self.code.objects_at(frm)):
@@ -311,18 +309,15 @@ class Server:
             mt = msg.tagvec[x - 1]
             if rt == mt:
                 continue
-            if mt != zt:
-                w = self.L[x - 1].get(mt)
-                if w is not None:
-                    modified = self.code.reencode(frm, x, modified, w, zv)
-                else:
-                    self.error1[x - 1] = 1
-            if self.error1[x - 1] != 1 and (v2 := self.L[x - 1].get(rt)) is not None:
-                modified = self.code.reencode(frm, x, modified, zv, v2)
-            else:
-                self.error2[x - 1] = 1
-        if any(self.error1) or any(self.error2):
-            return []
+            # swap the version the symbol encodes for the requested one; the
+            # paper's error flags mark a version missing from L[X], which its
+            # proofs rule out
+            old = zv if mt == zt else self.L[x - 1].get(mt)
+            new = self.L[x - 1].get(rt)
+            if old is None or new is None:
+                raise ProtocolInvariantViolation(
+                    f"server {self.id}: error flag set for X{x}")
+            modified = self.code.reencode(frm, x, modified, old, new)
         entry.symbols[frm - 1] = modified
         populated = {i + 1 for i, w in enumerate(entry.symbols) if w is not None}
         for rs in self.code.minimal_recovery_sets(entry.obj):
@@ -484,9 +479,6 @@ class Server:
     def check_invariants(self) -> None:
         """Raise on any violation of the always-true state conditions."""
         for x in self.object_indices():
-            if self.error1[x - 1] or self.error2[x - 1]:
-                raise ProtocolInvariantViolation(
-                    f"server {self.id}: error flag set for X{x}")
             if not self.tmax[x - 1] <= self.m_tagvec[x - 1]:
                 raise ProtocolInvariantViolation(
                     f"server {self.id}: tmax {self.tmax[x - 1].render()} exceeds "
@@ -519,17 +511,18 @@ class Server:
                 f"server {self.id}: stored symbol is not the encoding of its tag vector")
 
     def digest(self) -> tuple:
-        """Compact per-transition snapshot used by traces and probes:
-        ``(vc, m_tagvec, history sizes, error1, error2, tmax, inqueue size,
-        pending reads)``.  It holds only tuples of ints and (immutable)
+        """Compact per-transition snapshot used by traces:
+        ``(vc, m_tagvec, history sizes, flags, flags, tmax, inqueue size,
+        pending reads)``, where both error-flag slots hold the all-zero
+        K-tuple.  It holds only tuples of ints and (immutable)
         ``Tag`` objects, so it stays valid after the server moves on; tags
         are rendered as text only when the trace is serialised."""
         return (
             tuple(self.vc),
             tuple(self.m_tagvec),
             tuple(map(len, self.L)),
-            tuple(self.error1),
-            tuple(self.error2),
+            self._zero_flags,
+            self._zero_flags,
             tuple(self.tmax),
             sum(map(len, self.inqueue.values())),
             len(self.readl),

@@ -61,6 +61,8 @@ class TraceRecord:
     ``emitted`` holds the ``Send`` tuples the transition produced.  Messages
     and tags are immutable, so a record is a snapshot.  Text appears only in
     ``to_json_dict``, through the serialising run's ``TraceRenderer``.
+    Records are for replay and diffing: no checker reads them, because the
+    state invariants are checked inline while the run is simulated.
     """
 
     seq: int
@@ -132,7 +134,6 @@ class RunResult:
     write_locality_breaks: int
     pending_opids: List[OpId]
     halted: List[int]
-    probe_results: Dict[Tuple[int, int], Optional[Value]]
     servers: Dict[int, Server]
     write_registry: Dict[Tag, Tuple[int, Value]]
     client_homes: Dict[int, int]
@@ -175,7 +176,6 @@ class Simulation:
         self.ops: Dict[OpId, OperationRecord] = {}
         self.violations: List[str] = []
         self.write_locality_breaks = 0
-        self.probe_results: Dict[Tuple[int, int], Optional[Value]] = {}
         self._chan_last: Dict[tuple, int] = {}
         self._prev_vc: Dict[int, Tuple[int, ...]] = {}
         self._prev_tagvec: Dict[int, Tuple[Tag, ...]] = {}
@@ -240,24 +240,26 @@ class Simulation:
             emitted=tuple(emitted),
             notes=notes))
 
+    def _fail(self, text: str) -> None:
+        """Record a violation; it stops the run."""
+        self.violations.append(text)
+        self._fatal = True
+
     def _probe_after(self, srv: Server) -> None:
         try:
             srv.check_invariants()
         except ProtocolInvariantViolation as e:
-            self.violations.append(str(e))
-            self._fatal = True
+            self._fail(str(e))
             return
         vc = tuple(srv.vc)
         if vc != self._prev_vc[srv.id]:
             if any(a < b for a, b in zip(vc, self._prev_vc[srv.id])):
-                self.violations.append(f"server {srv.id}: vector clock went backwards")
-                self._fatal = True
+                self._fail(f"server {srv.id}: vector clock went backwards")
             self._prev_vc[srv.id] = vc
         tv = tuple(srv.m_tagvec)
         if tv != self._prev_tagvec[srv.id]:
             if any(old > new for old, new in zip(self._prev_tagvec[srv.id], tv)):
-                self.violations.append(f"server {srv.id}: symbol tag vector decreased")
-                self._fatal = True
+                self._fail(f"server {srv.id}: symbol tag vector decreased")
             self._prev_tagvec[srv.id] = tv
 
     def _server_transition(self, sid: int, event: Optional[tuple], fn) -> bool:
@@ -268,8 +270,7 @@ class Simulation:
         try:
             changed, sends = fn()
         except ProtocolInvariantViolation as e:
-            self.violations.append(str(e))
-            self._fatal = True
+            self._fail(str(e))
             self._record(f"s{sid}", event, srv, [])
             return False
         for s in sends:
@@ -288,8 +289,7 @@ class Simulation:
             try:
                 srv.check_symbol_legitimacy(send.msg.symbol, send.msg.tagvec)
             except ProtocolInvariantViolation as e:
-                self.violations.append(f"outgoing response: {e}")
-                self._fatal = True
+                self._fail(f"outgoing response: {e}")
 
     # -- event processing -------------------------------------------------------
 
@@ -303,22 +303,18 @@ class Simulation:
             rec = self.ops.get(msg.opid)
             if rec is None or rec.ts is None:
                 self.write_locality_breaks += 1
-                self.violations.append(
-                    f"write {msg.opid} delivered to server {sid} without same-transition ack")
 
     def _deliver_to_client(self, cid: int, src_kind: str, src: int, msg: Message) -> None:
         client = self.clients[cid]
-        completion = client.on_server_message(msg)
+        opid = client.on_server_message(msg)
         self._record(f"c{cid}", ("recv", f"s{src}", msg) if self.collect_trace else None,
                      None, [])
-        if completion is None:
+        if opid is None:
             return
-        rec = self.ops[completion.opid]
+        rec = self.ops[opid]
         rec.t_response = self.now
-        if completion.kind == "read":
-            rec.value = completion.value
-        if rec.probe:
-            self.probe_results[(client.home, rec.obj)] = completion.value
+        if isinstance(msg, ReadReturn):
+            rec.value = msg.value
         script = self.scripts.get(cid, [])
         if script:
             self._push(max(self.now, script[0].time_ms), "invoke", cid)
@@ -329,10 +325,7 @@ class Simulation:
         if not script or client.pending is not None:
             return
         op = script.pop(0)
-        if op.kind == "write":
-            opid, send = client.invoke_write(op.obj, op.value)
-        else:
-            opid, send = client.invoke_read(op.obj)
+        opid, send = client.invoke(op.kind, op.obj, op.value)
         self.ops[opid] = OperationRecord(
             opid=opid, client=cid, kind=op.kind, obj=op.obj,
             value=op.value, t_invoke=self.now,
@@ -425,7 +418,6 @@ class Simulation:
                 cid = PROBE_CLIENT_BASE + idx
                 self.clients[cid] = Client(cid, s)
                 self.scripts[cid] = [ScriptOp(self.now, "read", obj)]
-                self.probe_results[(s, obj)] = None
                 self._push(self.now, "invoke", cid)
 
     def result(self, quiescent: bool) -> RunResult:
@@ -442,7 +434,6 @@ class Simulation:
             write_locality_breaks=self.write_locality_breaks,
             pending_opids=sorted(pending),
             halted=sorted(self.halted),
-            probe_results=self.probe_results,
             servers=self.servers,
             write_registry=self.write_registry,
             client_homes={cid: c.home for cid, c in self.clients.items()},

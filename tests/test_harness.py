@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output formats, scenario emission."""
 
+import hashlib
 import json
 import os
 
@@ -95,8 +96,9 @@ def test_run_writes_traces_and_reports(scenario_dir, tmp_path, capsys):
     assert files == ["ev_differential-seed0.report.json",
                      "ev_differential-seed0.trace.jsonl"]
     report = json.load(open(out / files[0]))
-    assert "trace_sha256" in report
-    lines = open(out / files[1]).read().splitlines()
+    trace_bytes = (out / files[1]).read_bytes()
+    assert report["trace_sha256"] == hashlib.sha256(trace_bytes).hexdigest()
+    lines = trace_bytes.decode().splitlines()
     assert all(json.loads(line) for line in lines)
 
 

@@ -111,6 +111,10 @@ MALFORMED = {
     "step_cap_is_a_bool": (_set(["step_cap"], True), r"step_cap:"),
     "step_cap_is_a_numeric_string": (_set(["step_cap"], "100"), r"step_cap:"),
     "random_ops_is_a_bool": (_set(["workload", "ops"], True), r"workload\.ops:"),
+    "think_ms_fractional": (
+        _set(["workload", "think_ms"], [0.5, 1.7]), r"workload\.think_ms\[0\]:"),
+    "think_ms_fractional_low_above_high": (
+        _set(["workload", "think_ms"], [1.7, 1.2]), r"workload\.think_ms\[0\]:"),
 }
 
 
@@ -179,7 +183,7 @@ class TestValidation:
     def test_think_range_must_not_be_empty(self):
         doc = builtin.fig1_scenario_doc()
         doc["workload"]["think_ms"] = [5, 1]
-        with pytest.raises(ScenarioError, match=r"^workload\.think_ms:"):
+        with pytest.raises(ScenarioError, match=r"^workload\.think_ms\[1\]:"):
             scenario_from_json(doc)
 
     def test_read_fraction_must_be_a_number(self):

@@ -336,8 +336,19 @@ class TestValRespEncoded:
         msg = ValRespEncoded((5,), resp_tagvec, 9, (9, 1), 3, entry.tagvec)
         sends = srv.on_val_resp_encoded(4, msg)
         # y4' = 5 - 2 (remove x2_old) + 0 (wanted zero tag -> sentinel zero)
-        assert srv.error1 == [0, 0, 0] and srv.error2 == [0, 0, 0]
         assert sends and sends[0].msg == ReadReturn((9, 1), (3,))
+
+    def test_version_missing_from_history_raises(self):
+        # the response encodes an X2 version the receiver's L[X2] lacks: the
+        # paper's error flag, which its proofs show never gets set
+        srv, entry = self.make_reader()
+        t_old = tag([0, 1, 0, 0, 0], 2)
+        resp_tagvec = (entry.tagvec[0], t_old, entry.tagvec[2])
+        msg = ValRespEncoded((5,), resp_tagvec, 9, (9, 1), 3, entry.tagvec)
+        with pytest.raises(ProtocolInvariantViolation,
+                           match=r"^server 3: error flag set for X2$"):
+            srv.on_val_resp_encoded(4, msg)
+        assert entry.symbols[3] is None and (9, 1) in srv.readl
 
 
 class TestValResp:

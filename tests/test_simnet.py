@@ -253,7 +253,7 @@ class TestLatencyAnalysis:
         assert rep.average == pytest.approx(2.83, abs=1e-9)
         alt = analyze_latency(self.graph(), LinearCode(PrimeField(7), ALT_COEFFS))
         assert alt.average == pytest.approx(2.7, abs=1e-9)
-        repl = replication_baseline(self.graph(), 3, capacity=1)
+        repl = replication_baseline(self.graph(), 3)
         assert repl.best_worst == pytest.approx(6.0, abs=1e-9)
         assert repl.best_average == pytest.approx(2.8, abs=1e-9)
 
@@ -283,19 +283,19 @@ class TestLatencyAnalysis:
             graph = LatencyGraph(n, {(i, j): w
                                      for i in range(1, n + 1)
                                      for j in range(i + 1, n + 1)})
-            rep = replication_baseline(graph, n, capacity=1)
+            rep = replication_baseline(graph, n)
             assert rep.best_worst == pytest.approx(w)
             assert rep.best_average == pytest.approx(w * (n - 1) / n)
 
     def test_single_object_baseline(self):
-        # with spare capacity every server takes a copy: all reads are local
+        # one object: every server takes a copy, so all reads are local
         graph = LatencyGraph(3, {(1, 2): 2, (1, 3): 3, (2, 3): 4})
-        rep = replication_baseline(graph, 1, capacity=1)
+        rep = replication_baseline(graph, 1)
         assert rep.best_worst == 0.0
         assert rep.best_average == 0.0
         # two objects on two servers force one remote fetch each way
         graph2 = LatencyGraph(2, {(1, 2): 3})
-        rep2 = replication_baseline(graph2, 2, capacity=1)
+        rep2 = replication_baseline(graph2, 2)
         assert rep2.best_worst == 3.0
         assert rep2.best_average == pytest.approx(1.5)
 
@@ -308,7 +308,7 @@ class TestLatencyAnalysis:
     def test_overfull_placement_rejected(self):
         graph = LatencyGraph(2, {(1, 2): 1})
         with pytest.raises(ValueError):
-            replication_baseline(graph, 3, capacity=1)
+            replication_baseline(graph, 3)
 
     def test_graph_validation(self):
         with pytest.raises(ValueError, match="positive"):
