@@ -274,6 +274,11 @@ def check_locality_and_liveness(result: RunResult) -> Verdict:
     failures = []
     if result.write_locality_breaks:
         failures.append({"kind": "locality", "count": result.write_locality_breaks})
+    if result.violations:
+        # the run stopped on a violation, which ``invariants`` reports; the
+        # operations it left pending say nothing about liveness
+        return Verdict("locality+liveness", False, inconclusive=not failures,
+                       details={"failures": failures, "reason": "run stopped on a violation"})
     for op in result.operation_list():
         home = result.client_homes[op.client]
         if op.kind == "write":

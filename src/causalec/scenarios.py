@@ -20,6 +20,10 @@ from .latency import LatencyGraph, to_ms
 from .server import CAUSAL, VARIANTS
 
 DEFAULT_STEP_CAP = 500_000
+# jittered and uniform delays are drawn with float arithmetic on tick counts;
+# these bounds keep every product finite
+MAX_LATENCY = 1e300
+MAX_JITTER = 1e5
 
 
 class ScenarioError(ValueError):
@@ -196,10 +200,10 @@ def scenario_from_json(doc) -> Scenario:
         if not isinstance(e, list) or len(e) != 3:
             raise ScenarioError(f"{path}: must be [i, j, weight], got {e!r}")
         weights[_integer(e[0], path + "[0]", 1), _integer(e[1], path + "[1]", 1)] = \
-            _number(e[2], path + "[2]")
+            _number(e[2], path + "[2]", high=MAX_LATENCY)
     try:
         graph = LatencyGraph(n, weights)
-    except (ArithmeticError, ValueError) as e:  # a bad edge set, or an infinite weight
+    except ValueError as e:  # a bad edge set
         raise ScenarioError(f"latency_graph: {e}") from e
 
     clients = []
@@ -266,9 +270,10 @@ def scenario_from_json(doc) -> Scenario:
     if delays.get("kind") not in ("graph", "jitter", "uniform"):
         raise ScenarioError(f"delays.kind: unknown kind {delays.get('kind')!r}")
     if delays.get("kind") == "jitter":
-        _number(delays.get("factor", 1), "delays.factor", 1)
+        _number(delays.get("factor", 1), "delays.factor", 1, MAX_JITTER)
     elif delays.get("kind") == "uniform":
-        _number(delays.get("max", 1), "delays.max", _number(delays.get("min", 0), "delays.min"))
+        _number(delays.get("max", 1), "delays.max",
+                _number(delays.get("min", 0), "delays.min", high=MAX_LATENCY), MAX_LATENCY)
 
     halts = {}
     for i, h in enumerate(_list(doc.get("halts", []), "halts")):

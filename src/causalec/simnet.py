@@ -16,6 +16,7 @@ timeouts.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import heapq
 import json
@@ -60,9 +61,9 @@ class TraceRecord:
     acting server's ``Server.digest()`` (None for client and halt steps);
     ``emitted`` holds the ``Send`` tuples the transition produced.  Messages
     and tags are immutable, so a record is a snapshot.  Text appears only in
-    ``to_json_dict``, through the serialising run's ``TraceRenderer``.
-    Records are for replay and diffing: no checker reads them, because the
-    state invariants are checked inline while the run is simulated.
+    ``TraceRenderer.line``, when the trace is serialised.  Records are for
+    replay and diffing: no checker reads them, because the state invariants
+    are checked inline while the run is simulated.
     """
 
     seq: int
@@ -73,52 +74,46 @@ class TraceRecord:
     emitted: Tuple[Send, ...]
     notes: tuple = ()
 
-    def to_json_dict(self, render: "TraceRenderer") -> dict:
-        event = self.event
-        if event[0] == "recv":
-            event = event[:2] + (render.message(event[2]),)
-        return {
-            "seq": self.seq,
-            "t": format_ms(self.t),
-            "node": self.node,
-            "event": event,
-            "digest": None if self.digest is None else render.digest(self.digest),
-            "emitted": tuple((s.kind, s.dst, render.message(s.msg)) for s in self.emitted),
-            "notes": self.notes,
-        }
+
+_encode = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class TraceRenderer:
-    """The memo of one trace serialisation: each distinct ``Tag``, server
-    digest and message is rendered once.  A run has only as many tags as
-    writes, while its records repeat them on every transition."""
+    """The memo of one trace serialisation.  Each distinct tag is rendered,
+    and each distinct digest, message and small repeated value (node names,
+    send kinds, non-``recv`` events, notes) encoded to JSON, once; ``line``
+    assembles a record from that text in the key order ``digest, emitted,
+    event, node, notes, seq, t`` of ``sort_keys=True``."""
 
     def __init__(self) -> None:
-        self._tags: Dict[Tag, str] = {}
-        self._digests: Dict[tuple, tuple] = {}
+        tag = self.tag = functools.cache(Tag.render)
+
+        def digest(d: Optional[tuple]) -> str:
+            if d is None:
+                return "null"
+            vc, tagvec, lsizes, err1, err2, tmax, inq, readl = d
+            return _encode((vc, tuple(map(tag, tagvec)), lsizes, err1, err2,
+                            tuple(map(tag, tmax)), inq, readl))
+
+        self.digest = functools.cache(digest)
+        self.value = functools.cache(_encode)
         # by identity: a message is recorded once when sent and once per
         # delivery; holding it keeps its id from being reused
-        self._messages: Dict[int, Tuple[Message, tuple]] = {}
+        self._messages: Dict[int, Tuple[Message, str]] = {}
 
-    def tag(self, t: Tag) -> str:
-        text = self._tags.get(t)
-        if text is None:
-            text = self._tags[t] = t.render()
-        return text
-
-    def message(self, msg: Message) -> tuple:
+    def message(self, msg: Message) -> str:
         hit = self._messages.get(id(msg))
         if hit is None:
-            hit = self._messages[id(msg)] = (msg, msg.describe(self.tag))
+            hit = self._messages[id(msg)] = (msg, _encode(msg.describe(self.tag)))
         return hit[1]
 
-    def digest(self, d: tuple) -> tuple:
-        out = self._digests.get(d)
-        if out is None:
-            vc, tagvec, lsizes, err1, err2, tmax, inq, readl = d
-            out = self._digests[d] = (vc, tuple(map(self.tag, tagvec)), lsizes, err1, err2,
-                                      tuple(map(self.tag, tmax)), inq, readl)
-        return out
+    def line(self, r: TraceRecord) -> str:
+        ev, value, message = r.event, self.value, self.message
+        event = f'["recv",{value(ev[1])},{message(ev[2])}]' if ev[0] == "recv" else value(ev)
+        emitted = ",".join([f"[{value(s.kind)},{s.dst},{message(s.msg)}]" for s in r.emitted])
+        return (f'{{"digest":{self.digest(r.digest)},"emitted":[{emitted}],"event":{event},'
+                f'"node":{value(r.node)},"notes":{value(r.notes)},"seq":{r.seq},'
+                f'"t":"{format_ms(r.t)}"}}')
 
 
 @dataclass
@@ -139,10 +134,8 @@ class RunResult:
     client_homes: Dict[int, int]
 
     def trace_jsonl(self) -> str:
-        """The trace as JSON lines, rendered with one memo for the whole run."""
-        render = TraceRenderer()
-        encode = json.JSONEncoder(sort_keys=True, separators=(",", ":")).encode
-        return "\n".join(encode(r.to_json_dict(render)) for r in self.trace)
+        """The trace as JSON lines, assembled by one memo for the whole run."""
+        return "\n".join(map(TraceRenderer().line, self.trace))
 
     def trace_sha256(self) -> str:
         return hashlib.sha256(self.trace_jsonl().encode()).hexdigest()
@@ -297,8 +290,10 @@ class Simulation:
         srv = self.servers[sid]
         event = (("recv", f"{'c' if src_kind == 'client' else 's'}{src}", msg)
                  if self.collect_trace else None)
-        self._server_transition(sid, event, lambda: (True, srv.handle(src, msg)))
-        if isinstance(msg, Write):
+        completed = self._server_transition(sid, event, lambda: (True, srv.handle(src, msg)))
+        # a delivery always counts as a change, so False means the handler
+        # raised: already a violation, not also a write-locality break
+        if completed and isinstance(msg, Write):
             # write locality: the ack must come out of this very transition
             rec = self.ops.get(msg.opid)
             if rec is None or rec.ts is None:

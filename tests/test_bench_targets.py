@@ -1,17 +1,21 @@
-"""Every function ``bench/spans.py`` wraps must exist in the package.
+"""The benchmark keeps working against the package.
 
-The benchmark patches causalec functions by name from outside; renaming or
-deleting one would break it without failing any other test.  The module is
-loaded by path with bytecode writing off, so no cache lands in ``bench/``.
+Every function ``bench/spans.py`` wraps must exist: the benchmark patches
+causalec functions by name from outside, and renaming or deleting one would
+break it without failing any other test.  One pass of the ``replay``
+workload, the only one that serialises traces, must end ``correct``.  Both
+run with bytecode writing off, so no cache lands in ``bench/``.
 """
 
 import importlib
 import importlib.util
+import json
 import os
+import subprocess
 import sys
 
-SPANS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                     "bench", "spans.py")
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SPANS = os.path.join(ROOT, "bench", "spans.py")
 
 
 def load_spans():
@@ -37,3 +41,13 @@ def test_every_span_target_resolves():
         if not callable(getattr(holder, fn, None)):
             missing.append(f"{module}:{owner or ''}.{fn}")
     assert not missing
+
+
+def test_replay_pass_is_correct():
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "replay", "--seed", "1",
+         "--seconds", "0", "--trace", "0"],
+        cwd=ROOT, capture_output=True, text=True, timeout=600,
+        env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True

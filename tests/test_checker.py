@@ -31,7 +31,7 @@ from causalec.latency import LatencyGraph
 from causalec.scenarios import ClientSpec, Scenario, ScriptOp, scenario_from_json
 from causalec.server import Server
 from causalec.simnet import OperationRecord, RunResult, run
-from causalec.tags import Tag
+from causalec.tags import ProtocolInvariantViolation, Tag
 
 
 @pytest.fixture(scope="module")
@@ -216,6 +216,17 @@ class TestLocalityLiveness:
         assert not verdict.passed
         assert {"kind": "locality", "count": 1} in verdict.details["failures"]
         assert probe_invariants(r).passed
+
+    def test_raising_write_handler_fails_invariants_only(self, monkeypatch):
+        def boom(self, clientid, opid, obj, value):
+            raise ProtocolInvariantViolation("boom")
+
+        monkeypatch.setattr(Server, "on_write", boom)
+        r = run(small({1: [ScriptOp(0, "write", 1, (5,))]}), seed=0)
+        assert r.violations == ["boom"]
+        assert r.write_locality_breaks == 0
+        failed = [v.name for v in check_all(r) if not (v.passed or v.inconclusive)]
+        assert failed == ["invariants"]
 
 
 class TestInvariantProbes:

@@ -115,6 +115,16 @@ MALFORMED = {
         _set(["workload", "think_ms"], [0.5, 1.7]), r"workload\.think_ms\[0\]:"),
     "think_ms_fractional_low_above_high": (
         _set(["workload", "think_ms"], [1.7, 1.2]), r"workload\.think_ms\[0\]:"),
+    # float delay arithmetic overflowed in the run, a traceback from `causalec run`
+    "jitter_factor_overflows": (_set(["delays", "factor"], 1e308), r"delays\.factor:"),
+    "jitter_factor_infinite": (_set(["delays", "factor"], float("inf")), r"delays\.factor:"),
+    "uniform_max_overflows": (
+        _set(["delays"], {"kind": "uniform", "min": 0, "max": 1e308}), r"delays\.max:"),
+    "uniform_min_infinite": (
+        _set(["delays"], {"kind": "uniform", "min": float("inf"), "max": float("inf")}),
+        r"delays\.min:"),
+    "jittered_edge_overflows": (
+        _set(["latency_graph", "edges", 0, 2], 1e306), r"latency_graph\.edges\[0\]\[2\]:"),
 }
 
 

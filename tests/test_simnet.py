@@ -7,11 +7,11 @@ from itertools import combinations
 
 import pytest
 
+from causalec import builtin
 from causalec.builtin import (
     ALT_COEFFS,
     FIG1_COEFFS,
     FIG1_EDGES,
-    appendix_a_scenario_doc,
     fig1_scenario_doc,
 )
 from causalec.coding import LinearCode
@@ -27,6 +27,7 @@ from causalec.latency import (
 )
 from causalec.messages import App
 from causalec.scenarios import ClientSpec, Scenario, ScriptOp, scenario_from_json
+from causalec.server import VARIANTS
 from causalec.simnet import run
 from causalec.tags import Tag
 
@@ -155,18 +156,41 @@ def traced_run(name, seed, protocol="causalec"):
     if name == "fuzz":
         scenario = fuzz_scenario(seed)
     else:
-        doc = {"fig1": fig1_scenario_doc, "appendix_a": appendix_a_scenario_doc}[name]()
-        scenario = scenario_from_json(doc)
+        scenario = scenario_from_json(builtin.BUNDLED[name]())
     return run(scenario, seed, protocol=protocol, collect_trace=True, probes=True)
 
 
+# every bundled scenario under both protocols, plus further seeds and fuzz systems
+TRACE_CASES = sorted({(name, 0, protocol) for name in builtin.BUNDLED for protocol in VARIANTS}
+                     | {("fig1", 1, "eventualec"), ("appendix_a", 2, "causalec"),
+                        ("fuzz", 0, "causalec"), ("fuzz", 3, "eventualec"),
+                        ("fuzz", 7, "causalec")})
+
+# every way a record's line is assembled differently
+RECORD_SHAPES = {
+    "halt, digest null": lambda rec: rec.event == ("halt",) and rec.digest is None,
+    "decoded notes": lambda rec: any(note[0] == "decoded" for note in rec.notes),
+    "client invoke": lambda rec: rec.event[0] == "invoke",
+    "client recv": lambda rec: rec.node.startswith("c") and rec.event[0] == "recv",
+    "multi-send emitted": lambda rec: len(rec.emitted) > 1,
+}
+
+
+@pytest.fixture(scope="module")
+def traced_runs():
+    return {case: traced_run(*case) for case in TRACE_CASES}
+
+
 class TestTraceSerialisation:
-    @pytest.mark.parametrize("name,seed,protocol", [
-        ("fig1", 0, "causalec"), ("fig1", 1, "eventualec"), ("appendix_a", 2, "causalec"),
-        ("fuzz", 0, "causalec"), ("fuzz", 3, "eventualec"), ("fuzz", 7, "causalec")])
-    def test_memoised_rendering_matches_reference(self, name, seed, protocol):
-        r = traced_run(name, seed, protocol)
+    @pytest.mark.parametrize("name,seed,protocol", TRACE_CASES)
+    def test_memoised_rendering_matches_reference(self, traced_runs, name, seed, protocol):
+        r = traced_runs[name, seed, protocol]
         assert r.trace_jsonl() == reference_jsonl(r)
+
+    def test_cases_cover_every_record_shape(self, traced_runs):
+        covered = {shape for r in traced_runs.values() for rec in r.trace
+                   for shape, test in RECORD_SHAPES.items() if test(rec)}
+        assert covered == set(RECORD_SHAPES)
 
     def test_hash_is_repeatable(self):
         r = traced_run("fig1", 0)
