@@ -25,9 +25,11 @@ the halting hypothesis.  Each run fact has one record, kept by the layer
 that sees it.  The simulator checks the per-transition state invariants
 inline (``Server.check_invariants``, and handler raises such as a set error
 flag), stops the run at the violating transition and keeps the violations,
-which ``probe_invariants`` reports.  It counts write-locality breaks, which
-only ``check_locality_and_liveness`` reads.  Probe reads are ordinary
-operation records marked ``probe``.
+which ``probe_invariants`` reports.  It re-checks a server only when the
+server's snapshot ``(vc, m_tagvec, tmax, m_val)`` changed, and the symbol
+check compares against a per-server encoding memo on every call.  It
+counts write-locality breaks, which only ``check_locality_and_liveness``
+reads.  Probe reads are ordinary operation records marked ``probe``.
 """
 
 from __future__ import annotations
@@ -220,7 +222,7 @@ def storage_accounting(result: RunResult) -> List[dict]:
     written = {obj for (obj, _v) in result.write_registry.values()}
     rows = []
     for sid, srv in sorted(result.servers.items()):
-        zt = srv._zero_tag()
+        zt = srv.zero_tag
         history = 0
         sentinels = 0
         payload = len(srv.m_val)

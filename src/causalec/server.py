@@ -99,8 +99,9 @@ class Server:
         self.k = code.k
         self.objects_here = code.objects_at(sid)
         self._held = sorted(self.objects_here)
-        zt = zero_tag(self.n)
-        zv = code.zero_value()
+        # the initial version of every object, built once
+        self.zero_tag = zt = zero_tag(self.n)
+        self.zero_value = zv = code.zero_value()
         self.vc: List[int] = [0] * self.n
         self.inqueue: Dict[int, Deque[InQueueItem]] = {}
         self.L: List[Dict[Tag, Value]] = [{zt: zv} for _ in range(self.k)]
@@ -120,7 +121,8 @@ class Server:
         self._del_max: List[Dict[int, Tag]] = [{} for _ in range(self.k)]
         # when present, L insertions are checked against the known write values
         self.write_registry = write_registry
-        self._m_verified: Optional[tuple] = None
+        # probe memo: tag vector -> the symbol this server encodes for it
+        self._encodings: Dict[TagVec, Value] = {}
         self._enc_dirty = set(self.object_indices())
         self._gc_dirty = set(self.object_indices())
         # the paper's per-object error flags provably stay 0, and a flag that
@@ -129,9 +131,6 @@ class Server:
         self._zero_flags = (0,) * self.k
 
     # -- small helpers -----------------------------------------------------
-
-    def _zero_tag(self) -> Tag:
-        return zero_tag(self.n)
 
     def _highest(self, obj: int) -> Optional[Tuple[Tag, Value]]:
         lx = self.L[obj - 1]
@@ -159,7 +158,7 @@ class Server:
         self._dirty((obj,))
 
     def _l_insert(self, obj: int, tag: Tag, value: Value) -> None:
-        if self.write_registry is not None and tag != self._zero_tag():
+        if self.write_registry is not None and tag != self.zero_tag:
             known = self.write_registry.get(tag)
             if known is None or known[0] != obj or known[1] != value:
                 raise ProtocolInvariantViolation(
@@ -265,8 +264,7 @@ class Server:
                 return [Send("server", frm, ValResp(obj, hv))]
         resp_val = self.m_val
         resp_tagvec = list(self.m_tagvec)
-        zt = self._zero_tag()
-        zv = self.code.zero_value()
+        zt, zv = self.zero_tag, self.zero_value
         for x in self._held:
             mt = self.m_tagvec[x - 1]
             if mt == wantedtagvec[x - 1]:
@@ -302,8 +300,7 @@ class Server:
                 or entry.obj != msg.obj or entry.tagvec != msg.requestedtags):
             return []
         modified = msg.symbol
-        zt = self._zero_tag()
-        zv = self.code.zero_value()
+        zt, zv = self.zero_tag, self.zero_value
         for x in sorted(self.code.objects_at(frm)):
             rt = msg.requestedtags[x - 1]
             mt = msg.tagvec[x - 1]
@@ -440,7 +437,7 @@ class Server:
         for x in sorted(dirty):
             new_tmax = self._per_server_del_max(x, all_servers)
             if new_tmax is None:
-                new_tmax = self._zero_tag()
+                new_tmax = self.zero_tag
             # each change below leaves X dirty, so the next round confirms it
             if new_tmax != self.tmax[x - 1]:
                 self.tmax[x - 1] = new_tmax
@@ -483,29 +480,31 @@ class Server:
                 raise ProtocolInvariantViolation(
                     f"server {self.id}: tmax {self.tmax[x - 1].render()} exceeds "
                     f"symbol tag {self.m_tagvec[x - 1].render()} for X{x}")
-        if self.write_registry is not None:
-            state = (self.m_val, tuple(self.m_tagvec))
-            if state != self._m_verified:
-                self.check_symbol_legitimacy(state[0], state[1])
-                self._m_verified = state
+        self.check_symbol_legitimacy(self.m_val, tuple(self.m_tagvec))
 
     def check_symbol_legitimacy(self, symbol: Value, tagvec: TagVec) -> None:
-        """Verify a symbol equals the encoding of the writes its tags name."""
+        """Verify a symbol equals the encoding of the writes its tags name.
+
+        The expected symbol is encoded once per tag vector and kept in
+        ``_encodings``; a registry entry is never rewritten once its tag
+        exists, so it stays valid for the run.  The comparison with
+        ``symbol`` is made on every call, so a corrupted symbol under a known
+        tag vector is still caught."""
         if self.write_registry is None:
             return
-        zt = self._zero_tag()
-        values = []
-        for x in self.object_indices():
-            t = tagvec[x - 1]
-            if t == zt:
-                values.append(self.code.zero_value())
-            else:
+        expect = self._encodings.get(tagvec)
+        if expect is None:
+            values = []
+            for x, t in enumerate(tagvec, 1):
+                if t == self.zero_tag:
+                    values.append(self.zero_value)
+                    continue
                 known = self.write_registry.get(t)
                 if known is None or known[0] != x:
                     raise ProtocolInvariantViolation(
                         f"server {self.id}: symbol tag {t.render()} names no write on X{x}")
                 values.append(known[1])
-        expect = self.code.encode_one(self.id, values)
+            expect = self._encodings[tagvec] = self.code.encode_one(self.id, values)
         if expect != symbol:
             raise ProtocolInvariantViolation(
                 f"server {self.id}: stored symbol is not the encoding of its tag vector")

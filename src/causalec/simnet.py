@@ -170,8 +170,8 @@ class Simulation:
         self.violations: List[str] = []
         self.write_locality_breaks = 0
         self._chan_last: Dict[tuple, int] = {}
-        self._prev_vc: Dict[int, Tuple[int, ...]] = {}
-        self._prev_tagvec: Dict[int, Tuple[Tag, ...]] = {}
+        # per server, the state the probes last checked (None: not yet)
+        self._snapshots: Dict[int, Optional[tuple]] = dict.fromkeys(self.servers)
         self._last_full_round: Dict[int, int] = {s: 0 for s in self.servers}
         self.halted: Set[int] = set()  # a halted server processes nothing further
         self._next_fair_scan = 0
@@ -183,9 +183,6 @@ class Simulation:
         for cid, script in self.scripts.items():
             if script:
                 self._push(script[0].time_ms, "invoke", cid)
-        for s in self.servers.values():
-            self._prev_vc[s.id] = tuple(s.vc)
-            self._prev_tagvec[s.id] = tuple(s.m_tagvec)
 
     # -- scheduling ----------------------------------------------------------
 
@@ -239,21 +236,31 @@ class Simulation:
         self._fatal = True
 
     def _probe_after(self, srv: Server) -> None:
+        """Check the server's state after a transition that did not raise.
+
+        Everything checked here reads only the snapshot ``(vc, m_tagvec,
+        tmax, m_val)`` plus the write registry, whose entries are never
+        rewritten, so a transition that leaves the snapshot equal to the
+        last checked one is skipped.  Otherwise ``check_invariants`` runs and
+        the clock and symbol tag vector must not have gone backwards.  A
+        server's first checked snapshot has no predecessor; the constructor's
+        all-zero clock and zero tags are below every later value anyway."""
+        snap = (tuple(srv.vc), tuple(srv.m_tagvec), tuple(srv.tmax), srv.m_val)
+        prev = self._snapshots[srv.id]
+        if snap == prev:
+            return
+        self._snapshots[srv.id] = snap
         try:
             srv.check_invariants()
         except ProtocolInvariantViolation as e:
             self._fail(str(e))
             return
-        vc = tuple(srv.vc)
-        if vc != self._prev_vc[srv.id]:
-            if any(a < b for a, b in zip(vc, self._prev_vc[srv.id])):
-                self._fail(f"server {srv.id}: vector clock went backwards")
-            self._prev_vc[srv.id] = vc
-        tv = tuple(srv.m_tagvec)
-        if tv != self._prev_tagvec[srv.id]:
-            if any(old > new for old, new in zip(self._prev_tagvec[srv.id], tv)):
-                self._fail(f"server {srv.id}: symbol tag vector decreased")
-            self._prev_tagvec[srv.id] = tv
+        if prev is None:
+            return
+        if any(a < b for a, b in zip(snap[0], prev[0])):
+            self._fail(f"server {srv.id}: vector clock went backwards")
+        if any(old > new for old, new in zip(prev[1], snap[1])):
+            self._fail(f"server {srv.id}: symbol tag vector decreased")
 
     def _server_transition(self, sid: int, event: Optional[tuple], fn) -> bool:
         """Run one step ``fn() -> (changed, sends)`` atomically; returns

@@ -9,6 +9,7 @@ kind.
 """
 
 import copy
+import dataclasses
 from types import SimpleNamespace
 
 import pytest
@@ -28,6 +29,7 @@ from causalec.checker import (
 from causalec.coding import LinearCode
 from causalec.field import PrimeField
 from causalec.latency import LatencyGraph
+from causalec.messages import Del, ValInq, ValRespEncoded
 from causalec.scenarios import ClientSpec, Scenario, ScriptOp, scenario_from_json
 from causalec.server import Server
 from causalec.simnet import OperationRecord, RunResult, run
@@ -237,6 +239,106 @@ class TestInvariantProbes:
         a = [v.line() for v in check_all(fig1_run)]
         b = [v.line() for v in check_all(fig1_run)]
         assert a == b
+
+
+def corrupted(srv, value):
+    """The value with every coordinate moved by one in the server's field."""
+    p = srv.code.field.p
+    return tuple((c + 1) % p for c in value)
+
+
+class TestProbeFaults:
+    """Each runtime probe stops the run at the very transition that breaks
+    its invariant.  A fault is injected once into a traced fig1 run by
+    wrapping a ``Server`` method; the run must end with exactly the matching
+    violation, and its last trace record must be the faulty transition.  A
+    probe that misses the fault, or catches it only at a later step, fails."""
+
+    @staticmethod
+    def run_fig1():
+        return run(scenario_from_json(fig1_scenario_doc()), seed=5, probes=True,
+                   collect_trace=True)
+
+    @staticmethod
+    def assert_stopped(r, violation, node, event):
+        assert r.violations == [violation]
+        assert not probe_invariants(r).passed
+        assert (r.trace[-1].node, r.trace[-1].event) == (node, event)
+
+    def test_stored_symbol_corrupted_under_memoised_tag_vector(self, monkeypatch):
+        # a delete notice changes no clock, tag or tmax, so only the symbol
+        # itself differs from the state the probes last checked
+        original, fired = Server.on_del, []
+
+        def on_del(srv, frm, obj, tag):
+            sends = original(srv, frm, obj, tag)
+            if not fired and tuple(srv.m_tagvec) in srv._encodings:
+                srv.m_val = corrupted(srv, srv.m_val)
+                fired.append((srv.id, ("recv", f"s{frm}", Del(obj, tag))))
+            return sends
+
+        monkeypatch.setattr(Server, "on_del", on_del)
+        r = self.run_fig1()
+        ((sid, event),) = fired
+        self.assert_stopped(
+            r, f"server {sid}: stored symbol is not the encoding of its tag vector",
+            f"s{sid}", event)
+
+    def test_outgoing_symbol_corrupted_under_memoised_tag_vector(self, monkeypatch):
+        original, fired = Server.on_val_inq, []
+
+        def on_val_inq(srv, frm, clientid, opid, obj, wanted):
+            sends = original(srv, frm, clientid, opid, obj, wanted)
+            for i, send in enumerate(sends):
+                if (not fired and isinstance(send.msg, ValRespEncoded)
+                        and send.msg.tagvec in srv._encodings):
+                    bad = dataclasses.replace(send.msg, symbol=corrupted(srv, send.msg.symbol))
+                    sends[i] = send._replace(msg=bad)
+                    fired.append((srv.id, ("recv", f"s{frm}",
+                                           ValInq(clientid, opid, obj, wanted))))
+            return sends
+
+        monkeypatch.setattr(Server, "on_val_inq", on_val_inq)
+        r = self.run_fig1()
+        ((sid, event),) = fired
+        self.assert_stopped(
+            r, f"outgoing response: server {sid}: stored symbol is not the encoding "
+               f"of its tag vector", f"s{sid}", event)
+
+    def test_list_entry_not_matching_its_write(self, monkeypatch):
+        # the corrupted value waits in the inqueue until it is applied to L[X]
+        original, fired = Server.on_app, []
+
+        def on_app(srv, frm, obj, value, tag):
+            if not fired:
+                value = corrupted(srv, value)
+                fired.append((srv.id, obj, tag))
+            return original(srv, frm, obj, value, tag)
+
+        monkeypatch.setattr(Server, "on_app", on_app)
+        r = self.run_fig1()
+        ((sid, obj, tag),) = fired
+        self.assert_stopped(
+            r, f"server {sid}: list entry {tag.render()} on X{obj} does not match "
+               f"the write with that tag", f"s{sid}", ("apply",))
+
+    def test_tmax_above_symbol_tag(self, monkeypatch):
+        original, fired = Server.on_del, []
+
+        def on_del(srv, frm, obj, tag):
+            sends = original(srv, frm, obj, tag)
+            if not fired:
+                mt = srv.m_tagvec[obj - 1]
+                srv.tmax[obj - 1] = above = Tag(mt.ts, mt.id + 1)
+                fired.append((srv.id, ("recv", f"s{frm}", Del(obj, tag)),
+                              f"tmax {above.render()} exceeds symbol tag {mt.render()} "
+                              f"for X{obj}"))
+            return sends
+
+        monkeypatch.setattr(Server, "on_del", on_del)
+        r = self.run_fig1()
+        ((sid, event, text),) = fired
+        self.assert_stopped(r, f"server {sid}: {text}", f"s{sid}", event)
 
 
 # -- reference oracle: the all-pairs bitmask checker --------------------------------

@@ -270,7 +270,7 @@ class TestReadScenario2:
         # server 1 stores only X1 yet tracked X2/X3 versions as metadata
         s1 = r.servers[1]
         assert s1.code.objects_at(1) == {1}
-        zero = s1._zero_tag()
+        zero = s1.zero_tag
         assert s1.m_tagvec[1] != zero and s1.m_tagvec[2] != zero
 
 

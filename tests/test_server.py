@@ -482,6 +482,7 @@ class FullSweepTwin(Server):
     round, which confirms the fixed point, is scheduled."""
 
     STATE = ("L", "dell", "m_tagvec", "m_val", "tmax", "readl")
+    SHARED = ("code", "write_registry", "_encodings")
     calls = 0
     partial = 0  # calls whose dirty set left some object out
 
@@ -497,11 +498,12 @@ class FullSweepTwin(Server):
         result = action(self)
         if result[0]:
             assert self.has_internal_work
-        # a deep copy sharing only the code and the write registry, which the
-        # actions never write; pickling is about ten times faster than deepcopy
+        # a deep copy sharing the code, the write registry and the probes'
+        # encoding memo, which the actions never write; pickling is about ten
+        # times faster than deepcopy
         twin = copy.copy(self)
         vars(twin).update(pickle.loads(pickle.dumps(
-            {k: v for k, v in vars(self).items() if k not in ("code", "write_registry")})))
+            {k: v for k, v in vars(self).items() if k not in self.SHARED})))
         twin._enc_dirty = set(self.object_indices())
         twin._gc_dirty = set(self.object_indices())
         assert action(twin) == (False, [])
