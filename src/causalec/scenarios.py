@@ -279,8 +279,10 @@ def scenario_from_json(doc) -> Scenario:
     for i, h in enumerate(_list(doc.get("halts", []), "halts")):
         if not isinstance(h, dict) or "server" not in h or "time" not in h:
             raise ScenarioError(f"halts[{i}]: needs fields 'server' and 'time'")
-        halts[_integer(h["server"], f"halts[{i}].server", 1)] = _ticks(
-            h["time"], f"halts[{i}].time")
+        srv = _integer(h["server"], f"halts[{i}].server", 1, code.n)
+        if srv in halts:
+            raise ScenarioError(f"halts[{i}].server: server {srv} already halts")
+        halts[srv] = _ticks(h["time"], f"halts[{i}].time")
 
     extra = {}
     for i, e in enumerate(_list(doc.get("channel_extra", []), "channel_extra")):
@@ -290,7 +292,10 @@ def scenario_from_json(doc) -> Scenario:
         for fld in ("from", "to", "extra"):
             if fld not in e:
                 raise ScenarioError(f"{path}.{fld}: missing required field")
-        chan = (_integer(e["from"], f"{path}.from", 1), _integer(e["to"], f"{path}.to", 1))
+        chan = (_integer(e["from"], f"{path}.from", 1, code.n),
+                _integer(e["to"], f"{path}.to", 1, code.n))
+        if chan in extra:
+            raise ScenarioError(f"{path}: channel {chan[0]}->{chan[1]} listed twice")
         extra[chan] = _ticks(e["extra"], f"{path}.extra")
 
     name = doc.get("name", "scenario")

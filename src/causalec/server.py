@@ -17,17 +17,28 @@ State per server (all tag vectors indexed by object-1):
 * ``m_val/m_tagvec``the stored codeword symbol and the versions it encodes
 * ``readl``         pending reads: opid -> entry with per-server symbol slots
 * ``tmax[X]``       newest tag known to be deletable everywhere
-* ``_enc_dirty``, ``_gc_dirty`` the only objects ``encoding`` and
-                    ``garbage_collection`` visit, each emptied by its action,
-                    and the only record of pending internal work
-                    (``has_internal_work``).  Both start full; an ``L[X]``
-                    insertion or delete notice on X adds X to both, a
-                    collection from ``L[X]`` adds X to ``_enc_dirty``, a
-                    ``tmax[X]`` change or delete-notice broadcast for X adds
-                    X to ``_gc_dirty``, and a ``readl`` change adds every
-                    object.  So an action that changes an object leaves it
-                    dirty, and a round that changed something is always
-                    followed by one that confirms the fixed point.
+* ``_enc_dirty``, ``_gc_dirty`` exact work sets: the only objects
+                    ``encoding`` and ``garbage_collection`` visit, each
+                    emptied by its action.  X is marked only when one of that
+                    action's inputs for X changed: an ``L[X]`` insertion
+                    (both); a delete notice that raises ``_del_max[X]`` (GC,
+                    and encoding when X is not held) or repeats the symbol's
+                    tag (GC); a change of the symbol's own tag for X (both,
+                    GC through the symbol's own notice); a ``readl`` removal
+                    (GC for every object, encoding for a localhost fetch's
+                    object).  Adding to ``readl`` and a GC collection can
+                    only make the actions do less, so they mark nothing; an
+                    action leaves each object it visits at a fixed point.
+* ``_enc_due``, ``_gc_due`` the round schedule of trace format v1, read as
+                    ``has_internal_work``: an ``L[X]`` insertion, a delete
+                    notice or a ``readl`` change sets both, a ``tmax`` change
+                    or notice broadcast sets ``_gc_due``, a collection sets
+                    ``_enc_due``, and each action clears its flag as it
+                    starts.  So a round that changed something is followed
+                    by one that confirms the fixed point, and the simulator
+                    records the same steps as before the work sets were
+                    exact.  They go when the trace stops recording steps
+                    that do nothing (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -125,6 +136,7 @@ class Server:
         self._encodings: Dict[TagVec, Value] = {}
         self._enc_dirty = set(self.object_indices())
         self._gc_dirty = set(self.object_indices())
+        self._enc_due = self._gc_due = True
         # the paper's per-object error flags provably stay 0, and a flag that
         # would be set raises instead; the trace format keeps their two digest
         # slots, all zero, until ROADMAP item 4's re-bless
@@ -139,23 +151,24 @@ class Server:
         t = max(lx)
         return t, lx[t]
 
-    def _dirty(self, objs: Iterable[int]) -> None:
-        """Queue objects for both internal actions.  A pending read's tag
-        vector spans every object, so a ``readl`` change queues them all."""
-        self._enc_dirty.update(objs)
-        self._gc_dirty.update(objs)
-
     @property
     def has_internal_work(self) -> bool:
-        """Whether ``encoding`` or ``garbage_collection`` has an object to visit."""
-        return bool(self._enc_dirty or self._gc_dirty)
+        """Whether the next round runs ``encoding`` and ``garbage_collection``."""
+        return self._enc_due or self._gc_due
 
     def _add_del(self, obj: int, tag: Tag, srv: int) -> None:
         self.dell[obj - 1][(tag, srv)] = None
-        prev = self._del_max[obj - 1].get(srv)
+        dmax = self._del_max[obj - 1]
+        prev = dmax.get(srv)
         if prev is None or prev < tag:
-            self._del_max[obj - 1][srv] = tag
-        self._dirty((obj,))
+            dmax[srv] = tag
+            self._gc_dirty.add(obj)
+            if obj not in self.objects_here:
+                self._enc_dirty.add(obj)
+        elif tag == self.m_tagvec[obj - 1]:
+            # GC collects the symbol's version once every server sent it
+            self._gc_dirty.add(obj)
+        self._enc_due = self._gc_due = True
 
     def _l_insert(self, obj: int, tag: Tag, value: Value) -> None:
         if self.write_registry is not None and tag != self.zero_tag:
@@ -165,7 +178,9 @@ class Server:
                     f"server {self.id}: list entry {tag.render()} on X{obj} does not "
                     f"match the write with that tag")
         self.L[obj - 1][tag] = value
-        self._dirty((obj,))
+        self._enc_dirty.add(obj)
+        self._gc_dirty.add(obj)
+        self._enc_due = self._gc_due = True
 
     def _readl_add(self, entry: ReadLEntry) -> None:
         if entry.opid in self._readl_opids_seen:
@@ -173,11 +188,16 @@ class Server:
                 f"server {self.id}: second pending-read tuple for opid {entry.opid}")
         self._readl_opids_seen.add(entry.opid)
         self.readl[entry.opid] = entry
-        self._dirty(self.object_indices())
+        self._enc_due = self._gc_due = True
 
     def _readl_remove(self, opid: OpId) -> None:
-        del self.readl[opid]
-        self._dirty(self.object_indices())
+        entry = self.readl.pop(opid)
+        # the entry's tag vector may have kept old versions of any object
+        # from collection, and a localhost fetch blocks a second one
+        self._gc_dirty.update(self.object_indices())
+        if entry.clientid == LOCALHOST:
+            self._enc_dirty.add(entry.obj)
+        self._enc_due = self._gc_due = True
 
     def _answer_reads(self, entries: List[ReadLEntry], value: Value) -> List[Send]:
         """Drop the given pending reads, returning value to each client read;
@@ -340,10 +360,13 @@ class Server:
     def _inqueue_head(self) -> int:
         """The origin whose queue head is applied next: the lowest origin
         whose head no other head precedes.  Each origin's queue is a chain,
-        so these heads are exactly the minimal items of the whole queue."""
-        heads = [(j, queue[0].tag.ts) for j, queue in self.inqueue.items()]
-        return min(j for j, ts in heads
-                   if not any(vc_compare(other, ts) == LT for _, other in heads))
+        so these heads are exactly the minimal items of the whole queue.  A
+        head from origin i can precede ``ts`` only if its own coordinate
+        ``i`` is no larger, which is tested before the full comparison."""
+        heads = [(j, self.inqueue[j][0].tag.ts) for j in sorted(self.inqueue)]
+        return next(j for j, ts in heads
+                    if not any(i != j and other[i - 1] <= ts[i - 1]
+                               and vc_compare(other, ts) == LT for i, other in heads))
 
     def apply_inqueue(self) -> Tuple[bool, List[Send]]:
         if not self.inqueue:
@@ -371,6 +394,9 @@ class Server:
         return True, self._answer_reads(served, item.value)
 
     def encoding(self) -> Tuple[bool, List[Send]]:
+        self._enc_due = False
+        if not self._enc_dirty:
+            return False, []
         changed = False
         sends: List[Send] = []
         dirty, self._enc_dirty = self._enc_dirty, set()
@@ -408,13 +434,16 @@ class Server:
                     continue
                 ht = max(newer)
                 dsts = self._other_servers()
+            # the re-mark rule: X's symbol tag is an input of encoding, and
+            # the symbol's own notice marks X for GC
             self.m_tagvec[x - 1] = ht
+            self._enc_dirty.add(x)
             self._add_del(x, ht, self.id)
             sends += [Send("server", j, Del(x, ht)) for j in dsts]
             changed = True
         return changed, sends
 
-    def _per_server_del_max(self, obj: int, servers: List[int]) -> Optional[Tag]:
+    def _per_server_del_max(self, obj: int, servers: Iterable[int]) -> Optional[Tag]:
         """max(U): the largest tag every listed server has deleted past.
 
         None when some listed server has sent no delete notice yet (U empty).
@@ -430,36 +459,42 @@ class Server:
         return best
 
     def garbage_collection(self) -> Tuple[bool, List[Send]]:
+        self._gc_due = False
+        if not self._gc_dirty:
+            return False, []
         changed = False
         sends: List[Send] = []
-        all_servers = list(range(1, self.n + 1))
+        all_servers = range(1, self.n + 1)
         dirty, self._gc_dirty = self._gc_dirty, set()
         for x in sorted(dirty):
             new_tmax = self._per_server_del_max(x, all_servers)
             if new_tmax is None:
                 new_tmax = self.zero_tag
-            # each change below leaves X dirty, so the next round confirms it
+            # each change below is due a confirming round, though a second
+            # visit to X finds nothing left to do
             if new_tmax != self.tmax[x - 1]:
                 self.tmax[x - 1] = new_tmax
-                self._gc_dirty.add(x)
+                self._gc_due = True
                 changed = True
             tmax = self.tmax[x - 1]
             mtag = self.m_tagvec[x - 1]
             lx = self.L[x - 1]
-            if lx:
+            doomed = [t for t in lx if t < tmax]
+            # tmax itself goes once every server has deleted past the
+            # symbol's version, or when the symbol does not depend on X
+            if tmax in lx and (
+                    (tmax == mtag and max(lx) <= mtag
+                     and all((mtag, i) in self.dell[x - 1] for i in all_servers))
+                    or (tmax < mtag and x not in self.objects_here)):
+                doomed.append(tmax)
+            if doomed:
                 protected = {e.tagvec[x - 1] for e in self.readl.values()
                              if e.tagvec[x - 1] < mtag}
-                # tmax itself goes once every server has deleted past the
-                # symbol's version, or when the symbol does not depend on X
-                inclusive = ((tmax == mtag and max(lx) <= mtag
-                              and all((mtag, i) in self.dell[x - 1] for i in all_servers))
-                             or (tmax < mtag and x not in self.objects_here))
-                doomed = [t for t in lx if (t < tmax or inclusive and t == tmax)
-                          and t not in protected]
                 for t in doomed:
-                    del lx[t]
-                    self._enc_dirty.add(x)  # encoding reads L[X]
-                    changed = True
+                    if t not in protected:
+                        del lx[t]
+                        self._enc_due = True
+                        changed = True
             if x in self.objects_here:
                 max_u = self._per_server_del_max(x, self._servers_with(x))
                 if max_u is not None and self._gc_del_sent[x - 1] != max_u:
@@ -467,7 +502,7 @@ class Server:
                     # run from quiescing; only a new max goes out
                     self._gc_del_sent[x - 1] = max_u
                     sends += [Send("server", j, Del(x, max_u)) for j in self._other_servers()]
-                    self._gc_dirty.add(x)
+                    self._gc_due = True
                     changed = True
         return changed, sends
 

@@ -22,7 +22,7 @@ import heapq
 import json
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .client import Client
 from .field import Value
@@ -170,6 +170,24 @@ class Simulation:
         self.violations: List[str] = []
         self.write_locality_breaks = 0
         self._chan_last: Dict[tuple, int] = {}
+        # per server channel, the delay bounds and the fixed extra delay; a
+        # graph delay is fixed, the other kinds draw from rng per message
+        mode = scenario.delays
+        kind = mode.get("kind", "graph")
+        self._draw_delays = kind != "graph"
+        self._links: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
+        for src in self.servers:
+            for dst in self.servers:
+                base = scenario.graph.delay_ms(src, dst)
+                if kind == "graph":
+                    lo = hi = base
+                elif kind == "jitter":
+                    lo, hi = base, max(base, int(base * float(mode.get("factor", 1))))
+                else:  # uniform
+                    lo = int(float(mode.get("min", 0)) * 1000)
+                    hi = int(float(mode.get("max", 1)) * 1000)
+                self._links[src, dst] = (lo, hi, scenario.channel_extra_ms.get((src, dst), 0))
+        self._names = {s: f"s{s}" for s in self.servers}
         # per server, the state the probes last checked (None: not yet)
         self._snapshots: Dict[int, Optional[tuple]] = dict.fromkeys(self.servers)
         self._last_full_round: Dict[int, int] = {s: 0 for s in self.servers}
@@ -190,24 +208,10 @@ class Simulation:
         self.seq += 1
         heapq.heappush(self.heap, (t, self.seq, kind, payload))
 
-    def _link_delay_ms(self, src: int, dst: int) -> int:
-        base = self.scenario.graph.delay_ms(src, dst)
-        mode = self.scenario.delays
-        kind = mode.get("kind", "graph")
-        if kind == "graph":
-            d = base
-        elif kind == "jitter":
-            hi = int(base * float(mode.get("factor", 1)))
-            d = self.rng.randint(base, max(base, hi))
-        else:  # uniform
-            lo = int(float(mode.get("min", 0)) * 1000)
-            hi = int(float(mode.get("max", 1)) * 1000)
-            d = self.rng.randint(lo, hi)
-        return d + self.scenario.channel_extra_ms.get((src, dst), 0)
-
     def _schedule_send(self, src_kind: str, src_id: int, send: Send) -> None:
         if send.kind == "server" and src_kind == "server":
-            delay = self._link_delay_ms(src_id, send.dst)
+            lo, hi, extra = self._links[src_id, send.dst]
+            delay = (self.rng.randint(lo, hi) if self._draw_delays else lo) + extra
         else:
             delay = 0  # clients talk to their co-located home server
         chan = (src_kind, src_id, send.kind, send.dst)
@@ -218,7 +222,7 @@ class Simulation:
     # -- trace / probes --------------------------------------------------------
 
     def _record(self, node: str, event: Optional[tuple], srv: Optional[Server],
-                emitted: List[Send], notes: tuple = ()) -> None:
+                emitted: List[Send], notes: Sequence[tuple] = ()) -> None:
         """Count one transition; when tracing, log it with the digest of the
         server that took it (None for client and halt steps)."""
         self.steps += 1
@@ -228,7 +232,7 @@ class Simulation:
             seq=self.steps, t=self.now, node=node, event=event,
             digest=srv.digest() if srv is not None else None,
             emitted=tuple(emitted),
-            notes=notes))
+            notes=tuple(notes)))
 
     def _fail(self, text: str) -> None:
         """Record a violation; it stops the run."""
@@ -241,15 +245,16 @@ class Simulation:
         Everything checked here reads only the snapshot ``(vc, m_tagvec,
         tmax, m_val)`` plus the write registry, whose entries are never
         rewritten, so a transition that leaves the snapshot equal to the
-        last checked one is skipped.  Otherwise ``check_invariants`` runs and
+        last checked one is skipped; the live lists are compared with the
+        stored copy, so that skip builds nothing.  Otherwise ``check_invariants`` runs and
         the clock and symbol tag vector must not have gone backwards.  A
         server's first checked snapshot has no predecessor; the constructor's
         all-zero clock and zero tags are below every later value anyway."""
-        snap = (tuple(srv.vc), tuple(srv.m_tagvec), tuple(srv.tmax), srv.m_val)
         prev = self._snapshots[srv.id]
-        if snap == prev:
+        if (prev is not None and srv.vc == prev[0] and srv.m_tagvec == prev[1]
+                and srv.tmax == prev[2] and srv.m_val == prev[3]):
             return
-        self._snapshots[srv.id] = snap
+        self._snapshots[srv.id] = (srv.vc[:], srv.m_tagvec[:], srv.tmax[:], srv.m_val)
         try:
             srv.check_invariants()
         except ProtocolInvariantViolation as e:
@@ -257,9 +262,9 @@ class Simulation:
             return
         if prev is None:
             return
-        if any(a < b for a, b in zip(snap[0], prev[0])):
+        if any(a < b for a, b in zip(srv.vc, prev[0])):
             self._fail(f"server {srv.id}: vector clock went backwards")
-        if any(old > new for old, new in zip(prev[1], snap[1])):
+        if any(old > new for old, new in zip(prev[1], srv.m_tagvec)):
             self._fail(f"server {srv.id}: symbol tag vector decreased")
 
     def _server_transition(self, sid: int, event: Optional[tuple], fn) -> bool:
@@ -271,7 +276,7 @@ class Simulation:
             changed, sends = fn()
         except ProtocolInvariantViolation as e:
             self._fail(str(e))
-            self._record(f"s{sid}", event, srv, [])
+            self._record(self._names[sid], event, srv, [])
             return False
         for s in sends:
             self._check_outgoing(srv, s)
@@ -280,7 +285,7 @@ class Simulation:
                 rec = self.ops.get(s.msg.opid)
                 if rec is not None and rec.ts is None:
                     rec.ts = tuple(srv.vc)
-        self._record(f"s{sid}", event, srv, sends, tuple(srv.notes))
+        self._record(self._names[sid], event, srv, sends, srv.notes)
         self._probe_after(srv)
         return changed or bool(sends)
 
@@ -354,7 +359,7 @@ class Simulation:
         if self._fatal or not (force or srv.has_internal_work):
             return any_change
         if not attempted:
-            self._record(f"s{sid}", ("apply",), srv, [])
+            self._record(self._names[sid], ("apply",), srv, [])
         self._last_full_round[sid] = self.steps
         ch_e = self._server_transition(sid, ("encode",), srv.encoding)
         if self._fatal:
@@ -381,7 +386,7 @@ class Simulation:
             self.now = max(self.now, t)
             if kind == "halt":
                 self.halted.add(payload)
-                self._record(f"s{payload}", ("halt",), None, [])
+                self._record(self._names[payload], ("halt",), None, [])
             elif kind == "invoke":
                 self._try_invoke(payload)
             else:

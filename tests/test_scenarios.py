@@ -96,7 +96,20 @@ MALFORMED = {
     "coeffs_rows_ragged": (_set(["code", "coeffs", 1], [1]), r"code\.coeffs:"),
     "coeff_not_int": (_set(["code", "coeffs", 0, 1], 1.5), r"code\.coeffs\[0\]\[1\]:"),
     "channel_from_out_of_range": (
-        _set(["channel_extra"], [{"from": 9, "to": 2, "extra": 1}]), r"channel_extra:"),
+        _set(["channel_extra"], [{"from": 9, "to": 2, "extra": 1}]),
+        r"channel_extra\[0\]\.from:"),
+    "channel_to_out_of_range": (
+        _set(["channel_extra"], [{"from": 1, "to": 2, "extra": 1},
+                                 {"from": 1, "to": 9, "extra": 1}]),
+        r"channel_extra\[1\]\.to:"),
+    "channel_extra_duplicate": (
+        _set(["channel_extra"], [{"from": 1, "to": 2, "extra": 1},
+                                 {"from": 1, "to": 2, "extra": 3}]), r"channel_extra\[1\]:"),
+    "halt_server_out_of_range": (
+        _set(["halts"], [{"server": 9, "time": 1}]), r"halts\[0\]\.server:"),
+    "halt_server_duplicate": (
+        _set(["halts"], [{"server": 2, "time": 1}, {"server": 2, "time": 5}]),
+        r"halts\[1\]\.server:"),
     "workload_not_an_object": (_set(["workload"], 5), r"workload:"),
     "clients_not_a_list": (_set(["clients"], 5), r"clients:"),
     "halts_not_a_list": (_set(["halts"], 5), r"halts:"),

@@ -2,12 +2,15 @@
 
 Each test drives one handler on a directly constructed server and compares
 the state delta and emitted batch against the expected step-by-step result,
-except ``TestDirtySets``, which checks the internal actions' dirty sets
-against full sweeps over whole fuzz runs.
+except ``TestDirtySets``, which checks the internal actions' work sets
+against full sweeps over whole runs, and ``TestRoundSchedule``, which pins
+the round-due flags apart from the work sets.
 """
 
+import collections
 import copy
 import pickle
+import random
 
 import pytest
 
@@ -24,7 +27,9 @@ from causalec.messages import (
     ValRespEncoded,
     WriteReturnAck,
 )
-from causalec.harness import fuzz_scenario
+from causalec.harness import fuzz_scenario, random_code
+from causalec.latency import LatencyGraph
+from causalec.scenarios import ClientSpec, RandomWorkload, Scenario, ScriptOp
 from causalec.server import CAUSAL, VARIANTS, ReadLEntry, Server
 from causalec.tags import LOCALHOST, ProtocolInvariantViolation, Tag, zero_tag
 
@@ -479,12 +484,12 @@ class FullSweepTwin(Server):
     """After each internal action, replays it on a copy that visits every
     object; the copy must find nothing to do and leave the state as is.  An
     action that changed something must leave work behind, so that the next
-    round, which confirms the fixed point, is scheduled."""
+    round, which confirms the fixed point, is scheduled.  ``seen`` counts
+    the calls and the events that mark the work sets."""
 
     STATE = ("L", "dell", "m_tagvec", "m_val", "tmax", "readl")
     SHARED = ("code", "write_registry", "_encodings")
-    calls = 0
-    partial = 0  # calls whose dirty set left some object out
+    seen = collections.Counter()
 
     def encoding(self):
         return self._against_full_sweep(Server.encoding, self._enc_dirty)
@@ -492,9 +497,17 @@ class FullSweepTwin(Server):
     def garbage_collection(self):
         return self._against_full_sweep(Server.garbage_collection, self._gc_dirty)
 
+    def _readl_add(self, entry):
+        self.seen["localhost fetch" if entry.clientid == LOCALHOST else "remote read"] += 1
+        return super()._readl_add(entry)
+
+    def on_del(self, frm, obj, tag):
+        self.seen["held notice"] += obj in self.objects_here
+        return super().on_del(frm, obj, tag)
+
     def _against_full_sweep(self, action, dirty):
-        FullSweepTwin.calls += 1
-        FullSweepTwin.partial += len(dirty) < self.k
+        self.seen["calls"] += 1
+        self.seen["partial"] += len(dirty) < self.k  # the work set left some object out
         result = action(self)
         if result[0]:
             assert self.has_internal_work
@@ -512,13 +525,115 @@ class FullSweepTwin(Server):
         return result
 
 
+def random_8_4() -> Scenario:
+    """A random N=8, K=4 code over GF(7) with a 100-op random workload."""
+    rng = random.Random(84)
+    code = random_code(rng, 8, 4)
+    edges = {(i, j): rng.randint(500, 5000) / 1000
+             for i in range(1, 9) for j in range(i + 1, 9)}
+    return Scenario(
+        name="random-8-4", code=code, graph=LatencyGraph(8, edges),
+        clients=[ClientSpec(i, i) for i in range(1, 9)],
+        random_workload=RandomWorkload(ops=100),
+        delays={"kind": "jitter", "factor": 2})
+
+
+def dense_8_4() -> Scenario:
+    """A dense N=8, K=4 code over GF(257), every server's symbol mixing every
+    object, under phased traffic: a write burst on every object, then reads
+    once history has drained, so reads go remote, plus writes on the one
+    object a read phase leaves alone, so holders fetch the version their
+    symbol still encodes."""
+    n, k, p = 8, 4, 257
+    rng = random.Random(257)
+    code = LinearCode(PrimeField(p), [[rng.randint(1, p - 1) for _ in range(k)]
+                                      for _ in range(n)], value_len=2)
+    edges = {(i, j): rng.randint(1000, 4000) / 1000
+             for i in range(1, n + 1) for j in range(i + 1, n + 1)}
+    ops = []
+
+    def write(t, c, x):
+        ops.append((t, c, ScriptOp(t, "write", x, (rng.randrange(p), rng.randrange(p)))))
+
+    t = 0
+    for phase in range(3):
+        for c in range(1, n + 1):
+            write(t, c, 1 + (c + phase) % k)
+        t += 150_000  # ticks: delete notices empty every history list by then
+        skew = 1 + phase % k
+        for c in range(1, n + 1):
+            for r in range(2):
+                obj = rng.choice([x for x in range(1, k + 1) if x != skew])
+                ops.append((t + 25_000 * r, c, ScriptOp(t + 25_000 * r, "read", obj)))
+        write(t + 10_000, rng.randint(1, n), skew)
+        t += 100_000
+    scripts = {c: [op for _, cc, op in sorted(ops, key=lambda o: o[:2]) if cc == c]
+               for c in range(1, n + 1)}
+    return Scenario(
+        name="dense-8-4", code=code, graph=LatencyGraph(n, edges),
+        clients=[ClientSpec(c, c) for c in range(1, n + 1)], scripts=scripts,
+        delays={"kind": "jitter", "factor": 2})
+
+
 class TestDirtySets:
-    def test_objects_outside_the_dirty_sets_are_fixed_points(self, monkeypatch):
+    @pytest.fixture
+    def seen(self, monkeypatch):
         monkeypatch.setattr(simnet, "Server", FullSweepTwin)
-        monkeypatch.setattr(FullSweepTwin, "calls", 0)
-        monkeypatch.setattr(FullSweepTwin, "partial", 0)
+        monkeypatch.setattr(FullSweepTwin, "seen", collections.Counter())
+        return FullSweepTwin.seen
+
+    def test_objects_outside_the_dirty_sets_are_fixed_points(self, seen):
         for variant in VARIANTS:
             for seed in range(40):
                 simnet.run(fuzz_scenario(seed), seed, protocol=variant,
                            collect_trace=False, probes=True)
-        assert FullSweepTwin.partial > FullSweepTwin.calls // 2 > 0
+        assert seen["partial"] > seen["calls"] // 2 > 0
+
+    @pytest.mark.parametrize("system", [random_8_4, dense_8_4])
+    def test_larger_systems(self, seen, system):
+        for variant in VARIANTS:
+            result = simnet.run(system(), 1, protocol=variant,
+                                collect_trace=False, probes=True)
+            assert result.quiescent and not result.violations
+        assert seen["partial"] > seen["calls"] // 2 > 0
+        assert seen["remote read"] and seen["localhost fetch"] and seen["held notice"]
+
+
+class TestRoundSchedule:
+    """``has_internal_work`` keeps the round schedule of trace format v1:
+    a change that used to mark an object still makes a round due, even when
+    it leaves both work sets empty."""
+
+    @staticmethod
+    def settled(sid):
+        srv = Server(sid, fig1())
+        srv.encoding()
+        srv.garbage_collection()
+        assert not srv.has_internal_work
+        return srv
+
+    def test_remote_read_is_due_with_empty_work_sets(self):
+        srv = self.settled(1)  # server 1 stores X1 only
+        srv.L[1].clear()  # X2's history drained: the read must go remote
+        assert sends_of(ValInq, srv.on_read(9, (9, 1), 2))
+        assert not srv._enc_dirty and not srv._gc_dirty
+        assert srv.has_internal_work
+        assert srv.encoding() == (False, [])
+        assert srv.has_internal_work, "garbage collection is still due"
+        assert srv.garbage_collection() == (False, [])
+        assert not srv.has_internal_work
+
+    def test_notice_on_held_object_is_due_with_empty_work_sets(self):
+        srv = self.settled(2)  # server 2 stores X2
+        srv.on_del(3, 2, tag([0, 0, 2, 0, 0], 3))
+        srv.encoding()
+        srv.garbage_collection()
+        assert not srv.has_internal_work
+        # older than server 3's last notice and not the symbol's tag
+        srv.on_del(3, 2, tag([0, 0, 1, 0, 0], 3))
+        assert not srv._enc_dirty and not srv._gc_dirty
+        assert srv.has_internal_work
+        assert srv.encoding() == (False, [])
+        assert srv.has_internal_work, "garbage collection is still due"
+        assert srv.garbage_collection() == (False, [])
+        assert not srv.has_internal_work
