@@ -143,8 +143,25 @@ def latency_report_table(code: LinearCode, graph: LatencyGraph) -> str:
 def parse_seeds(text: str) -> List[int]:
     if ".." in text:
         lo, hi = text.split("..", 1)
-        return list(range(int(lo), int(hi) + 1))
+        seeds = list(range(int(lo), int(hi) + 1))
+        if not seeds:
+            raise argparse.ArgumentTypeError(f"empty seed range {text}")
+        return seeds
     return [int(text)]
+
+
+def int_at_least(low: int):
+    """An argparse type: an integer no smaller than ``low``, the bound the
+    scenario loader puts on the field that the flag overrides."""
+    def parse(text: str) -> int:
+        try:
+            value = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"must be an integer, got {text!r}") from None
+        if value < low:
+            raise argparse.ArgumentTypeError(f"must be >= {low}, got {value}")
+        return value
+    return parse
 
 
 def _run_one(doc: dict, seed: int, protocol: Optional[str], fairness: Optional[int],
@@ -240,8 +257,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seeds", type=parse_seeds, default=[0],
                        help="single seed N or inclusive range A..B")
     p_run.add_argument("--protocol", choices=[CAUSAL, EVENTUAL], default=None)
-    p_run.add_argument("--fairness", type=int, default=None)
-    p_run.add_argument("--step-cap", type=int, default=None)
+    p_run.add_argument("--fairness", type=int_at_least(0), default=None)
+    p_run.add_argument("--step-cap", type=int_at_least(1), default=None)
     p_run.add_argument("--out", default=None, help="directory for traces and reports")
     p_run.add_argument("--format", choices=["table", "json"], default="table")
     p_run.add_argument("--workers", type=int, default=1)

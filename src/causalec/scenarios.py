@@ -314,5 +314,5 @@ def scenario_from_json(doc) -> Scenario:
         halts=halts,
         channel_extra_ms=extra,
         fairness=None if doc.get("fairness") is None else _integer(doc["fairness"], "fairness"),
-        step_cap=_integer(doc.get("step_cap", DEFAULT_STEP_CAP), "step_cap"),
+        step_cap=_integer(doc.get("step_cap", DEFAULT_STEP_CAP), "step_cap", 1),
     )

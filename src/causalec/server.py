@@ -37,8 +37,12 @@ State per server (all tag vectors indexed by object-1):
                     starts.  So a round that changed something is followed
                     by one that confirms the fixed point, and the simulator
                     records the same steps as before the work sets were
-                    exact.  They go when the trace stops recording steps
-                    that do nothing (ROADMAP item 2).
+                    exact.  A due round at an ``idle`` server (empty inqueue
+                    and work sets) changes nothing, so the simulator records
+                    its steps without running the actions and
+                    ``skip_idle_round`` clears both flags in their place.
+                    The flags go when the trace stops recording steps that
+                    do nothing (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -155,6 +159,18 @@ class Server:
     def has_internal_work(self) -> bool:
         """Whether the next round runs ``encoding`` and ``garbage_collection``."""
         return self._enc_due or self._gc_due
+
+    @property
+    def idle(self) -> bool:
+        """Whether a round would change nothing: no queued write and both work
+        sets empty, so ``apply_inqueue``, ``encoding`` and
+        ``garbage_collection`` would each return ``(False, [])``."""
+        return not (self.inqueue or self._enc_dirty or self._gc_dirty)
+
+    def skip_idle_round(self) -> None:
+        """The whole effect of an encode/collect round at an ``idle`` server:
+        each action would only clear its round-due flag."""
+        self._enc_due = self._gc_due = False
 
     def _add_del(self, obj: int, tag: Tag, srv: int) -> None:
         self.dell[obj - 1][(tag, srv)] = None

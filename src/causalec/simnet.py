@@ -10,8 +10,7 @@ Internal actions fire under a fairness policy: a served delivery is followed
 by an apply/encode/collect round at that server, servers that go unserved too
 long get a round forced, and once the event heap drains every live server is
 swept until no action changes state and nothing is in flight -- that fixed
-point is quiescence, and it is detected by re-running the actions, not by
-timeouts.
+point is quiescence, and it is detected by forced rounds, not by timeouts.
 """
 
 from __future__ import annotations
@@ -52,13 +51,14 @@ class OperationRecord:
         return self.t_response is not None
 
 
-@dataclass
+@dataclass(slots=True)
 class TraceRecord:
     """One transition, kept structured while the simulation runs.
 
     ``event`` is ``("recv", source, Message)``, ``("invoke", kind, obj,
     value)`` or an internal step such as ``("apply",)``; ``digest`` is the
-    acting server's ``Server.digest()`` (None for client and halt steps);
+    acting server's ``Server.digest()`` (None for client and halt steps),
+    shared with that server's previous record when the step did not move;
     ``emitted`` holds the ``Send`` tuples the transition produced.  Messages
     and tags are immutable, so a record is a snapshot.  Text appears only in
     ``TraceRenderer.line``, when the trace is serialised.  Records are for
@@ -188,11 +188,14 @@ class Simulation:
                     hi = int(float(mode.get("max", 1)) * 1000)
                 self._links[src, dst] = (lo, hi, scenario.channel_extra_ms.get((src, dst), 0))
         self._names = {s: f"s{s}" for s in self.servers}
-        # per server, the state the probes last checked (None: not yet)
+        # per server, the state the probes last checked and the digest last
+        # recorded (None: not yet)
         self._snapshots: Dict[int, Optional[tuple]] = dict.fromkeys(self.servers)
+        self._digests: Dict[int, Optional[tuple]] = dict.fromkeys(self.servers)
         self._last_full_round: Dict[int, int] = {s: 0 for s in self.servers}
         self.halted: Set[int] = set()  # a halted server processes nothing further
         self._next_fair_scan = 0
+        self._fair_floor = 0  # no live server is due before this step count
         self._fatal = False
         self.fairness = scenario.fairness_window()
         self.step_cap = scenario.step_cap
@@ -221,18 +224,25 @@ class Simulation:
 
     # -- trace / probes --------------------------------------------------------
 
-    def _record(self, node: str, event: Optional[tuple], srv: Optional[Server],
-                emitted: List[Send], notes: Sequence[tuple] = ()) -> None:
+    def _record(self, node: str, event: Optional[tuple], srv: Optional[Server] = None,
+                emitted: Sequence[Send] = (), notes: Sequence[tuple] = (),
+                moved: bool = False) -> None:
         """Count one transition; when tracing, log it with the digest of the
-        server that took it (None for client and halt steps)."""
+        server that took it (None for client and halt steps).
+
+        A server's state changes only inside its own steps, and each step
+        that changes it says so; a step that did not move therefore reuses
+        the digest of that server's last record instead of taking a new one."""
         self.steps += 1
         if not self.collect_trace:
             return
-        self.trace.append(TraceRecord(
-            seq=self.steps, t=self.now, node=node, event=event,
-            digest=srv.digest() if srv is not None else None,
-            emitted=tuple(emitted),
-            notes=tuple(notes)))
+        digest = None
+        if srv is not None:
+            digest = self._digests[srv.id]
+            if moved or digest is None:
+                digest = self._digests[srv.id] = srv.digest()
+        self.trace.append(TraceRecord(self.steps, self.now, node, event, digest,
+                                      tuple(emitted), tuple(notes)))
 
     def _fail(self, text: str) -> None:
         """Record a violation; it stops the run."""
@@ -240,7 +250,8 @@ class Simulation:
         self._fatal = True
 
     def _probe_after(self, srv: Server) -> None:
-        """Check the server's state after a transition that did not raise.
+        """Check the server's state after a transition that moved and did not
+        raise; one that changed nothing and sent nothing left it as checked.
 
         Everything checked here reads only the snapshot ``(vc, m_tagvec,
         tmax, m_val)`` plus the write registry, whose entries are never
@@ -269,14 +280,14 @@ class Simulation:
 
     def _server_transition(self, sid: int, event: Optional[tuple], fn) -> bool:
         """Run one step ``fn() -> (changed, sends)`` atomically; returns
-        whether it changed state or emitted."""
+        whether it moved: changed state or emitted."""
         srv = self.servers[sid]
         srv.notes.clear()
         try:
             changed, sends = fn()
         except ProtocolInvariantViolation as e:
             self._fail(str(e))
-            self._record(self._names[sid], event, srv, [])
+            self._record(self._names[sid], event, srv, moved=True)
             return False
         for s in sends:
             self._check_outgoing(srv, s)
@@ -285,9 +296,11 @@ class Simulation:
                 rec = self.ops.get(s.msg.opid)
                 if rec is not None and rec.ts is None:
                     rec.ts = tuple(srv.vc)
-        self._record(self._names[sid], event, srv, sends, srv.notes)
-        self._probe_after(srv)
-        return changed or bool(sends)
+        moved = changed or bool(sends)
+        self._record(self._names[sid], event, srv, sends, srv.notes, moved)
+        if moved:
+            self._probe_after(srv)
+        return moved
 
     def _check_outgoing(self, srv: Server, send: Send) -> None:
         if isinstance(send.msg, ValRespEncoded):
@@ -314,8 +327,7 @@ class Simulation:
     def _deliver_to_client(self, cid: int, src_kind: str, src: int, msg: Message) -> None:
         client = self.clients[cid]
         opid = client.on_server_message(msg)
-        self._record(f"c{cid}", ("recv", f"s{src}", msg) if self.collect_trace else None,
-                     None, [])
+        self._record(f"c{cid}", ("recv", f"s{src}", msg) if self.collect_trace else None)
         if opid is None:
             return
         rec = self.ops[opid]
@@ -338,13 +350,15 @@ class Simulation:
             value=op.value, t_invoke=self.now,
             probe=cid >= PROBE_CLIENT_BASE)
         self._record(f"c{cid}", ("invoke", op.kind, op.obj,
-                                 op.value if op.kind == "write" else None), None, [send])
+                                 op.value if op.kind == "write" else None), None, (send,))
         self._schedule_send("client", cid, send)
 
     def _service_round(self, sid: int, force: bool = False) -> bool:
         """Apply-drain then encode and collect.  Unless forced, the encode
         and collect steps run only when the server has internal work (a
-        dirty object); forced rounds certify quiescence and fairness."""
+        dirty object); forced rounds certify quiescence and fairness.  At an
+        ``idle`` server the three steps are recorded without running the
+        actions, which would change nothing."""
         srv = self.servers[sid]
         if sid in self.halted:
             return False
@@ -358,9 +372,15 @@ class Simulation:
                 break
         if self._fatal or not (force or srv.has_internal_work):
             return any_change
+        name = self._names[sid]
         if not attempted:
-            self._record(self._names[sid], ("apply",), srv, [])
+            self._record(name, ("apply",), srv)
         self._last_full_round[sid] = self.steps
+        if srv.idle:
+            srv.skip_idle_round()
+            self._record(name, ("encode",), srv)
+            self._record(name, ("gc",), srv)
+            return any_change
         ch_e = self._server_transition(sid, ("encode",), srv.encoding)
         if self._fatal:
             return any_change or ch_e
@@ -368,15 +388,24 @@ class Simulation:
         return any_change or ch_e or ch_g
 
     def _fairness_rounds(self) -> None:
+        """Every 4 steps, force a round at each live server whose last full
+        round is ``fairness`` steps old.  ``_last_full_round`` entries only
+        rise and the live set only shrinks, so no server is due below the
+        floor taken at the last scan, and the scan is skipped there."""
         if self.steps < self._next_fair_scan:
             return
         self._next_fair_scan = self.steps + 4
+        if self.steps < self._fair_floor:
+            return
         due = [s for s, last in self._last_full_round.items()
                if s not in self.halted and self.steps - last >= self.fairness]
         for s in sorted(due):
             if self._fatal:
                 return
             self._service_round(s, force=True)
+        self._fair_floor = self.fairness + min(
+            (last for s, last in self._last_full_round.items() if s not in self.halted),
+            default=self.step_cap)
 
     # -- main loop -----------------------------------------------------------------
 
@@ -386,7 +415,7 @@ class Simulation:
             self.now = max(self.now, t)
             if kind == "halt":
                 self.halted.add(payload)
-                self._record(self._names[payload], ("halt",), None, [])
+                self._record(self._names[payload], ("halt",))
             elif kind == "invoke":
                 self._try_invoke(payload)
             else:

@@ -21,6 +21,26 @@ def test_parse_seeds():
     assert parse_seeds("0..3") == [0, 1, 2, 3]
 
 
+# each override once ran: a cap of 0 or -1 printed "[ok] transitions=0", a
+# negative fairness window ran, and an empty seed range ran nothing, all
+# with exit 0
+@pytest.mark.parametrize("flag,value", [
+    ("--step-cap", "0"), ("--step-cap", "-1"), ("--step-cap", "x"),
+    ("--fairness", "-3"), ("--seeds", "5..2")])
+def test_out_of_range_override_exits_two(scenario_dir, capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(scenario_dir / "fig1.json"), flag, value])
+    assert exc.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
+
+
+def test_in_range_overrides_run(scenario_dir, capsys):
+    rc = main(["run", str(scenario_dir / "fig1.json"), "--seeds", "3..3",
+               "--fairness", "0", "--step-cap", "1"])
+    assert rc == 1  # the cap stops the run before it quiesces
+    assert "seed    3 [FAIL] " in capsys.readouterr().out
+
+
 def test_scenarios_emits_all_bundled_files(scenario_dir):
     names = sorted(p for p in os.listdir(scenario_dir))
     assert names == [

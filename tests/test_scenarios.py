@@ -123,6 +123,10 @@ MALFORMED = {
     "fairness_is_a_bool": (_set(["fairness"], True), r"fairness:"),
     "step_cap_is_a_bool": (_set(["step_cap"], True), r"step_cap:"),
     "step_cap_is_a_numeric_string": (_set(["step_cap"], "100"), r"step_cap:"),
+    # a cap of 0 allows no step: the run reported ok with no transition
+    "step_cap_zero": (_set(["step_cap"], 0), r"step_cap:"),
+    "step_cap_negative": (_set(["step_cap"], -1), r"step_cap:"),
+    "fairness_negative": (_set(["fairness"], -3), r"fairness:"),
     "random_ops_is_a_bool": (_set(["workload", "ops"], True), r"workload\.ops:"),
     "think_ms_fractional": (
         _set(["workload", "think_ms"], [0.5, 1.7]), r"workload\.think_ms\[0\]:"),

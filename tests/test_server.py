@@ -3,8 +3,10 @@
 Each test drives one handler on a directly constructed server and compares
 the state delta and emitted batch against the expected step-by-step result,
 except ``TestDirtySets``, which checks the internal actions' work sets
-against full sweeps over whole runs, and ``TestRoundSchedule``, which pins
-the round-due flags apart from the work sets.
+against full sweeps over whole runs, ``TestUnmovedSteps``, which checks over
+whole runs that a step reporting no change changed nothing and that a round
+at an ``idle`` server has nothing to do, and ``TestRoundSchedule``, which
+pins the round-due flags apart from the work sets.
 """
 
 import collections
@@ -511,18 +513,66 @@ class FullSweepTwin(Server):
         result = action(self)
         if result[0]:
             assert self.has_internal_work
-        # a deep copy sharing the code, the write registry and the probes'
-        # encoding memo, which the actions never write; pickling is about ten
-        # times faster than deepcopy
-        twin = copy.copy(self)
-        vars(twin).update(pickle.loads(pickle.dumps(
-            {k: v for k, v in vars(self).items() if k not in self.SHARED})))
-        twin._enc_dirty = set(self.object_indices())
-        twin._gc_dirty = set(self.object_indices())
+        twin = full_sweep_copy(self)
         assert action(twin) == (False, [])
         for name in self.STATE:
             assert getattr(twin, name) == getattr(self, name), name
         return result
+
+
+def full_sweep_copy(srv):
+    """A deep copy of srv whose work sets hold every object.  It shares the
+    code, the write registry and the probes' encoding memo, which the
+    actions never write; pickling is about ten times faster than deepcopy."""
+    twin = copy.copy(srv)
+    vars(twin).update(pickle.loads(pickle.dumps(
+        {k: v for k, v in vars(srv).items() if k not in FullSweepTwin.SHARED})))
+    twin._enc_dirty = set(srv.object_indices())
+    twin._gc_dirty = set(srv.object_indices())
+    return twin
+
+
+class UnmovedTwin(Server):
+    """Checks the two rules the simulator's cheap steps rest on.  An internal
+    action that returns ``(False, [])`` must leave ``digest()`` and
+    ``m_val`` as they were, because the simulator then reuses the server's
+    last digest and skips the probes (the digest holds ``vc``, ``m_tagvec``
+    and ``tmax``, so the probe snapshot is covered too).  Whenever ``idle``
+    holds, all three actions on a copy that visits every object must change
+    nothing, because the simulator then records the round without running
+    them.  ``seen`` counts the steps that did not move and the quiet rounds."""
+
+    STATE = ("vc", "inqueue") + FullSweepTwin.STATE
+    seen = collections.Counter()
+
+    def apply_inqueue(self):
+        return self._unchanged_unless_moved(Server.apply_inqueue)
+
+    def encoding(self):
+        return self._unchanged_unless_moved(Server.encoding)
+
+    def garbage_collection(self):
+        return self._unchanged_unless_moved(Server.garbage_collection)
+
+    def _unchanged_unless_moved(self, action):
+        before = self.digest(), self.m_val
+        result = action(self)
+        if result == (False, []):
+            self.seen["unmoved"] += 1
+            assert (self.digest(), self.m_val) == before, action.__name__
+        return result
+
+    @property
+    def idle(self):
+        quiet = Server.idle.fget(self)
+        if quiet:
+            self.seen["quiet"] += 1
+            twin = full_sweep_copy(self)
+            for action in (Server.apply_inqueue, Server.encoding, Server.garbage_collection):
+                assert action(twin) == (False, []), action.__name__
+            for name in self.STATE:
+                assert getattr(twin, name) == getattr(self, name), name
+        return quiet
 
 
 def random_8_4() -> Scenario:
@@ -597,6 +647,29 @@ class TestDirtySets:
             assert result.quiescent and not result.violations
         assert seen["partial"] > seen["calls"] // 2 > 0
         assert seen["remote read"] and seen["localhost fetch"] and seen["held notice"]
+
+
+class TestUnmovedSteps:
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        monkeypatch.setattr(simnet, "Server", UnmovedTwin)
+        monkeypatch.setattr(UnmovedTwin, "seen", collections.Counter())
+        return UnmovedTwin.seen
+
+    def test_fuzz_systems(self, seen):
+        for variant in VARIANTS:
+            for seed in range(40):
+                simnet.run(fuzz_scenario(seed), seed, protocol=variant,
+                           collect_trace=False, probes=True)
+        assert seen["quiet"] and seen["unmoved"]
+
+    @pytest.mark.parametrize("system", [random_8_4, dense_8_4])
+    def test_larger_systems(self, seen, system):
+        for variant in VARIANTS:
+            result = simnet.run(system(), 1, protocol=variant,
+                                collect_trace=False, probes=True)
+            assert result.quiescent and not result.violations
+        assert seen["quiet"] and seen["unmoved"]
 
 
 class TestRoundSchedule:

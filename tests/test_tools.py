@@ -3,26 +3,33 @@
 ``tools/fit_fig1_weights.py`` produced ``builtin.FIG1_EDGES``; a full search
 takes minutes, so these tests check its fixed parts and its final step (every
 weight frozen, no free coordinate left), which once crashed.
+``tools/trace_sweep.py`` hashes 770 traced runs; these tests check its table
+and one case against the golden table.
 """
 
 import importlib.util
+import json
 import os
 
 import pytest
 
 from causalec.builtin import FIG1_EDGES
 
-TOOL = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                    "tools", "fit_fig1_weights.py")
+TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
+GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_traces.json")
+
+
+def load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, os.path.join(TOOLS, f"{name}.py"))
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
 
 
 @pytest.fixture(scope="module")
 def fit():
     pytest.importorskip("scipy")
-    spec = importlib.util.spec_from_file_location("fit_fig1_weights", TOOL)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
+    return load_tool("fit_fig1_weights")
 
 
 def test_pairs_are_the_committed_edge_endpoints(fit):
@@ -34,3 +41,15 @@ def test_committed_weights_solve_the_target_with_nothing_free(fit):
     fun, full = fit.solve_free([1.0] * 10, dict(enumerate(weights)))
     assert fun < 1e-15
     assert list(full) == weights
+
+
+def test_sweep_table_has_770_cases():
+    cases = load_tool("trace_sweep").cases()
+    assert len(cases) == len(set(cases)) == 770
+
+
+def test_sweep_case_hash_matches_golden_table():
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    trace_sha256, _ = load_tool("trace_sweep").case_hashes("fig1", 7, "eventualec")
+    assert trace_sha256 == golden["fig1/eventualec/7"]["sha256"]

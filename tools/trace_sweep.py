@@ -1,0 +1,65 @@
+"""The traced sweep: one SHA-256 over the traces and reports of 770 runs.
+
+A change that keeps behaviour must print the same line as its parent.  The
+table runs ``fig1`` and ``appendix_a`` (jittered delays) on seeds 0-59, the
+other five bundled scenarios on seeds 0-2, and ``fuzz_scenario`` 0-249, each
+under both protocol variants, as probed runs with the trace collected.  Each
+case contributes its trace SHA-256 and the SHA-256 of its
+``verdicts_to_json`` report; the printed digest is the SHA-256 of those
+hex strings in table order.  From the root of a checkout (about 25 s on a
+2-core host):
+
+    python tools/trace_sweep.py
+"""
+
+import hashlib
+import json
+import os
+import sys
+
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                                "src"))
+
+from causalec import builtin  # noqa: E402
+from causalec.checker import check_all  # noqa: E402
+from causalec.harness import fuzz_scenario, verdicts_to_json  # noqa: E402
+from causalec.scenarios import scenario_from_json  # noqa: E402
+from causalec.server import VARIANTS  # noqa: E402
+from causalec.simnet import run  # noqa: E402
+
+JITTERED = ("fig1", "appendix_a")
+
+
+def cases():
+    """(scenario name, seed, protocol) per case; the name ``fuzz`` stands
+    for ``fuzz_scenario(seed)``."""
+    out = []
+    for protocol in VARIANTS:
+        for name in sorted(builtin.BUNDLED):
+            out += [(name, seed, protocol) for seed in range(60 if name in JITTERED else 3)]
+        out += [("fuzz", seed, protocol) for seed in range(250)]
+    return out
+
+
+def case_hashes(name, seed, protocol):
+    """The trace SHA-256 and the report SHA-256 of one case."""
+    if name == "fuzz":
+        scenario = fuzz_scenario(seed)
+    else:
+        scenario = scenario_from_json(builtin.BUNDLED[name]())
+    result = run(scenario, seed, protocol=protocol, probes=True, collect_trace=True)
+    report = json.dumps(verdicts_to_json(result, check_all(result)), sort_keys=True)
+    return result.trace_sha256(), hashlib.sha256(report.encode()).hexdigest()
+
+
+def main():
+    table = cases()
+    combined = hashlib.sha256()
+    for case in table:
+        for digest in case_hashes(*case):
+            combined.update(digest.encode())
+    print(f"{len(table)} cases {combined.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()
