@@ -21,14 +21,22 @@ State per server (all tag vectors indexed by object-1):
                     ``encoding`` and ``garbage_collection`` visit, each
                     emptied by its action.  X is marked only when one of that
                     action's inputs for X changed: an ``L[X]`` insertion
-                    (both); a delete notice that raises ``_del_max[X]`` (GC,
-                    and encoding when X is not held) or repeats the symbol's
-                    tag (GC); a change of the symbol's own tag for X (both,
-                    GC through the symbol's own notice); a ``readl`` removal
-                    (GC for every object, encoding for a localhost fetch's
-                    object).  Adding to ``readl`` and a GC collection can
-                    only make the actions do less, so they mark nothing; an
-                    action leaves each object it visits at a fixed point.
+                    (both); a change of the symbol's own tag for X (both); a
+                    new delete notice that moves a minimum of ``_del_max[X]``
+                    -- over all N servers (GC: ``tmax``) or over X's holders
+                    (GC's broadcast ``max_u`` when X is held, encoding when it
+                    is not) -- or that completes the set of notices naming the
+                    symbol's tag for X from every server (GC); a ``readl``
+                    removal (GC for each object whose entry tag is below the
+                    symbol's, as only those tags are protected from
+                    collection; encoding for a localhost fetch's object).
+                    Adding to ``readl`` and a GC collection can only make the
+                    actions do less, so they mark nothing; an action leaves
+                    each object it visits at a fixed point.
+* ``_apply_dirty``  set by ``on_app`` and by every ``vc`` change (``on_write``
+                    and an applied write), cleared when ``apply_inqueue``
+                    finds the head not ready: while clear, the head and the
+                    clock it was tested against are as they were.
 * ``_enc_due``, ``_gc_due`` the round schedule of trace format v1, read as
                     ``has_internal_work``: an ``L[X]`` insertion, a delete
                     notice or a ``readl`` change sets both, a ``tmax`` change
@@ -37,10 +45,10 @@ State per server (all tag vectors indexed by object-1):
                     starts.  So a round that changed something is followed
                     by one that confirms the fixed point, and the simulator
                     records the same steps as before the work sets were
-                    exact.  A due round at an ``idle`` server (empty inqueue
-                    and work sets) changes nothing, so the simulator records
-                    its steps without running the actions and
-                    ``skip_idle_round`` clears both flags in their place.
+                    exact.  An action whose predicate (``can_apply``,
+                    ``can_encode``, ``can_collect``) is false would change
+                    nothing, so the simulator records its step without
+                    calling it and ``skip`` clears its flag in its place.
                     The flags go when the trace stops recording steps that
                     do nothing (ROADMAP item 2).
 """
@@ -134,12 +142,14 @@ class Server:
             for x in range(1, self.k + 1)]
         # incremental view of dell: per-object per-server newest tag
         self._del_max: List[Dict[int, Tag]] = [{} for _ in range(self.k)]
+        self._servers = range(1, self.n + 1)
         # when present, L insertions are checked against the known write values
         self.write_registry = write_registry
         # probe memo: tag vector -> the symbol this server encodes for it
         self._encodings: Dict[TagVec, Value] = {}
         self._enc_dirty = set(self.object_indices())
         self._gc_dirty = set(self.object_indices())
+        self._apply_dirty = False
         self._enc_due = self._gc_due = True
         # the paper's per-object error flags provably stay 0, and a flag that
         # would be set raises instead; the trace format keeps their two digest
@@ -157,34 +167,58 @@ class Server:
 
     @property
     def has_internal_work(self) -> bool:
-        """Whether the next round runs ``encoding`` and ``garbage_collection``."""
+        """Whether the next round is due to record ``encoding`` and
+        ``garbage_collection`` steps, whether or not they have work."""
         return self._enc_due or self._gc_due
 
     @property
-    def idle(self) -> bool:
-        """Whether a round would change nothing: no queued write and both work
-        sets empty, so ``apply_inqueue``, ``encoding`` and
-        ``garbage_collection`` would each return ``(False, [])``."""
-        return not (self.inqueue or self._enc_dirty or self._gc_dirty)
+    def can_apply(self) -> bool:
+        """False when ``apply_inqueue`` would return ``(False, [])``: no write
+        is queued, or neither the queue nor the clock changed since it last
+        found the head not ready."""
+        return self._apply_dirty and bool(self.inqueue)
 
-    def skip_idle_round(self) -> None:
-        """The whole effect of an encode/collect round at an ``idle`` server:
-        each action would only clear its round-due flag."""
-        self._enc_due = self._gc_due = False
+    @property
+    def can_encode(self) -> bool:
+        """False when ``encoding`` would only clear its round-due flag."""
+        return bool(self._enc_dirty)
+
+    @property
+    def can_collect(self) -> bool:
+        """False when ``garbage_collection`` would only clear its round-due
+        flag."""
+        return bool(self._gc_dirty)
+
+    def skip(self, action: str) -> None:
+        """The whole effect of ``encoding`` or ``garbage_collection``, named
+        by ``action``, when its predicate is false."""
+        if action == "encoding":
+            self._enc_due = False
+        else:
+            self._gc_due = False
 
     def _add_del(self, obj: int, tag: Tag, srv: int) -> None:
-        self.dell[obj - 1][(tag, srv)] = None
-        dmax = self._del_max[obj - 1]
+        self._enc_due = self._gc_due = True
+        x = obj - 1
+        dell = self.dell[x]
+        if (tag, srv) in dell:
+            return  # a repeated notice changes nothing
+        dell[tag, srv] = None
+        dmax = self._del_max[x]
         prev = dmax.get(srv)
+        gc = False
         if prev is None or prev < tag:
             dmax[srv] = tag
+            holders = self._holders[x]
+            if srv in holders and _min_moves(dmax, srv, prev, holders):
+                if obj in self.objects_here:
+                    gc = True
+                else:
+                    self._enc_dirty.add(obj)
+            gc = gc or _min_moves(dmax, srv, prev, self._servers)
+        # GC collects the symbol's version once every server sent it
+        if gc or (tag == self.m_tagvec[x] and all((tag, i) in dell for i in self._servers)):
             self._gc_dirty.add(obj)
-            if obj not in self.objects_here:
-                self._enc_dirty.add(obj)
-        elif tag == self.m_tagvec[obj - 1]:
-            # GC collects the symbol's version once every server sent it
-            self._gc_dirty.add(obj)
-        self._enc_due = self._gc_due = True
 
     def _l_insert(self, obj: int, tag: Tag, value: Value) -> None:
         if self.write_registry is not None and tag != self.zero_tag:
@@ -208,9 +242,10 @@ class Server:
 
     def _readl_remove(self, opid: OpId) -> None:
         entry = self.readl.pop(opid)
-        # the entry's tag vector may have kept old versions of any object
-        # from collection, and a localhost fetch blocks a second one
-        self._gc_dirty.update(self.object_indices())
+        # the entry may have kept a version below the symbol's from
+        # collection, and a localhost fetch blocks a second one
+        self._gc_dirty.update([x for x, t, mt in zip(self.object_indices(), entry.tagvec,
+                                                     self.m_tagvec) if t < mt])
         if entry.clientid == LOCALHOST:
             self._enc_dirty.add(entry.obj)
         self._enc_due = self._gc_due = True
@@ -241,12 +276,14 @@ class Server:
 
     def on_write(self, clientid: int, opid: OpId, obj: int, value: Value) -> List[Send]:
         self.vc[self.id - 1] += 1
+        self._apply_dirty = True
         t = Tag(tuple(self.vc), clientid)
         if self.write_registry is not None:
             self.write_registry[t] = (obj, value)
         self._l_insert(obj, t, value)
         sends = [Send("client", clientid, WriteReturnAck(opid))]
-        sends += [Send("server", j, App(obj, value, t)) for j in self._other_servers()]
+        app = App(obj, value, t)
+        sends += [Send("server", j, app) for j in self._other_servers()]
         sends += self._answer_reads(
             [e for e in self.readl.values() if e.obj == obj and e.clientid != LOCALHOST],
             value)
@@ -284,6 +321,7 @@ class Server:
             raise ProtocolInvariantViolation(
                 f"server {self.id}: write {tag.render()} from server {frm} out of order")
         self.inqueue.setdefault(frm, deque()).append(InQueueItem(obj, value, tag))
+        self._apply_dirty = True
         return []
 
     def on_val_inq(self, frm: int, clientid: int, opid: OpId, obj: int,
@@ -396,11 +434,13 @@ class Server:
                      and all(t.ts[p] <= self.vc[p]
                              for p in range(self.n) if p != j - 1))
             if not ready:
+                self._apply_dirty = False
                 return False, []
         queue.popleft()
         if not queue:
             del self.inqueue[j]
         self.vc[j - 1] = t.ts[j - 1]
+        self._apply_dirty = True
         self._l_insert(item.obj, t, item.value)
         # a client read takes the write if (causal) it asked for no newer
         # version; an internal read waiting for exactly this version is done
@@ -411,8 +451,6 @@ class Server:
 
     def encoding(self) -> Tuple[bool, List[Send]]:
         self._enc_due = False
-        if not self._enc_dirty:
-            return False, []
         changed = False
         sends: List[Send] = []
         dirty, self._enc_dirty = self._enc_dirty, set()
@@ -450,12 +488,13 @@ class Server:
                     continue
                 ht = max(newer)
                 dsts = self._other_servers()
-            # the re-mark rule: X's symbol tag is an input of encoding, and
-            # the symbol's own notice marks X for GC
+            # the re-mark rule: X's symbol tag is an input of both actions
             self.m_tagvec[x - 1] = ht
             self._enc_dirty.add(x)
+            self._gc_dirty.add(x)
             self._add_del(x, ht, self.id)
-            sends += [Send("server", j, Del(x, ht)) for j in dsts]
+            notice = Del(x, ht)
+            sends += [Send("server", j, notice) for j in dsts]
             changed = True
         return changed, sends
 
@@ -476,11 +515,9 @@ class Server:
 
     def garbage_collection(self) -> Tuple[bool, List[Send]]:
         self._gc_due = False
-        if not self._gc_dirty:
-            return False, []
         changed = False
         sends: List[Send] = []
-        all_servers = range(1, self.n + 1)
+        all_servers = self._servers
         dirty, self._gc_dirty = self._gc_dirty, set()
         for x in sorted(dirty):
             new_tmax = self._per_server_del_max(x, all_servers)
@@ -517,7 +554,8 @@ class Server:
                     # re-broadcasting the same notice forever would keep the
                     # run from quiescing; only a new max goes out
                     self._gc_del_sent[x - 1] = max_u
-                    sends += [Send("server", j, Del(x, max_u)) for j in self._other_servers()]
+                    notice = Del(x, max_u)
+                    sends += [Send("server", j, notice) for j in self._other_servers()]
                     self._gc_due = True
                     changed = True
         return changed, sends
@@ -577,6 +615,20 @@ class Server:
             sum(map(len, self.inqueue.values())),
             len(self.readl),
         )
+
+
+def _min_moves(dmax: Dict[int, Tag], srv: int, prev: Optional[Tag],
+               servers: Iterable[int]) -> bool:
+    """Whether raising ``srv``'s entry in ``dmax`` from ``prev`` (None: no
+    entry) moved the minimum over ``servers``, which is undefined while one
+    of them has no entry: ``srv`` held the only minimum, or was the last
+    server without an entry.  A tie at the minimum leaves it in place."""
+    for i in servers:
+        if i != srv:
+            t = dmax.get(i)
+            if t is None or (prev is not None and t <= prev):
+                return False
+    return True
 
 
 # handlers are looked up on the server at call time, so wrappers set on the

@@ -11,6 +11,9 @@ by an apply/encode/collect round at that server, servers that go unserved too
 long get a round forced, and once the event heap drains every live server is
 swept until no action changes state and nothing is in flight -- that fixed
 point is quiescence, and it is detected by forced rounds, not by timeouts.
+A round records all of its steps but calls only the actions that have work
+(``Server.can_apply``, ``can_encode``, ``can_collect``); the others would
+change nothing.  A run stops at its step cap, and is then not quiescent.
 """
 
 from __future__ import annotations
@@ -32,6 +35,7 @@ from .server import Send, Server
 from .tags import ProtocolInvariantViolation, Tag
 
 PROBE_CLIENT_BASE = 1_000_000
+APPLY, ENCODE, GC = ("apply",), ("encode",), ("gc",)
 
 
 @dataclass
@@ -196,7 +200,7 @@ class Simulation:
         self.halted: Set[int] = set()  # a halted server processes nothing further
         self._next_fair_scan = 0
         self._fair_floor = 0  # no live server is due before this step count
-        self._fatal = False
+        self._stopped = False  # a violation or the step cap ends the run
         self.fairness = scenario.fairness_window()
         self.step_cap = scenario.step_cap
         for s, t in scenario.halts.items():
@@ -228,12 +232,15 @@ class Simulation:
                 emitted: Sequence[Send] = (), notes: Sequence[tuple] = (),
                 moved: bool = False) -> None:
         """Count one transition; when tracing, log it with the digest of the
-        server that took it (None for client and halt steps).
+        server that took it (None for client and halt steps).  The step that
+        reaches the cap is the run's last.
 
         A server's state changes only inside its own steps, and each step
         that changes it says so; a step that did not move therefore reuses
         the digest of that server's last record instead of taking a new one."""
         self.steps += 1
+        if self.steps >= self.step_cap:
+            self._stopped = True
         if not self.collect_trace:
             return
         digest = None
@@ -247,7 +254,7 @@ class Simulation:
     def _fail(self, text: str) -> None:
         """Record a violation; it stops the run."""
         self.violations.append(text)
-        self._fatal = True
+        self._stopped = True
 
     def _probe_after(self, srv: Server) -> None:
         """Check the server's state after a transition that moved and did not
@@ -278,17 +285,21 @@ class Simulation:
         if any(old > new for old, new in zip(prev[1], srv.m_tagvec)):
             self._fail(f"server {srv.id}: symbol tag vector decreased")
 
-    def _server_transition(self, sid: int, event: Optional[tuple], fn) -> bool:
-        """Run one step ``fn() -> (changed, sends)`` atomically; returns
+    def _act(self, srv: Server, event: tuple, action) -> bool:
+        """Run one internal action ``action() -> (changed, sends)``; returns
         whether it moved: changed state or emitted."""
-        srv = self.servers[sid]
-        srv.notes.clear()
         try:
-            changed, sends = fn()
+            changed, sends = action()
         except ProtocolInvariantViolation as e:
-            self._fail(str(e))
-            self._record(self._names[sid], event, srv, moved=True)
+            self._raised(srv, event, e)
             return False
+        return self._step(srv, event, changed or bool(sends), sends)
+
+    def _step(self, srv: Server, event: Optional[tuple], moved: bool,
+              sends: List[Send]) -> bool:
+        """Finish a server step that returned: schedule its sends, record it,
+        and probe the server if it moved."""
+        sid = srv.id
         for s in sends:
             self._check_outgoing(srv, s)
             self._schedule_send("server", sid, s)
@@ -296,11 +307,20 @@ class Simulation:
                 rec = self.ops.get(s.msg.opid)
                 if rec is not None and rec.ts is None:
                     rec.ts = tuple(srv.vc)
-        moved = changed or bool(sends)
-        self._record(self._names[sid], event, srv, sends, srv.notes, moved)
+        notes = srv.notes
+        self._record(self._names[sid], event, srv, sends, notes, moved)
+        if notes:
+            notes.clear()
         if moved:
             self._probe_after(srv)
         return moved
+
+    def _raised(self, srv: Server, event: Optional[tuple], e: Exception) -> None:
+        """A server step raised: that is a violation, and the step is recorded
+        with no sends or notes."""
+        self._fail(str(e))
+        srv.notes.clear()
+        self._record(self._names[srv.id], event, srv, moved=True)
 
     def _check_outgoing(self, srv: Server, send: Send) -> None:
         if isinstance(send.msg, ValRespEncoded):
@@ -315,10 +335,13 @@ class Simulation:
         srv = self.servers[sid]
         event = (("recv", f"{'c' if src_kind == 'client' else 's'}{src}", msg)
                  if self.collect_trace else None)
-        completed = self._server_transition(sid, event, lambda: (True, srv.handle(src, msg)))
-        # a delivery always counts as a change, so False means the handler
-        # raised: already a violation, not also a write-locality break
-        if completed and isinstance(msg, Write):
+        try:
+            sends = srv.handle(src, msg)
+        except ProtocolInvariantViolation as e:
+            self._raised(srv, event, e)  # not also a write-locality break
+            return
+        self._step(srv, event, True, sends)  # a delivery always counts as a change
+        if isinstance(msg, Write):
             # write locality: the ack must come out of this very transition
             rec = self.ops.get(msg.opid)
             if rec is None or rec.ts is None:
@@ -355,53 +378,58 @@ class Simulation:
 
     def _service_round(self, sid: int, force: bool = False) -> bool:
         """Apply-drain then encode and collect.  Unless forced, the encode
-        and collect steps run only when the server has internal work (a
-        dirty object); forced rounds certify quiescence and fairness.  At an
-        ``idle`` server the three steps are recorded without running the
-        actions, which would change nothing."""
-        srv = self.servers[sid]
-        if sid in self.halted:
+        and collect steps are taken only when the server's round is due
+        (``has_internal_work``); forced rounds certify quiescence and
+        fairness.  Each step whose action has no work is recorded without
+        calling the action, which would change nothing."""
+        if sid in self.halted or self._stopped:
             return False
-        any_change = False
-        attempted = False
-        while srv.inqueue:
-            attempted = True
-            changed = self._server_transition(sid, ("apply",), srv.apply_inqueue)
-            any_change |= changed
-            if not changed or self._fatal:
-                break
-        if self._fatal or not (force or srv.has_internal_work):
-            return any_change
+        srv = self.servers[sid]
         name = self._names[sid]
-        if not attempted:
-            self._record(name, ("apply",), srv)
+        moved = False
+        recorded = False  # whether an apply step was taken
+        while srv.inqueue:
+            recorded = True
+            if not srv.can_apply:
+                self._record(name, APPLY, srv)
+                break
+            applied = self._act(srv, APPLY, srv.apply_inqueue)
+            moved |= applied
+            if not applied or self._stopped:
+                break
+        if self._stopped or not (force or srv.has_internal_work):
+            return moved
+        if not recorded:
+            self._record(name, APPLY, srv)
         self._last_full_round[sid] = self.steps
-        if srv.idle:
-            srv.skip_idle_round()
-            self._record(name, ("encode",), srv)
-            self._record(name, ("gc",), srv)
-            return any_change
-        ch_e = self._server_transition(sid, ("encode",), srv.encoding)
-        if self._fatal:
-            return any_change or ch_e
-        ch_g = self._server_transition(sid, ("gc",), srv.garbage_collection)
-        return any_change or ch_e or ch_g
+        if self._stopped:
+            return moved
+        if srv.can_encode:
+            moved |= self._act(srv, ENCODE, srv.encoding)
+        else:
+            srv.skip("encoding")
+            self._record(name, ENCODE, srv)
+        if self._stopped:
+            return moved
+        if srv.can_collect:
+            moved |= self._act(srv, GC, srv.garbage_collection)
+        else:
+            srv.skip("garbage_collection")
+            self._record(name, GC, srv)
+        return moved
 
     def _fairness_rounds(self) -> None:
-        """Every 4 steps, force a round at each live server whose last full
-        round is ``fairness`` steps old.  ``_last_full_round`` entries only
-        rise and the live set only shrinks, so no server is due below the
-        floor taken at the last scan, and the scan is skipped there."""
-        if self.steps < self._next_fair_scan:
-            return
+        """Called every 4 steps: force a round at each live server whose
+        last full round is ``fairness`` steps old.  ``_last_full_round``
+        entries only rise and the live set only shrinks, so no server is due
+        below the floor taken at the last scan, and the scan is skipped
+        there."""
         self._next_fair_scan = self.steps + 4
         if self.steps < self._fair_floor:
             return
         due = [s for s, last in self._last_full_round.items()
                if s not in self.halted and self.steps - last >= self.fairness]
         for s in sorted(due):
-            if self._fatal:
-                return
             self._service_round(s, force=True)
         self._fair_floor = self.fairness + min(
             (last for s, last in self._last_full_round.items() if s not in self.halted),
@@ -410,7 +438,7 @@ class Simulation:
     # -- main loop -----------------------------------------------------------------
 
     def _drain(self) -> None:
-        while self.heap and not self._fatal and self.steps < self.step_cap:
+        while self.heap and not self._stopped:
             t, _, kind, payload = heapq.heappop(self.heap)
             self.now = max(self.now, t)
             if kind == "halt":
@@ -424,21 +452,20 @@ class Simulation:
                     if dst in self.halted:
                         continue
                     self._deliver_to_server(dst, src_kind, src, msg)
-                    if not self._fatal:
-                        self._service_round(dst)
+                    self._service_round(dst)
                 else:
                     self._deliver_to_client(dst, src_kind, src, msg)
-            self._fairness_rounds()
+            if self.steps >= self._next_fair_scan:
+                self._fairness_rounds()
 
     def run_to_quiescence(self) -> bool:
-        while not self._fatal and self.steps < self.step_cap:
+        while not self._stopped:
             self._drain()
-            if self._fatal or self.steps >= self.step_cap:
-                break
             swept = False
             for s in sorted(self.servers):
-                if s not in self.halted:
-                    swept |= self._service_round(s, force=True)
+                swept |= self._service_round(s, force=True)
+            if self._stopped:
+                break
             if not swept and not self.heap:
                 return True
         return False
@@ -485,7 +512,7 @@ def run(scenario: Scenario, seed: int, protocol: Optional[str] = None,
     """
     sim = Simulation(scenario, seed, protocol=protocol, collect_trace=collect_trace)
     quiescent = sim.run_to_quiescence()
-    if probes and quiescent and not sim._fatal and not sim.halted:
+    if probes and quiescent and not sim.halted:
         # convergence is only promised when every server keeps taking steps
         sim.inject_probes()
         quiescent = sim.run_to_quiescence()

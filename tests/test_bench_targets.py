@@ -2,9 +2,10 @@
 
 Every function ``bench/spans.py`` wraps must exist: the benchmark patches
 causalec functions by name from outside, and renaming or deleting one would
-break it without failing any other test.  One pass of the ``replay``
-workload, the only one that serialises traces, must end ``correct``.  Both
-run with bytecode writing off, so no cache lands in ``bench/``.
+break it without failing any other test.  One pass each of the ``replay``
+workload, the only one that serialises traces, and of ``scale``, whose
+delete-notice traffic drives the internal actions, must end ``correct``.
+All of them run with bytecode writing off, so no cache lands in ``bench/``.
 """
 
 import importlib
@@ -43,11 +44,19 @@ def test_every_span_target_resolves():
     assert not missing
 
 
-def test_replay_pass_is_correct():
+def one_pass(workload):
     proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", "replay", "--seed", "1",
+        [sys.executable, "bench/run.py", "--workload", workload, "--seed", "1",
          "--seconds", "0", "--trace", "0"],
         cwd=ROOT, capture_output=True, text=True, timeout=600,
         env=dict(os.environ, PYTHONDONTWRITEBYTECODE="1"))
     assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
-    assert json.loads(proc.stdout.splitlines()[-1])["correct"] is True
+    return json.loads(proc.stdout.splitlines()[-1])
+
+
+def test_replay_pass_is_correct():
+    assert one_pass("replay")["correct"] is True
+
+
+def test_scale_pass_is_correct():
+    assert one_pass("scale")["correct"] is True

@@ -3,10 +3,12 @@
 Each test drives one handler on a directly constructed server and compares
 the state delta and emitted batch against the expected step-by-step result,
 except ``TestDirtySets``, which checks the internal actions' work sets
-against full sweeps over whole runs, ``TestUnmovedSteps``, which checks over
-whole runs that a step reporting no change changed nothing and that a round
-at an ``idle`` server has nothing to do, and ``TestRoundSchedule``, which
-pins the round-due flags apart from the work sets.
+against full sweeps over whole runs; ``TestUnmovedSteps``, which checks over
+whole runs that a step reporting no change changed nothing, that every step
+the simulator records without calling its action has nothing to do, and
+that each delete notice marks exactly the objects whose minima it moves; and
+``TestRoundSchedule``, which pins the round-due flags apart from the work
+sets.
 """
 
 import collections
@@ -537,10 +539,17 @@ class UnmovedTwin(Server):
     action that returns ``(False, [])`` must leave ``digest()`` and
     ``m_val`` as they were, because the simulator then reuses the server's
     last digest and skips the probes (the digest holds ``vc``, ``m_tagvec``
-    and ``tmax``, so the probe snapshot is covered too).  Whenever ``idle``
-    holds, all three actions on a copy that visits every object must change
-    nothing, because the simulator then records the round without running
-    them.  ``seen`` counts the steps that did not move and the quiet rounds."""
+    and ``tmax``, so the probe snapshot is covered too).  Whenever an
+    action's predicate (``can_apply``, ``can_encode``, ``can_collect``) is
+    false, that action on a copy that visits every object must change
+    nothing, because the simulator then records its step without calling
+    it.  A delete notice on X must mark X exactly when it moves an input of
+    an action for X: the minimum of the newest notices over all servers
+    (GC's ``tmax``), the minimum over X's holders (GC's broadcast when X is
+    held here, encoding otherwise), or whether every server has sent the
+    symbol's tag; a surplus mark never makes a skip wrong, so this is
+    checked on its own.  ``seen`` counts the steps that did not move, the
+    skips of each action and the notices that mark nothing."""
 
     STATE = ("vc", "inqueue") + FullSweepTwin.STATE
     seen = collections.Counter()
@@ -563,16 +572,51 @@ class UnmovedTwin(Server):
         return result
 
     @property
-    def idle(self):
-        quiet = Server.idle.fget(self)
-        if quiet:
-            self.seen["quiet"] += 1
+    def can_apply(self):
+        return self._skip_is_exact(Server.can_apply, Server.apply_inqueue)
+
+    @property
+    def can_encode(self):
+        return self._skip_is_exact(Server.can_encode, Server.encoding)
+
+    @property
+    def can_collect(self):
+        return self._skip_is_exact(Server.can_collect, Server.garbage_collection)
+
+    def on_del(self, frm, obj, tag):
+        held = obj in self.objects_here
+        enc_was, gc_was = obj in self._enc_dirty, obj in self._gc_dirty
+        before = self._notice_inputs(obj)
+        sends = super().on_del(frm, obj, tag)
+        after = self._notice_inputs(obj)
+        tmax_moved = before[0] != after[0]
+        holders_moved = before[1] != after[1]
+        completed = after[2] and not before[2]
+        if not gc_was:
+            assert (obj in self._gc_dirty) == (tmax_moved or (held and holders_moved)
+                                               or completed)
+        if not enc_was:
+            assert (obj in self._enc_dirty) == (not held and holders_moved)
+        if not (gc_was or tmax_moved or holders_moved or completed):
+            self.seen["notice marking nothing"] += 1
+        return sends
+
+    def _notice_inputs(self, obj):
+        everyone = range(1, self.n + 1)
+        mt = self.m_tagvec[obj - 1]
+        return (self._per_server_del_max(obj, everyone),
+                self._per_server_del_max(obj, self._servers_with(obj)),
+                all((mt, i) in self.dell[obj - 1] for i in everyone))
+
+    def _skip_is_exact(self, predicate, action):
+        work = predicate.fget(self)
+        if not work:
+            self.seen[f"skipped {action.__name__}"] += 1
             twin = full_sweep_copy(self)
-            for action in (Server.apply_inqueue, Server.encoding, Server.garbage_collection):
-                assert action(twin) == (False, []), action.__name__
+            assert action(twin) == (False, []), action.__name__
             for name in self.STATE:
                 assert getattr(twin, name) == getattr(self, name), name
-        return quiet
+        return work
 
 
 def random_8_4() -> Scenario:
@@ -650,6 +694,8 @@ class TestDirtySets:
 
 
 class TestUnmovedSteps:
+    SKIPS = ("skipped apply_inqueue", "skipped encoding", "skipped garbage_collection")
+
     @pytest.fixture
     def seen(self, monkeypatch):
         monkeypatch.setattr(simnet, "Server", UnmovedTwin)
@@ -661,7 +707,8 @@ class TestUnmovedSteps:
             for seed in range(40):
                 simnet.run(fuzz_scenario(seed), seed, protocol=variant,
                            collect_trace=False, probes=True)
-        assert seen["quiet"] and seen["unmoved"]
+        assert seen["unmoved"] and all(seen[k] for k in self.SKIPS)
+        assert seen["notice marking nothing"]
 
     @pytest.mark.parametrize("system", [random_8_4, dense_8_4])
     def test_larger_systems(self, seen, system):
@@ -669,7 +716,27 @@ class TestUnmovedSteps:
             result = simnet.run(system(), 1, protocol=variant,
                                 collect_trace=False, probes=True)
             assert result.quiescent and not result.violations
-        assert seen["quiet"] and seen["unmoved"]
+        # dense_8_4's writes reach every server before any write that depends
+        # on them, so no queue head there ever waits
+        skips = self.SKIPS if system is random_8_4 else self.SKIPS[1:]
+        assert seen["unmoved"] and all(seen[k] for k in skips)
+        assert seen["notice marking nothing"]
+
+    def test_every_queue_or_clock_change_sets_the_apply_flag(self):
+        # in a whole run a server's own write never unblocks a queued remote
+        # write, since that write can name only writes this server has made,
+        # so the flag's set in on_write is pinned here
+        srv = Server(1, replicated())
+        srv.on_app(2, 1, (4,), tag([0, 1, 1], 2))  # waits for server 3's write
+        assert srv.apply_inqueue() == (False, []) and not srv.can_apply
+        srv.on_app(3, 1, (5,), tag([0, 0, 1], 3))
+        assert srv.can_apply
+        assert srv.apply_inqueue()[0] and srv.apply_inqueue()[0] and not srv.inqueue
+        srv.on_app(2, 1, (6,), tag([1, 2, 1], 2))  # waits for this server's write
+        assert srv.apply_inqueue() == (False, []) and not srv.can_apply
+        srv.on_write(9, (9, 1), 1, (3,))
+        assert srv.can_apply
+        assert srv.apply_inqueue()[0] and not srv.inqueue
 
 
 class TestRoundSchedule:
@@ -695,6 +762,51 @@ class TestRoundSchedule:
         assert srv.has_internal_work, "garbage collection is still due"
         assert srv.garbage_collection() == (False, [])
         assert not srv.has_internal_work
+
+    @staticmethod
+    def drained(srv):
+        while srv.has_internal_work:
+            srv.encoding()
+            srv.garbage_collection()
+        assert not srv._enc_dirty and not srv._gc_dirty
+
+    def test_notice_raising_a_non_minimal_entry_is_due_with_empty_work_sets(self):
+        srv = self.settled(2)  # server 2 stores X2, held at servers 2, 3 and 4
+        t1, t2, t3 = (tag([0, c, 0, 0, 0], 2) for c in (1, 2, 3))
+        srv._l_insert(2, t1, (3,))
+        srv.encoding()  # the symbol takes t1 and server 2's own notice
+        for other in (1, 3, 4, 5):
+            srv.on_del(other, 2, t1)
+        self.drained(srv)
+        assert srv.tmax[1] == t1
+        # server 3 ties at the minimum, then sits above it
+        for newer in (t2, t3):
+            srv.on_del(3, 2, newer)
+            assert not srv._enc_dirty and not srv._gc_dirty
+            assert srv.has_internal_work
+            self.drained(srv)
+
+    def test_read_removal_at_or_above_the_symbol_is_due_with_empty_work_sets(self):
+        srv = self.settled(1)  # server 1 stores X1 only
+        srv.L[1].clear()  # X2's history drained: the read goes remote
+        assert sends_of(ValInq, srv.on_read(9, (9, 1), 2))
+        self.drained(srv)
+        (entry,) = srv.readl.values()
+        assert list(entry.tagvec) == srv.m_tagvec
+        sends = srv.on_val_resp(2, ValResp(2, (5,), 9, (9, 1), entry.tagvec))
+        assert sends_of(ReadReturn, sends) and not srv.readl
+        assert not srv._enc_dirty and not srv._gc_dirty
+        assert srv.has_internal_work
+
+    def test_not_ready_apply_is_due_with_empty_work_sets(self):
+        srv = self.settled(1)
+        srv.on_app(2, 2, (4,), tag([0, 1, 1, 0, 0], 2))  # waits for server 3's write
+        srv.on_del(3, 2, tag([0, 0, 1, 0, 0], 3))  # X2 still lacks holder 4's notice
+        assert srv.apply_inqueue() == (False, []) and not srv.can_apply
+        assert not srv._enc_dirty and not srv._gc_dirty
+        assert srv.has_internal_work
+        self.drained(srv)
+        assert not srv.can_apply and srv.apply_inqueue() == (False, [])
 
     def test_notice_on_held_object_is_due_with_empty_work_sets(self):
         srv = self.settled(2)  # server 2 stores X2

@@ -248,6 +248,17 @@ class TestQuiescence:
         r = run(sc, seed=0)
         assert not r.quiescent
 
+    @pytest.mark.parametrize("fairness", [None, 0])
+    @pytest.mark.parametrize("cap", [1, 7, 50])
+    def test_step_cap_is_never_passed(self, cap, fairness):
+        # rounds that follow one event stop at the cap too, not only the
+        # checks between events and between sweeps
+        sc = scenario_from_json(fig1_scenario_doc())
+        sc.step_cap, sc.fairness = cap, fairness
+        r = run(sc, seed=3, probes=True)
+        assert not r.quiescent
+        assert r.transitions == len(r.trace) <= cap
+
 
 class TestFairness:
     def test_every_live_server_acts_within_bounded_windows(self):
