@@ -261,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--step-cap", type=int_at_least(1), default=None)
     p_run.add_argument("--out", default=None, help="directory for traces and reports")
     p_run.add_argument("--format", choices=["table", "json"], default="table")
-    p_run.add_argument("--workers", type=int, default=1)
+    p_run.add_argument("--workers", type=int_at_least(1), default=1)
     p_run.set_defaults(fn=cmd_run)
 
     p_lat = sub.add_parser("latency", help="latency profile of a scenario's code+graph")

@@ -9,7 +9,7 @@ are globally unique without coordination.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 from .field import Value
 from .tags import Tag
@@ -20,20 +20,19 @@ TagVec = Tuple[Tag, ...]
 
 @dataclass(frozen=True)
 class Message:
-    def describe(self, render_tag: Callable[[Tag], str] = Tag.render) -> tuple:
+    def describe(self) -> tuple:
         """The message as trace data: its type name, then each field in
-        declaration order, with every tag (alone or in a tag vector) passed
-        through ``render_tag``."""
+        declaration order, with every tag (alone or in a tag vector) as
+        ``Tag.render`` text."""
         name = type(self).__name__
-        return (name,) + tuple(_render(getattr(self, f), render_tag)
-                               for f in self.__dataclass_fields__)
+        return (name,) + tuple(_render(getattr(self, f)) for f in self.__dataclass_fields__)
 
 
-def _render(v, render_tag: Callable[[Tag], str]):
+def _render(v):
     if isinstance(v, Tag):
-        return render_tag(v)
+        return v.render()
     if isinstance(v, tuple) and v and all(isinstance(e, Tag) for e in v):
-        return tuple(map(render_tag, v))
+        return tuple(t.render() for t in v)
     return v
 
 

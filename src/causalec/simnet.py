@@ -14,6 +14,7 @@ point is quiescence, and it is detected by forced rounds, not by timeouts.
 A round records all of its steps but calls only the actions that have work
 (``Server.can_apply``, ``can_encode``, ``can_collect``); the others would
 change nothing.  A run stops at its step cap, and is then not quiescent.
+Trace records stay structured; ``trace_lines`` writes them as JSON text.
 """
 
 from __future__ import annotations
@@ -24,7 +25,8 @@ import heapq
 import json
 import random
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from itertools import islice
+from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .client import Client
 from .field import Value
@@ -65,7 +67,7 @@ class TraceRecord:
     shared with that server's previous record when the step did not move;
     ``emitted`` holds the ``Send`` tuples the transition produced.  Messages
     and tags are immutable, so a record is a snapshot.  Text appears only in
-    ``TraceRenderer.line``, when the trace is serialised.  Records are for
+    ``trace_lines``, when the trace is serialised.  Records are for
     replay and diffing: no checker reads them, because the state invariants
     are checked inline while the run is simulated.
     """
@@ -80,44 +82,66 @@ class TraceRecord:
 
 
 _encode = json.JSONEncoder(separators=(",", ":")).encode
+TRACE_BLOCK = 1024  # lines per block that ``trace_sha256`` hashes
 
 
-class TraceRenderer:
-    """The memo of one trace serialisation.  Each distinct tag is rendered,
-    and each distinct digest, message and small repeated value (node names,
-    send kinds, non-``recv`` events, notes) encoded to JSON, once; ``line``
-    assembles a record from that text in the key order ``digest, emitted,
-    event, node, notes, seq, t`` of ``sort_keys=True``."""
+def trace_lines(trace: Sequence[TraceRecord]) -> Iterator[str]:
+    """Yield each record as the JSON line ``json.dumps(..., sort_keys=True,
+    separators=(",", ":"))`` gives for it, with tags as ``Tag.render`` text
+    and messages as ``Message.describe`` data, written straight from their
+    fields.  The memos live for this one call: tag, int-tuple and tag-vector
+    text by value; digest and message text by identity (each entry holds
+    its object, so the id is not reused); the time text per change of
+    ``t``; and, for a record with no sends, no notes and a non-``recv``
+    event, the text between the digest and ``seq`` per (event, node).  Node
+    names and send kinds are plain words, written without escaping."""
+    ints = functools.cache(lambda v: f"[{','.join(map(str, v))}]")
+    tag = functools.cache(lambda t: f'"{t.render()}"')
+    tags = functools.cache(lambda v: f"[{','.join(map(tag, v))}]")
+    small = functools.cache(_encode)  # non-recv events, notes
+    tail = functools.cache(lambda ev, node: f',"emitted":[],"event":{small(ev)},'
+                                            f'"node":"{node}","notes":[],"seq":')
+    digests: Dict[int, Tuple[Optional[tuple], str]] = {id(None): (None, "null")}
+    messages: Dict[int, Tuple[Message, str]] = {}
 
-    def __init__(self) -> None:
-        tag = self.tag = functools.cache(Tag.render)
-
-        def digest(d: Optional[tuple]) -> str:
-            if d is None:
-                return "null"
-            vc, tagvec, lsizes, err1, err2, tmax, inq, readl = d
-            return _encode((vc, tuple(map(tag, tagvec)), lsizes, err1, err2,
-                            tuple(map(tag, tmax)), inq, readl))
-
-        self.digest = functools.cache(digest)
-        self.value = functools.cache(_encode)
-        # by identity: a message is recorded once when sent and once per
-        # delivery; holding it keeps its id from being reused
-        self._messages: Dict[int, Tuple[Message, str]] = {}
-
-    def message(self, msg: Message) -> str:
-        hit = self._messages.get(id(msg))
+    def digest(d: Optional[tuple]) -> str:
+        hit = digests.get(id(d))
         if hit is None:
-            hit = self._messages[id(msg)] = (msg, _encode(msg.describe(self.tag)))
+            vc, tagvec, lsizes, err1, err2, tmax, inq, readl = d
+            hit = digests[id(d)] = (d, f"[{ints(vc)},{tags(tagvec)},{ints(lsizes)},"
+                                       f"{ints(err1)},{ints(err2)},{tags(tmax)},{inq},{readl}]")
         return hit[1]
 
-    def line(self, r: TraceRecord) -> str:
-        ev, value, message = r.event, self.value, self.message
-        event = f'["recv",{value(ev[1])},{message(ev[2])}]' if ev[0] == "recv" else value(ev)
-        emitted = ",".join([f"[{value(s.kind)},{s.dst},{message(s.msg)}]" for s in r.emitted])
-        return (f'{{"digest":{self.digest(r.digest)},"emitted":[{emitted}],"event":{event},'
-                f'"node":{value(r.node)},"notes":{value(r.notes)},"seq":{r.seq},'
-                f'"t":"{format_ms(r.t)}"}}')
+    def field(v) -> str:  # None, int, Tag, or a tuple of tags or of ints
+        if v is None:
+            return "null"
+        if isinstance(v, int):
+            return str(v)
+        if isinstance(v, Tag):
+            return tag(v)
+        return tags(v) if v and isinstance(v[0], Tag) else ints(v)
+
+    def message(m: Message) -> str:
+        hit = messages.get(id(m))
+        if hit is None:
+            text = ",".join([f'"{type(m).__name__}"']
+                            + [field(getattr(m, f)) for f in m.__dataclass_fields__])
+            hit = messages[id(m)] = (m, f"[{text}]")
+        return hit[1]
+
+    t_last = None
+    for r in trace:
+        if r.t != t_last:
+            t_last = r.t
+            t_text = f',"t":"{format_ms(t_last)}"}}'
+        ev = r.event
+        if not r.emitted and not r.notes and ev[0] != "recv":
+            yield f'{{"digest":{digest(r.digest)}{tail(ev, r.node)}{r.seq}{t_text}'
+            continue
+        event = f'["recv","{ev[1]}",{message(ev[2])}]' if ev[0] == "recv" else small(ev)
+        emitted = ",".join([f'["{s.kind}",{s.dst},{message(s.msg)}]' for s in r.emitted])
+        yield (f'{{"digest":{digest(r.digest)},"emitted":[{emitted}],"event":{event},'
+               f'"node":"{r.node}","notes":{small(r.notes)},"seq":{r.seq}{t_text}')
 
 
 @dataclass
@@ -138,11 +162,19 @@ class RunResult:
     client_homes: Dict[int, int]
 
     def trace_jsonl(self) -> str:
-        """The trace as JSON lines, assembled by one memo for the whole run."""
-        return "\n".join(map(TraceRenderer().line, self.trace))
+        """The trace as JSON lines, one ``trace_lines`` pass."""
+        return "\n".join(trace_lines(self.trace))
 
     def trace_sha256(self) -> str:
-        return hashlib.sha256(self.trace_jsonl().encode()).hexdigest()
+        """The SHA-256 of ``trace_jsonl()``, fed in blocks of lines so the
+        whole text is never held."""
+        h = hashlib.sha256()
+        lines = trace_lines(self.trace)
+        sep = ""
+        for block in iter(lambda: "\n".join(islice(lines, TRACE_BLOCK)), ""):
+            h.update(f"{sep}{block}".encode())
+            sep = "\n"
+        return h.hexdigest()
 
     def operation_list(self) -> List[OperationRecord]:
         return sorted(self.ops.values(), key=lambda r: (r.t_invoke, r.opid))
@@ -218,7 +250,8 @@ class Simulation:
     def _schedule_send(self, src_kind: str, src_id: int, send: Send) -> None:
         if send.kind == "server" and src_kind == "server":
             lo, hi, extra = self._links[src_id, send.dst]
-            delay = (self.rng.randint(lo, hi) if self._draw_delays else lo) + extra
+            # randint(lo, hi)'s value sequence, without its argument checks
+            delay = (lo + self.rng._randbelow(hi - lo + 1) if self._draw_delays else lo) + extra
         else:
             delay = 0  # clients talk to their co-located home server
         chan = (src_kind, src_id, send.kind, send.dst)

@@ -23,10 +23,11 @@ def test_parse_seeds():
 
 # each override once ran: a cap of 0 or -1 printed "[ok] transitions=0", a
 # negative fairness window ran, and an empty seed range ran nothing, all
-# with exit 0
+# with exit 0; a worker count of 0 or -2 ran serially, also with exit 0
 @pytest.mark.parametrize("flag,value", [
     ("--step-cap", "0"), ("--step-cap", "-1"), ("--step-cap", "x"),
-    ("--fairness", "-3"), ("--seeds", "5..2")])
+    ("--fairness", "-3"), ("--seeds", "5..2"),
+    ("--workers", "0"), ("--workers", "-2")])
 def test_out_of_range_override_exits_two(scenario_dir, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(scenario_dir / "fig1.json"), flag, value])

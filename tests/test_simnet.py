@@ -1,13 +1,15 @@
 """Simulation fabric: FIFO channels, determinism, halting, quiescence,
 fairness, trace serialisation, and the latency analysis."""
 
+import dataclasses
+import hashlib
 import json
 import random
 from itertools import combinations
 
 import pytest
 
-from causalec import builtin
+from causalec import builtin, simnet
 from causalec.builtin import (
     ALT_COEFFS,
     FIG1_COEFFS,
@@ -113,6 +115,19 @@ class TestChannels:
                 assert last.get(chan, -1) <= rec.t
                 last[chan] = rec.t
 
+    def test_delay_draw_is_randints_sequence(self):
+        # Simulation._schedule_send draws lo + rng._randbelow(hi - lo + 1);
+        # every jittered trace depends on that being randint(lo, hi)
+        bounds = random.Random(5)
+        pairs = [(lo, lo + w) for lo, w in
+                 ((bounds.randint(0, 10**5), bounds.choice([0, 0, 1, 2, 7, 999, 2**31, 10**12]))
+                  for _ in range(2000))]
+        assert {hi - lo for lo, hi in pairs} >= {0, 1, 10**12}
+        a, b = random.Random(11), random.Random(11)
+        assert [a.randint(lo, hi) for lo, hi in pairs] == \
+            [lo + b._randbelow(hi - lo + 1) for lo, hi in pairs]
+        assert a.random() == b.random()  # equal bits consumed
+
 
 class TestDeterminism:
     def test_same_seed_same_trace(self):
@@ -152,27 +167,53 @@ def reference_jsonl(result):
     return "\n".join(lines)
 
 
+def fig1_value_len_3_doc():
+    doc = fig1_scenario_doc()
+    doc["name"], doc["code"] = "fig1_value_len_3", builtin.fig1_code_doc(value_len=3)
+    return doc
+
+
 def traced_run(name, seed, protocol="causalec"):
     if name == "fuzz":
         scenario = fuzz_scenario(seed)
+    elif name == "fig1_value_len_3":
+        scenario = scenario_from_json(fig1_value_len_3_doc())
     else:
         scenario = scenario_from_json(builtin.BUNDLED[name]())
     return run(scenario, seed, protocol=protocol, collect_trace=True, probes=True)
 
 
-# every bundled scenario under both protocols, plus further seeds and fuzz systems
+# every bundled scenario under both protocols, plus further seeds, fuzz
+# systems and three-element values
 TRACE_CASES = sorted({(name, 0, protocol) for name in builtin.BUNDLED for protocol in VARIANTS}
                      | {("fig1", 1, "eventualec"), ("appendix_a", 2, "causalec"),
                         ("fuzz", 0, "causalec"), ("fuzz", 3, "eventualec"),
-                        ("fuzz", 7, "causalec")})
+                        ("fuzz", 7, "causalec"), ("fuzz", 10, "eventualec"),
+                        ("fig1_value_len_3", 0, "causalec")})
 
-# every way a record's line is assembled differently
+
+def message_values(rec):
+    """Every message in the record, received or sent."""
+    return ([rec.event[2]] if rec.event[0] == "recv" else []) + [s.msg for s in rec.emitted]
+
+
+# every way a record's line is assembled differently; each test sees the
+# record and the one before it (None for the first)
 RECORD_SHAPES = {
-    "halt, digest null": lambda rec: rec.event == ("halt",) and rec.digest is None,
-    "decoded notes": lambda rec: any(note[0] == "decoded" for note in rec.notes),
-    "client invoke": lambda rec: rec.event[0] == "invoke",
-    "client recv": lambda rec: rec.node.startswith("c") and rec.event[0] == "recv",
-    "multi-send emitted": lambda rec: len(rec.emitted) > 1,
+    "halt, digest null": lambda rec, prev: rec.event == ("halt",) and rec.digest is None,
+    "decoded notes": lambda rec, prev: any(note[0] == "decoded" for note in rec.notes),
+    "client invoke": lambda rec, prev: rec.event[0] == "invoke",
+    "client recv": lambda rec, prev: rec.node.startswith("c") and rec.event[0] == "recv",
+    "multi-send emitted": lambda rec, prev: len(rec.emitted) > 1,
+    "ValResp with null addressing": lambda rec, prev: any(
+        type(m).__name__ == "ValResp" and m.clientid is None and m.opid is None
+        and m.requestedtags is None for m in message_values(rec)),
+    "value longer than 1": lambda rec, prev: any(
+        len(getattr(m, "value", ()) or ()) > 1 for m in message_values(rec)),
+    "unmoved step, previous digest object": lambda rec, prev: (
+        prev is not None and rec.event in (("apply",), ("encode",), ("gc",))
+        and rec.digest is not None and rec.digest is prev.digest),
+    "fractional t": lambda rec, prev: "." in format_ms(rec.t),
 }
 
 
@@ -188,9 +229,25 @@ class TestTraceSerialisation:
         assert r.trace_jsonl() == reference_jsonl(r)
 
     def test_cases_cover_every_record_shape(self, traced_runs):
-        covered = {shape for r in traced_runs.values() for rec in r.trace
-                   for shape, test in RECORD_SHAPES.items() if test(rec)}
+        covered = {shape for r in traced_runs.values()
+                   for prev, rec in zip([None] + r.trace, r.trace)
+                   for shape, test in RECORD_SHAPES.items() if test(rec, prev)}
         assert covered == set(RECORD_SHAPES)
+
+    @pytest.mark.parametrize("name,seed,protocol", TRACE_CASES)
+    def test_block_hash_matches_whole_text(self, traced_runs, name, seed, protocol):
+        r = traced_runs[name, seed, protocol]
+        assert r.trace_sha256() == hashlib.sha256(r.trace_jsonl().encode()).hexdigest()
+
+    @pytest.mark.parametrize("records", [0, 1, simnet.TRACE_BLOCK - 1, simnet.TRACE_BLOCK,
+                                         simnet.TRACE_BLOCK + 1, 2 * simnet.TRACE_BLOCK])
+    def test_block_hash_at_block_boundaries(self, traced_runs, records):
+        # the records of every case in one list: longer than any one trace
+        records_all = [rec for case in TRACE_CASES for rec in traced_runs[case].trace]
+        assert len(records_all) > records
+        cut = dataclasses.replace(traced_runs[TRACE_CASES[0]], trace=records_all[:records])
+        assert cut.trace_sha256() == hashlib.sha256(cut.trace_jsonl().encode()).hexdigest()
+        assert cut.trace_jsonl().count("\n") == max(records - 1, 0)
 
     def test_hash_is_repeatable(self):
         r = traced_run("fig1", 0)
