@@ -164,11 +164,9 @@ def int_at_least(low: int):
     return parse
 
 
-def _run_one(doc: dict, seed: int, protocol: Optional[str], fairness: Optional[int],
-             step_cap: Optional[int], collect_trace: bool) -> dict:
+def _run_one(doc: dict, seed: int, protocol: Optional[str], step_cap: Optional[int],
+             collect_trace: bool) -> dict:
     scenario = scenario_from_json(doc)
-    if fairness is not None:
-        scenario.fairness = fairness
     if step_cap is not None:
         scenario.step_cap = step_cap
     result = run_scenario(scenario, seed, protocol=protocol,
@@ -194,12 +192,12 @@ def cmd_run(args) -> int:
     reports = []
     if args.workers > 1:
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futs = [pool.submit(_run_one, doc, s, args.protocol, args.fairness,
-                                args.step_cap, collect_trace) for s in seeds]
+            futs = [pool.submit(_run_one, doc, s, args.protocol, args.step_cap,
+                                collect_trace) for s in seeds]
             reports = [f.result() for f in futs]
     else:
-        reports = [_run_one(doc, s, args.protocol, args.fairness,
-                            args.step_cap, collect_trace) for s in seeds]
+        reports = [_run_one(doc, s, args.protocol, args.step_cap, collect_trace)
+                   for s in seeds]
     ok = True
     for report in reports:
         ok &= report["ok"]
@@ -257,7 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--seeds", type=parse_seeds, default=[0],
                        help="single seed N or inclusive range A..B")
     p_run.add_argument("--protocol", choices=[CAUSAL, EVENTUAL], default=None)
-    p_run.add_argument("--fairness", type=int_at_least(0), default=None)
     p_run.add_argument("--step-cap", type=int_at_least(1), default=None)
     p_run.add_argument("--out", default=None, help="directory for traces and reports")
     p_run.add_argument("--format", choices=["table", "json"], default="table")

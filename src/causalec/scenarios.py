@@ -3,8 +3,8 @@
 A scenario bundles the code, the latency graph, the protocol variant, the
 client population with their home servers, a workload (a fixed script or a
 seeded random generator), message-delay behaviour, a halt schedule, and the
-scheduler knobs.  Validation errors name the offending field path so the CLI
-can report them usefully.
+step cap.  Validation errors name the offending field path, an unknown
+top-level field included, so the CLI can report them usefully.
 """
 
 from __future__ import annotations
@@ -24,6 +24,8 @@ DEFAULT_STEP_CAP = 500_000
 # these bounds keep every product finite
 MAX_LATENCY = 1e300
 MAX_JITTER = 1e5
+TOP_LEVEL_FIELDS = frozenset(["name", "code", "latency_graph", "protocol", "clients",
+                              "workload", "delays", "halts", "channel_extra", "step_cap"])
 
 
 class ScenarioError(ValueError):
@@ -63,7 +65,6 @@ class Scenario:
     delays: dict = field(default_factory=lambda: {"kind": "graph"})
     halts: Dict[int, int] = field(default_factory=dict)  # server -> halt time (ms)
     channel_extra_ms: Dict[Tuple[int, int], int] = field(default_factory=dict)
-    fairness: Optional[int] = None
     step_cap: int = DEFAULT_STEP_CAP
 
     def __post_init__(self):
@@ -94,9 +95,6 @@ class Scenario:
                     f"channel_extra: channel {src}->{dst} out of range 1..{self.code.n}")
         if self.random_workload is not None and not self.clients:
             raise ScenarioError("clients: random workload needs at least one client")
-
-    def fairness_window(self) -> int:
-        return self.fairness if self.fairness is not None else 8 * self.code.n
 
     # -- workload materialisation -------------------------------------------
 
@@ -176,6 +174,9 @@ def scenario_from_json(doc) -> Scenario:
                 doc = json.load(fh)
     if not isinstance(doc, dict):
         raise ScenarioError(": scenario must be a JSON object")
+    for key in doc:
+        if key not in TOP_LEVEL_FIELDS:
+            raise ScenarioError(f"{key}: unknown field")
 
     code_doc = _expect(doc, "code", "")
     if not isinstance(code_doc, dict):
@@ -313,6 +314,5 @@ def scenario_from_json(doc) -> Scenario:
         delays=delays,
         halts=halts,
         channel_extra_ms=extra,
-        fairness=None if doc.get("fairness") is None else _integer(doc["fairness"], "fairness"),
         step_cap=_integer(doc.get("step_cap", DEFAULT_STEP_CAP), "step_cap", 1),
     )

@@ -37,20 +37,11 @@ State per server (all tag vectors indexed by object-1):
                     and an applied write), cleared when ``apply_inqueue``
                     finds the head not ready: while clear, the head and the
                     clock it was tested against are as they were.
-* ``_enc_due``, ``_gc_due`` the round schedule of trace format v1, read as
-                    ``has_internal_work``: an ``L[X]`` insertion, a delete
-                    notice or a ``readl`` change sets both, a ``tmax`` change
-                    or notice broadcast sets ``_gc_due``, a collection sets
-                    ``_enc_due``, and each action clears its flag as it
-                    starts.  So a round that changed something is followed
-                    by one that confirms the fixed point, and the simulator
-                    records the same steps as before the work sets were
-                    exact.  An action whose predicate (``can_apply``,
-                    ``can_encode``, ``can_collect``) is false would change
-                    nothing, so the simulator records its step without
-                    calling it and ``skip`` clears its flag in its place.
-                    The flags go when the trace stops recording steps that
-                    do nothing (ROADMAP item 2).
+* ``round_due``     the round schedule of trace format v1: set by every
+                    ``L[X]``, delete-notice or ``readl`` change and by a
+                    ``garbage_collection`` that changed something; the
+                    simulator clears it as a round's encode step begins.  It goes with
+                    trace format v2 (ROADMAP item 2).
 """
 
 from __future__ import annotations
@@ -143,6 +134,7 @@ class Server:
         # incremental view of dell: per-object per-server newest tag
         self._del_max: List[Dict[int, Tag]] = [{} for _ in range(self.k)]
         self._servers = range(1, self.n + 1)
+        self._others = [j for j in self._servers if j != sid]
         # when present, L insertions are checked against the known write values
         self.write_registry = write_registry
         # probe memo: tag vector -> the symbol this server encodes for it
@@ -150,7 +142,7 @@ class Server:
         self._enc_dirty = set(self.object_indices())
         self._gc_dirty = set(self.object_indices())
         self._apply_dirty = False
-        self._enc_due = self._gc_due = True
+        self.round_due = True
         # the paper's per-object error flags provably stay 0, and a flag that
         # would be set raises instead; the trace format keeps their two digest
         # slots, all zero, until ROADMAP item 4's re-bless
@@ -166,12 +158,6 @@ class Server:
         return t, lx[t]
 
     @property
-    def has_internal_work(self) -> bool:
-        """Whether the next round is due to record ``encoding`` and
-        ``garbage_collection`` steps, whether or not they have work."""
-        return self._enc_due or self._gc_due
-
-    @property
     def can_apply(self) -> bool:
         """False when ``apply_inqueue`` would return ``(False, [])``: no write
         is queued, or neither the queue nor the clock changed since it last
@@ -180,25 +166,16 @@ class Server:
 
     @property
     def can_encode(self) -> bool:
-        """False when ``encoding`` would only clear its round-due flag."""
+        """False when ``encoding`` would change nothing."""
         return bool(self._enc_dirty)
 
     @property
     def can_collect(self) -> bool:
-        """False when ``garbage_collection`` would only clear its round-due
-        flag."""
+        """False when ``garbage_collection`` would change nothing."""
         return bool(self._gc_dirty)
 
-    def skip(self, action: str) -> None:
-        """The whole effect of ``encoding`` or ``garbage_collection``, named
-        by ``action``, when its predicate is false."""
-        if action == "encoding":
-            self._enc_due = False
-        else:
-            self._gc_due = False
-
     def _add_del(self, obj: int, tag: Tag, srv: int) -> None:
-        self._enc_due = self._gc_due = True
+        self.round_due = True
         x = obj - 1
         dell = self.dell[x]
         if (tag, srv) in dell:
@@ -230,7 +207,7 @@ class Server:
         self.L[obj - 1][tag] = value
         self._enc_dirty.add(obj)
         self._gc_dirty.add(obj)
-        self._enc_due = self._gc_due = True
+        self.round_due = True
 
     def _readl_add(self, entry: ReadLEntry) -> None:
         if entry.opid in self._readl_opids_seen:
@@ -238,7 +215,7 @@ class Server:
                 f"server {self.id}: second pending-read tuple for opid {entry.opid}")
         self._readl_opids_seen.add(entry.opid)
         self.readl[entry.opid] = entry
-        self._enc_due = self._gc_due = True
+        self.round_due = True
 
     def _readl_remove(self, opid: OpId) -> None:
         entry = self.readl.pop(opid)
@@ -248,7 +225,7 @@ class Server:
                                                      self.m_tagvec) if t < mt])
         if entry.clientid == LOCALHOST:
             self._enc_dirty.add(entry.obj)
-        self._enc_due = self._gc_due = True
+        self.round_due = True
 
     def _answer_reads(self, entries: List[ReadLEntry], value: Value) -> List[Send]:
         """Drop the given pending reads, returning value to each client read;
@@ -258,12 +235,6 @@ class Server:
         for e in entries:
             self._readl_remove(e.opid)
         return sends
-
-    def _other_servers(self) -> List[int]:
-        return [j for j in range(1, self.n + 1) if j != self.id]
-
-    def _servers_with(self, obj: int) -> List[int]:
-        return self._holders[obj - 1]
 
     def _next_internal_opid(self) -> OpId:
         self._opid_counter += 1
@@ -283,7 +254,7 @@ class Server:
         self._l_insert(obj, t, value)
         sends = [Send("client", clientid, WriteReturnAck(opid))]
         app = App(obj, value, t)
-        sends += [Send("server", j, app) for j in self._other_servers()]
+        sends += [Send("server", j, app) for j in self._others]
         sends += self._answer_reads(
             [e for e in self.readl.values() if e.obj == obj and e.clientid != LOCALHOST],
             value)
@@ -300,11 +271,18 @@ class Server:
             v = self.code.decode(obj, rs, {self.id: self.m_val})
             self.notes.append(("decoded", obj, (self.id,), opid))
             return [Send("client", clientid, ReadReturn(opid, v))]
+        return self._fetch(clientid, opid, obj)
+
+    def _fetch(self, clientid: int, opid: OpId, obj: int) -> List[Send]:
+        """Start a remote read of obj at the symbol's tag vector: a pending
+        read holding this server's symbol, and a value inquiry to every
+        other server."""
+        tagvec = tuple(self.m_tagvec)
         symbols: List[Optional[Value]] = [None] * self.n
         symbols[self.id - 1] = self.m_val
-        self._readl_add(ReadLEntry(clientid, opid, obj, tuple(self.m_tagvec), symbols))
-        msg = ValInq(clientid, opid, obj, tuple(self.m_tagvec))
-        return [Send("server", j, msg) for j in self._other_servers()]
+        self._readl_add(ReadLEntry(clientid, opid, obj, tagvec, symbols))
+        msg = ValInq(clientid, opid, obj, tagvec)
+        return [Send("server", j, msg) for j in self._others]
 
     # -- server messages ---------------------------------------------------
 
@@ -354,11 +332,20 @@ class Server:
         msg = ValRespEncoded(resp_val, tuple(resp_tagvec), clientid, opid, obj, wantedtagvec)
         return [Send("server", frm, msg)]
 
+    def _answered_read(self, msg) -> Optional[ReadLEntry]:
+        """The pending read that a value response (``ValResp`` under causalec,
+        or ``ValRespEncoded``) answers: the entry its opid names, when the
+        client, the object and the requested tags match it too."""
+        entry = self.readl.get(msg.opid)
+        if (entry is None or entry.clientid != msg.clientid
+                or entry.obj != msg.obj or entry.tagvec != msg.requestedtags):
+            return None
+        return entry
+
     def on_val_resp(self, frm: int, msg: ValResp) -> List[Send]:
         if self.variant == CAUSAL:
-            entry = self.readl.get(msg.opid)
-            if (entry is None or entry.clientid != msg.clientid
-                    or entry.obj != msg.obj or entry.tagvec != msg.requestedtags):
+            entry = self._answered_read(msg)
+            if entry is None:
                 return []
             if entry.clientid == LOCALHOST:
                 self._l_insert(msg.obj, msg.requestedtags[msg.obj - 1], msg.value)
@@ -369,9 +356,8 @@ class Server:
             [e for e in self.readl.values() if e.obj == msg.obj], msg.value)
 
     def on_val_resp_encoded(self, frm: int, msg: ValRespEncoded) -> List[Send]:
-        entry = self.readl.get(msg.opid)
-        if (entry is None or entry.clientid != msg.clientid
-                or entry.obj != msg.obj or entry.tagvec != msg.requestedtags):
+        entry = self._answered_read(msg)
+        if entry is None:
             return []
         modified = msg.symbol
         zt, zv = self.zero_tag, self.zero_value
@@ -450,7 +436,6 @@ class Server:
         return True, self._answer_reads(served, item.value)
 
     def encoding(self) -> Tuple[bool, List[Send]]:
-        self._enc_due = False
         changed = False
         sends: List[Send] = []
         dirty, self._enc_dirty = self._enc_dirty, set()
@@ -467,27 +452,21 @@ class Server:
                     # the symbol's version is gone from L[X]: fetch it once
                     if not any(e.clientid == LOCALHOST and e.obj == x
                                and e.tagvec[x - 1] == mt for e in self.readl.values()):
-                        opid = self._next_internal_opid()
-                        symbols: List[Optional[Value]] = [None] * self.n
-                        symbols[self.id - 1] = self.m_val
-                        self._readl_add(
-                            ReadLEntry(LOCALHOST, opid, x, tuple(self.m_tagvec), symbols))
-                        msg = ValInq(LOCALHOST, opid, x, tuple(self.m_tagvec))
-                        sends += [Send("server", j, msg) for j in self._other_servers()]
+                        sends += self._fetch(LOCALHOST, self._next_internal_opid(), x)
                         changed = True
                     continue
                 self.m_val = self.code.reencode(self.id, x, self.m_val, old, hv)
-                dsts = [j for j in self._servers_with(x) if j != self.id]
+                dsts = [j for j in self._holders[x - 1] if j != self.id]
             else:
                 # the symbol does not depend on X: its tag follows the newest
                 # version every holder of X has deleted past
-                threshold = self._per_server_del_max(x, self._servers_with(x))
+                threshold = self._per_server_del_max(x, self._holders[x - 1])
                 newer = [] if threshold is None else [
                     t for t in self.L[x - 1] if mt < t <= threshold]
                 if not newer:
                     continue
                 ht = max(newer)
-                dsts = self._other_servers()
+                dsts = self._others
             # the re-mark rule: X's symbol tag is an input of both actions
             self.m_tagvec[x - 1] = ht
             self._enc_dirty.add(x)
@@ -514,7 +493,6 @@ class Server:
         return best
 
     def garbage_collection(self) -> Tuple[bool, List[Send]]:
-        self._gc_due = False
         changed = False
         sends: List[Send] = []
         all_servers = self._servers
@@ -523,11 +501,8 @@ class Server:
             new_tmax = self._per_server_del_max(x, all_servers)
             if new_tmax is None:
                 new_tmax = self.zero_tag
-            # each change below is due a confirming round, though a second
-            # visit to X finds nothing left to do
             if new_tmax != self.tmax[x - 1]:
                 self.tmax[x - 1] = new_tmax
-                self._gc_due = True
                 changed = True
             tmax = self.tmax[x - 1]
             mtag = self.m_tagvec[x - 1]
@@ -546,18 +521,19 @@ class Server:
                 for t in doomed:
                     if t not in protected:
                         del lx[t]
-                        self._enc_due = True
                         changed = True
             if x in self.objects_here:
-                max_u = self._per_server_del_max(x, self._servers_with(x))
+                max_u = self._per_server_del_max(x, self._holders[x - 1])
                 if max_u is not None and self._gc_del_sent[x - 1] != max_u:
                     # re-broadcasting the same notice forever would keep the
                     # run from quiescing; only a new max goes out
                     self._gc_del_sent[x - 1] = max_u
                     notice = Del(x, max_u)
-                    sends += [Send("server", j, notice) for j in self._other_servers()]
-                    self._gc_due = True
+                    sends += [Send("server", j, notice) for j in self._others]
                     changed = True
+        # a change is due a confirming round, though a second visit to each
+        # object finds nothing left to do
+        self.round_due |= changed
         return changed, sends
 
     # -- probes ---------------------------------------------------------------

@@ -7,13 +7,14 @@ the same channel never arrives earlier.  A halted server processes nothing
 further; messages addressed to it stay queued forever.
 
 Internal actions fire under a fairness policy: a served delivery is followed
-by an apply/encode/collect round at that server, servers that go unserved too
-long get a round forced, and once the event heap drains every live server is
-swept until no action changes state and nothing is in flight -- that fixed
-point is quiescence, and it is detected by forced rounds, not by timeouts.
-A round records all of its steps but calls only the actions that have work
-(``Server.can_apply``, ``can_encode``, ``can_collect``); the others would
-change nothing.  A run stops at its step cap, and is then not quiescent.
+by an apply/encode/collect round at that server (encode and collect only
+while ``Server.round_due`` is set), a server with no full round in the last
+``FAIRNESS_STEPS`` steps per server gets one forced, and once the event heap
+drains every live server is swept until no action changes state and nothing
+is in flight -- that fixed point is quiescence, and it is detected by forced
+rounds, not by timeouts.  A round records all of its steps but calls only
+the actions that have work (``Server.can_apply``, ``can_encode``,
+``can_collect``); the others would change nothing.  A run stops at its step cap, and is then not quiescent.
 Trace records stay structured; ``trace_lines`` writes them as JSON text.
 """
 
@@ -37,6 +38,7 @@ from .server import Send, Server
 from .tags import ProtocolInvariantViolation, Tag
 
 PROBE_CLIENT_BASE = 1_000_000
+FAIRNESS_STEPS = 8  # per server: the age of a last full round that forces one
 APPLY, ENCODE, GC = ("apply",), ("encode",), ("gc",)
 
 
@@ -233,7 +235,7 @@ class Simulation:
         self._next_fair_scan = 0
         self._fair_floor = 0  # no live server is due before this step count
         self._stopped = False  # a violation or the step cap ends the run
-        self.fairness = scenario.fairness_window()
+        self._fair_window = FAIRNESS_STEPS * self.n
         self.step_cap = scenario.step_cap
         for s, t in scenario.halts.items():
             self._push(t, "halt", s)
@@ -412,9 +414,10 @@ class Simulation:
     def _service_round(self, sid: int, force: bool = False) -> bool:
         """Apply-drain then encode and collect.  Unless forced, the encode
         and collect steps are taken only when the server's round is due
-        (``has_internal_work``); forced rounds certify quiescence and
-        fairness.  Each step whose action has no work is recorded without
-        calling the action, which would change nothing."""
+        (``Server.round_due``), which is cleared as the encode step begins;
+        forced rounds certify quiescence and fairness.  Each step whose
+        action has no work is recorded without calling the action, which
+        would change nothing."""
         if sid in self.halted or self._stopped:
             return False
         srv = self.servers[sid]
@@ -430,30 +433,29 @@ class Simulation:
             moved |= applied
             if not applied or self._stopped:
                 break
-        if self._stopped or not (force or srv.has_internal_work):
+        if self._stopped or not (force or srv.round_due):
             return moved
         if not recorded:
             self._record(name, APPLY, srv)
         self._last_full_round[sid] = self.steps
         if self._stopped:
             return moved
+        srv.round_due = False
         if srv.can_encode:
             moved |= self._act(srv, ENCODE, srv.encoding)
         else:
-            srv.skip("encoding")
             self._record(name, ENCODE, srv)
         if self._stopped:
             return moved
         if srv.can_collect:
             moved |= self._act(srv, GC, srv.garbage_collection)
         else:
-            srv.skip("garbage_collection")
             self._record(name, GC, srv)
         return moved
 
     def _fairness_rounds(self) -> None:
         """Called every 4 steps: force a round at each live server whose
-        last full round is ``fairness`` steps old.  ``_last_full_round``
+        last full round is ``_fair_window`` steps old.  ``_last_full_round``
         entries only rise and the live set only shrinks, so no server is due
         below the floor taken at the last scan, and the scan is skipped
         there."""
@@ -461,10 +463,10 @@ class Simulation:
         if self.steps < self._fair_floor:
             return
         due = [s for s, last in self._last_full_round.items()
-               if s not in self.halted and self.steps - last >= self.fairness]
+               if s not in self.halted and self.steps - last >= self._fair_window]
         for s in sorted(due):
             self._service_round(s, force=True)
-        self._fair_floor = self.fairness + min(
+        self._fair_floor = self._fair_window + min(
             (last for s, last in self._last_full_round.items() if s not in self.halted),
             default=self.step_cap)
 

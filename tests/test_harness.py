@@ -21,13 +21,12 @@ def test_parse_seeds():
     assert parse_seeds("0..3") == [0, 1, 2, 3]
 
 
-# each override once ran: a cap of 0 or -1 printed "[ok] transitions=0", a
-# negative fairness window ran, and an empty seed range ran nothing, all
-# with exit 0; a worker count of 0 or -2 ran serially, also with exit 0
+# each override once ran: a cap of 0 or -1 printed "[ok] transitions=0" and
+# an empty seed range ran nothing, both with exit 0; a worker count of 0 or
+# -2 ran serially, also with exit 0
 @pytest.mark.parametrize("flag,value", [
     ("--step-cap", "0"), ("--step-cap", "-1"), ("--step-cap", "x"),
-    ("--fairness", "-3"), ("--seeds", "5..2"),
-    ("--workers", "0"), ("--workers", "-2")])
+    ("--seeds", "5..2"), ("--workers", "0"), ("--workers", "-2")])
 def test_out_of_range_override_exits_two(scenario_dir, capsys, flag, value):
     with pytest.raises(SystemExit) as exc:
         main(["run", str(scenario_dir / "fig1.json"), flag, value])
@@ -37,9 +36,17 @@ def test_out_of_range_override_exits_two(scenario_dir, capsys, flag, value):
 
 def test_in_range_overrides_run(scenario_dir, capsys):
     rc = main(["run", str(scenario_dir / "fig1.json"), "--seeds", "3..3",
-               "--fairness", "0", "--step-cap", "1"])
+               "--step-cap", "1"])
     assert rc == 1  # the cap stops the run before it quiesces
     assert "seed    3 [FAIL] " in capsys.readouterr().out
+
+
+def test_fairness_flag_is_gone(scenario_dir, capsys):
+    # the fairness window is fixed at 8 steps per server
+    with pytest.raises(SystemExit) as exc:
+        main(["run", str(scenario_dir / "fig1.json"), "--fairness", "5"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --fairness" in capsys.readouterr().err
 
 
 def test_scenarios_emits_all_bundled_files(scenario_dir):

@@ -51,7 +51,8 @@ def test_code_leaf_edits_load_or_name_the_code(edits):
     assert code.encode([zero] * code.k) == [zero] * code.n
 
 
-# Every top-level field the loader reads; fig1's document leaves out the last two.
+# Every top-level field the loader reads (fig1's document lacks channel_extra),
+# plus fairness, an unknown field that the loader rejects.
 TOP_LEVEL = sorted(builtin.fig1_scenario_doc()) + ["channel_extra", "fairness"]
 DELETE = object()
 

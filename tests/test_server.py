@@ -384,6 +384,22 @@ class TestValResp:
         msg = ValResp(1, (4,), 9, (9, 1), (zero_tag(3),))
         assert srv.on_val_resp(2, msg) == []
 
+    @pytest.mark.parametrize("part", ["opid", "clientid", "obj", "requestedtags"])
+    def test_both_responses_match_the_pending_read_alike(self, part):
+        # a plain or a coded response answers the entry its opid names only
+        # when the client, object and requested tags match it too
+        srv = Server(3, fig1())
+        zt = zero_tag(5)
+        srv._readl_add(ReadLEntry(9, (9, 1), 3, (zt,) * 3, [None] * 5))
+        right = {"opid": (9, 1), "clientid": 9, "obj": 3, "requestedtags": (zt,) * 3}
+        wrong = dict(right, **{part: {"opid": (9, 2), "clientid": 8, "obj": 2,
+                                      "requestedtags": (zt, tag([0, 1, 0, 0, 0], 2), zt)}[part]})
+        assert srv.on_val_resp(2, ValResp(value=(4,), **wrong)) == []
+        assert srv.on_val_resp_encoded(4, ValRespEncoded((4,), (zt,) * 3, **wrong)) == []
+        assert srv.readl[9, 1].symbols == [None, None, None, None, None]
+        sends = srv.on_val_resp(2, ValResp(value=(4,), **right))
+        assert sends_of(ReadReturn, sends) and not srv.readl
+
 
 class TestEncoding:
     def test_reencode_in_place_when_old_version_present(self):
@@ -514,7 +530,7 @@ class FullSweepTwin(Server):
         self.seen["partial"] += len(dirty) < self.k  # the work set left some object out
         result = action(self)
         if result[0]:
-            assert self.has_internal_work
+            assert self.round_due
         twin = full_sweep_copy(self)
         assert action(twin) == (False, [])
         for name in self.STATE:
@@ -605,7 +621,7 @@ class UnmovedTwin(Server):
         everyone = range(1, self.n + 1)
         mt = self.m_tagvec[obj - 1]
         return (self._per_server_del_max(obj, everyone),
-                self._per_server_del_max(obj, self._servers_with(obj)),
+                self._per_server_del_max(obj, self._holders[obj - 1]),
                 all((mt, i) in self.dell[obj - 1] for i in everyone))
 
     def _skip_is_exact(self, predicate, action):
@@ -740,35 +756,35 @@ class TestUnmovedSteps:
 
 
 class TestRoundSchedule:
-    """``has_internal_work`` keeps the round schedule of trace format v1:
-    a change that used to mark an object still makes a round due, even when
-    it leaves both work sets empty."""
+    """``round_due`` keeps the round schedule of trace format v1: a change
+    that used to mark an object still makes a round due, even when it leaves
+    both work sets empty.  Rounds are driven as the simulator drives them:
+    the flag is cleared, then ``encoding`` and ``garbage_collection`` run."""
 
     @staticmethod
-    def settled(sid):
+    def round(srv):
+        srv.round_due = False
+        return srv.encoding(), srv.garbage_collection()
+
+    def settled(self, sid):
         srv = Server(sid, fig1())
-        srv.encoding()
-        srv.garbage_collection()
-        assert not srv.has_internal_work
+        self.round(srv)
+        assert not srv.round_due
         return srv
+
+    def drained(self, srv):
+        while srv.round_due:
+            self.round(srv)
+        assert not srv._enc_dirty and not srv._gc_dirty
 
     def test_remote_read_is_due_with_empty_work_sets(self):
         srv = self.settled(1)  # server 1 stores X1 only
         srv.L[1].clear()  # X2's history drained: the read must go remote
         assert sends_of(ValInq, srv.on_read(9, (9, 1), 2))
         assert not srv._enc_dirty and not srv._gc_dirty
-        assert srv.has_internal_work
-        assert srv.encoding() == (False, [])
-        assert srv.has_internal_work, "garbage collection is still due"
-        assert srv.garbage_collection() == (False, [])
-        assert not srv.has_internal_work
-
-    @staticmethod
-    def drained(srv):
-        while srv.has_internal_work:
-            srv.encoding()
-            srv.garbage_collection()
-        assert not srv._enc_dirty and not srv._gc_dirty
+        assert srv.round_due
+        assert self.round(srv) == ((False, []), (False, []))
+        assert not srv.round_due
 
     def test_notice_raising_a_non_minimal_entry_is_due_with_empty_work_sets(self):
         srv = self.settled(2)  # server 2 stores X2, held at servers 2, 3 and 4
@@ -783,7 +799,7 @@ class TestRoundSchedule:
         for newer in (t2, t3):
             srv.on_del(3, 2, newer)
             assert not srv._enc_dirty and not srv._gc_dirty
-            assert srv.has_internal_work
+            assert srv.round_due
             self.drained(srv)
 
     def test_read_removal_at_or_above_the_symbol_is_due_with_empty_work_sets(self):
@@ -796,7 +812,7 @@ class TestRoundSchedule:
         sends = srv.on_val_resp(2, ValResp(2, (5,), 9, (9, 1), entry.tagvec))
         assert sends_of(ReadReturn, sends) and not srv.readl
         assert not srv._enc_dirty and not srv._gc_dirty
-        assert srv.has_internal_work
+        assert srv.round_due
 
     def test_not_ready_apply_is_due_with_empty_work_sets(self):
         srv = self.settled(1)
@@ -804,21 +820,18 @@ class TestRoundSchedule:
         srv.on_del(3, 2, tag([0, 0, 1, 0, 0], 3))  # X2 still lacks holder 4's notice
         assert srv.apply_inqueue() == (False, []) and not srv.can_apply
         assert not srv._enc_dirty and not srv._gc_dirty
-        assert srv.has_internal_work
+        assert srv.round_due
         self.drained(srv)
         assert not srv.can_apply and srv.apply_inqueue() == (False, [])
 
     def test_notice_on_held_object_is_due_with_empty_work_sets(self):
         srv = self.settled(2)  # server 2 stores X2
         srv.on_del(3, 2, tag([0, 0, 2, 0, 0], 3))
-        srv.encoding()
-        srv.garbage_collection()
-        assert not srv.has_internal_work
+        self.round(srv)
+        assert not srv.round_due
         # older than server 3's last notice and not the symbol's tag
         srv.on_del(3, 2, tag([0, 0, 1, 0, 0], 3))
         assert not srv._enc_dirty and not srv._gc_dirty
-        assert srv.has_internal_work
-        assert srv.encoding() == (False, [])
-        assert srv.has_internal_work, "garbage collection is still due"
-        assert srv.garbage_collection() == (False, [])
-        assert not srv.has_internal_work
+        assert srv.round_due
+        assert self.round(srv) == ((False, []), (False, []))
+        assert not srv.round_due

@@ -30,7 +30,7 @@ from causalec.latency import (
 from causalec.messages import App
 from causalec.scenarios import ClientSpec, Scenario, ScriptOp, scenario_from_json
 from causalec.server import VARIANTS
-from causalec.simnet import run
+from causalec.simnet import FAIRNESS_STEPS, Simulation, run
 from causalec.tags import Tag
 
 
@@ -305,16 +305,54 @@ class TestQuiescence:
         r = run(sc, seed=0)
         assert not r.quiescent
 
-    @pytest.mark.parametrize("fairness", [None, 0])
     @pytest.mark.parametrize("cap", [1, 7, 50])
-    def test_step_cap_is_never_passed(self, cap, fairness):
+    def test_step_cap_is_never_passed(self, cap):
         # rounds that follow one event stop at the cap too, not only the
         # checks between events and between sweeps
         sc = scenario_from_json(fig1_scenario_doc())
-        sc.step_cap, sc.fairness = cap, fairness
+        sc.step_cap = cap
         r = run(sc, seed=3, probes=True)
         assert not r.quiescent
         assert r.transitions == len(r.trace) <= cap
+
+    @pytest.fixture
+    def forced_rounds(self, monkeypatch):
+        """``(kind, steps before, steps after)`` per forced round that took a
+        step: kind ``fairness`` when the fairness scan forced it, ``sweep``
+        when a quiescence sweep did."""
+        rounds, scanning = [], []
+        scan, service = Simulation._fairness_rounds, Simulation._service_round
+
+        def fairness_rounds(sim):
+            scanning.append(True)
+            scan(sim)
+            scanning.pop()
+
+        def service_round(sim, sid, force=False):
+            before = sim.steps
+            moved = service(sim, sid, force)
+            if force and sim.steps > before:
+                rounds.append(("fairness" if scanning else "sweep", before, sim.steps))
+            return moved
+
+        monkeypatch.setattr(Simulation, "_fairness_rounds", fairness_rounds)
+        monkeypatch.setattr(Simulation, "_service_round", service_round)
+        return rounds
+
+    @pytest.mark.parametrize("kind", ["fairness", "sweep"])
+    def test_step_cap_stops_a_forced_round(self, forced_rounds, kind):
+        # the cap lands between the encode and collect steps of the first
+        # round of that kind, and the collect step is never taken
+        sc = scenario_from_json(fig1_scenario_doc())
+        run(sc, seed=3, probes=True)
+        before = next(b for k, b, _ in forced_rounds if k == kind)
+        forced_rounds.clear()
+        sc.step_cap = before + 2
+        r = run(sc, seed=3, probes=True)
+        assert not r.quiescent
+        assert r.transitions == len(r.trace) == sc.step_cap
+        assert forced_rounds[-1] == (kind, before, sc.step_cap)
+        assert r.trace[-1].event == ("encode",)
 
 
 class TestFairness:
@@ -323,7 +361,7 @@ class TestFairness:
         doc["workload"]["ops"] = 30
         sc = scenario_from_json(doc)
         r = run(sc, seed=1, collect_trace=True)
-        window = 2 * sc.fairness_window()
+        window = 2 * FAIRNESS_STEPS * sc.code.n
         for sid in range(1, 6):
             node = f"s{sid}"
             for action in ("apply", "encode", "gc"):
