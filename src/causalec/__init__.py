@@ -8,6 +8,8 @@ trace checkers verify causal consistency, convergence, storage, and the
 state invariants on every run.
 """
 
+from types import ModuleType as _Module
+
 from .checker import (
     Verdict,
     all_passed,
@@ -34,41 +36,6 @@ from .server import CAUSAL, EVENTUAL, Server
 from .simnet import RunResult, Simulation, run
 from .tags import LOCALHOST, ProtocolInvariantViolation, Tag, vc_compare, zero_tag
 
-__all__ = [
-    "CAUSAL",
-    "Client",
-    "ClientSpec",
-    "EVENTUAL",
-    "LOCALHOST",
-    "LatencyGraph",
-    "LatencyReport",
-    "LinearCode",
-    "PrimeField",
-    "ProtocolInvariantViolation",
-    "RandomWorkload",
-    "RecoverySet",
-    "ReplicationReport",
-    "RunResult",
-    "Scenario",
-    "ScenarioError",
-    "Server",
-    "Simulation",
-    "Tag",
-    "Value",
-    "Verdict",
-    "WellFormednessError",
-    "all_passed",
-    "analyze_latency",
-    "check_all",
-    "check_causal",
-    "check_eventual",
-    "check_locality_and_liveness",
-    "check_storage",
-    "probe_invariants",
-    "replication_baseline",
-    "revalidate_witness",
-    "run",
-    "scenario_from_json",
-    "vc_compare",
-    "zero_tag",
-]
+# the public names are the ones imported above; the submodules are not among them
+__all__ = sorted(name for name, value in globals().items()
+                 if not name.startswith("_") and not isinstance(value, _Module))

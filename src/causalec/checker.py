@@ -21,11 +21,12 @@ timestamps (the proof is in its docstring).
 The remaining checks cover convergence (probe reads after quiescence all
 return the newest write), storage (history lists and queues drain to exactly
 one codeword symbol per server), and write locality and read liveness under
-the halting hypothesis.  Each run fact has one record, kept by the layer
-that sees it.  The simulator checks the per-transition state invariants
-inline (``Server.check_invariants``, and handler raises such as a set error
-flag), stops the run at the violating transition and keeps the violations,
-which ``probe_invariants`` reports.  It re-checks a server only when the
+the halting hypothesis; convergence and storage take their writes from the
+stamped write records in ``RunResult.ops``.  Each run fact has one record,
+kept by the layer that sees it.  The simulator checks the per-transition
+state invariants inline (``Server.check_invariants``, and handler raises
+such as a set error flag), stops the run at the violating transition and
+keeps the violations, which ``probe_invariants`` reports.  It re-checks a server only when the
 server's snapshot ``(vc, m_tagvec, tmax, m_val)`` changed, and the symbol
 check compares against a per-server encoding memo on every call.  It
 counts write-locality breaks, which only ``check_locality_and_liveness``
@@ -38,8 +39,8 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
 from .field import Value
-from .simnet import OperationRecord, RunResult, max_tag_write_value
-from .tags import EQ, LT, vc_compare
+from .simnet import OperationRecord, RunResult
+from .tags import EQ, LT, Tag, vc_compare
 
 VC = Tuple[int, ...]
 
@@ -189,6 +190,19 @@ def revalidate_witness(result: RunResult, witness: dict) -> bool:
     return False
 
 
+def stamped_writes(result: RunResult) -> List[OperationRecord]:
+    """The writes a home server took: those stamped with its clock.  A
+    write's tag is ``Tag(op.ts, op.client)``, the tag the server gave it."""
+    return [op for op in result.ops.values() if op.kind == "write" and op.ts is not None]
+
+
+def newest_writes(result: RunResult) -> Dict[int, Value]:
+    """Per written object, the value of its newest write: the last one in
+    tag order."""
+    return {op.obj: op.value
+            for op in sorted(stamped_writes(result), key=lambda op: Tag(op.ts, op.client))}
+
+
 def check_eventual(result: RunResult) -> Verdict:
     """After quiescence, every probe read of an object returns the newest write."""
     if result.halted:
@@ -204,9 +218,10 @@ def check_eventual(result: RunResult) -> Verdict:
         return Verdict("eventual", False, inconclusive=True,
                        details={"reason": "no probe reads were issued"})
     zero = result.servers[1].code.zero_value()
+    newest = newest_writes(result)
     mismatches = []
     for s, obj, got in probes:
-        want = max_tag_write_value(result, obj, zero)
+        want = newest.get(obj, zero)
         if got != want:
             mismatches.append({"server": s, "object": obj, "got": got, "want": want})
     return Verdict("eventual", not mismatches, details={"mismatches": mismatches})
@@ -219,7 +234,7 @@ def storage_accounting(result: RunResult) -> List[dict]:
     zero-tagged zero value) forever -- no delete notice can ever cover the
     zero tag -- so those entries are tallied separately from real history.
     """
-    written = {obj for (obj, _v) in result.write_registry.values()}
+    written = {op.obj for op in stamped_writes(result)}
     rows = []
     for sid, srv in sorted(result.servers.items()):
         zt = srv.zero_tag
@@ -255,7 +270,7 @@ def check_storage(result: RunResult) -> Verdict:
         return Verdict("storage", False, inconclusive=True,
                        details={"reason": "run did not quiesce"})
     code = result.servers[1].code
-    writes = len(result.write_registry)
+    writes = len(stamped_writes(result))
     rows = storage_accounting(result)
     meta_bound = 2 * code.n * (writes + code.k + 2) * (code.n + 2) \
         + code.n + 2 * code.k * (code.n + 1)

@@ -196,17 +196,6 @@ class LinearCode:
         return RecoverySet(object=obj, members=frozenset(members),
                            decode_coeffs={s: a[s - 1] for s in members})
 
-    def singleton_recovery(self, server: int, obj: int) -> Optional[RecoverySet]:
-        """Recovery set {server} for obj, if the object is locally decodable."""
-        row = self.coeffs[server - 1]
-        if any(c for k, c in enumerate(row) if k != obj - 1) or not row[obj - 1]:
-            return None
-        return RecoverySet(
-            object=obj,
-            members=frozenset([server]),
-            decode_coeffs={server: self.field.inv(row[obj - 1])},
-        )
-
     def minimal_recovery_sets(self, obj: int) -> Tuple[RecoverySet, ...]:
         """All inclusion-minimal recovery sets for ``obj``, by size then members.
 

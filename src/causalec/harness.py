@@ -50,9 +50,9 @@ def random_code(rng: random.Random, n: int, k: int, p: int = 7) -> LinearCode:
         return code
 
 
-def fuzz_scenario(seed: int, halt_probability: float = 0.4) -> Scenario:
-    """A small randomized system: dimensions, code, delays, workload, and an
-    optional single-server halt all derive from the seed."""
+def fuzz_scenario(seed: int) -> Scenario:
+    """A small randomized system: dimensions, code, delays, workload, and a
+    single-server halt in 40% of systems all derive from the seed."""
     rng = random.Random(0xFC2 ^ (seed * 0x9E3779B1))
     n = rng.randint(2, 5)
     k = rng.randint(1, min(3, n))  # recoverability needs row rank >= k
@@ -63,7 +63,7 @@ def fuzz_scenario(seed: int, halt_probability: float = 0.4) -> Scenario:
     n_clients = rng.randint(1, 4)
     clients = [ClientSpec(cid, rng.randint(1, n)) for cid in range(1, n_clients + 1)]
     halts = {}
-    if rng.random() < halt_probability:
+    if rng.random() < 0.4:
         halts[rng.randint(1, n)] = rng.randint(0, 40_000)
     return Scenario(
         name=f"fuzz-{seed}",
@@ -81,11 +81,10 @@ def fuzz_scenario(seed: int, halt_probability: float = 0.4) -> Scenario:
     )
 
 
-def fuzz_run(seed: int, protocol: str = CAUSAL,
-             collect_trace: bool = False) -> Tuple[RunResult, List[Verdict]]:
-    scenario = fuzz_scenario(seed)
-    result = run_scenario(scenario, seed, protocol=protocol,
-                          collect_trace=collect_trace, probes=True)
+def fuzz_run(seed: int, protocol: str = CAUSAL) -> Tuple[RunResult, List[Verdict]]:
+    """One probed, untraced run of ``fuzz_scenario(seed)`` and its verdicts."""
+    result = run_scenario(fuzz_scenario(seed), seed, protocol=protocol,
+                          collect_trace=False, probes=True)
     return result, check_all(result)
 
 

@@ -4,7 +4,10 @@ A scenario bundles the code, the latency graph, the protocol variant, the
 client population with their home servers, a workload (a fixed script or a
 seeded random generator), message-delay behaviour, a halt schedule, and the
 step cap.  Validation errors name the offending field path, an unknown
-top-level field included, so the CLI can report them usefully.
+field at any level included, so the CLI can report them usefully.  The
+scenario owns the delay model: it validates ``delays`` however it was
+built, and ``Scenario.channel_delays`` gives the per-channel tick bounds the
+simulator draws from.
 """
 
 from __future__ import annotations
@@ -20,12 +23,17 @@ from .latency import LatencyGraph, to_ms
 from .server import CAUSAL, VARIANTS
 
 DEFAULT_STEP_CAP = 500_000
-# jittered and uniform delays are drawn with float arithmetic on tick counts;
-# these bounds keep every product finite
+# jittered delays are computed with float arithmetic on tick counts; these
+# bounds keep every product finite, and uniform bounds share the edge limit
 MAX_LATENCY = 1e300
 MAX_JITTER = 1e5
 TOP_LEVEL_FIELDS = frozenset(["name", "code", "latency_graph", "protocol", "clients",
                               "workload", "delays", "halts", "channel_extra", "step_cap"])
+# per kind, the fields a ``workload`` or ``delays`` object may have
+WORKLOAD_FIELDS = {"random": frozenset(["kind", "ops", "read_fraction", "think_ms"]),
+                   "script": frozenset(["kind", "ops"])}
+DELAY_FIELDS = {"graph": frozenset(["kind"]), "jitter": frozenset(["kind", "factor"]),
+                "uniform": frozenset(["kind", "min", "max"])}
 
 
 class ScenarioError(ValueError):
@@ -95,6 +103,43 @@ class Scenario:
                     f"channel_extra: channel {src}->{dst} out of range 1..{self.code.n}")
         if self.random_workload is not None and not self.clients:
             raise ScenarioError("clients: random workload needs at least one client")
+        self._delay_model = self._check_delays()
+
+    def _check_delays(self) -> Tuple[str, float, int, int]:
+        """Validate ``delays``: its kind, a jitter factor, and uniform bounds
+        in ticks."""
+        kind = _kind_object(self.delays, "delays", DELAY_FIELDS)
+        factor, low, high = 1.0, 0, 0
+        if kind == "jitter":
+            factor = _number(self.delays.get("factor", 1), "delays.factor", 1, MAX_JITTER)
+        elif kind == "uniform":
+            raw_max = self.delays.get("max", 1)
+            low = _ticks(self.delays.get("min", 0), "delays.min", MAX_LATENCY)
+            high = _ticks(raw_max, "delays.max", MAX_LATENCY)
+            if high < low:
+                raise ScenarioError(f"delays.max: must be >= delays.min, got {raw_max!r}")
+        return kind, factor, low, high
+
+    def channel_delays(self) -> Tuple[bool, Dict[Tuple[int, int], Tuple[int, int]]]:
+        """Whether each server message draws its delay (every kind but
+        ``graph``) and, per server channel, the delay bounds in ticks with
+        the channel's fixed extra delay added.  Built for each simulation
+        rather than kept, so a scenario holds no per-channel table."""
+        kind, factor, low, high = self._delay_model
+        bounds = {}
+        servers = range(1, self.code.n + 1)
+        for src in servers:
+            for dst in servers:
+                base = self.graph.delay_ms(src, dst)
+                if kind == "graph":
+                    lo = hi = base
+                elif kind == "jitter":
+                    lo, hi = base, max(base, int(base * factor))
+                else:
+                    lo, hi = low, high
+                extra = self.channel_extra_ms.get((src, dst), 0)
+                bounds[src, dst] = (lo + extra, hi + extra)
+        return kind != "graph", bounds
 
     # -- workload materialisation -------------------------------------------
 
@@ -155,13 +200,35 @@ def _list(raw, path: str) -> list:
     return raw
 
 
-def _ticks(raw, path: str) -> int:
-    """A non-negative time in latency units, as integer ticks."""
-    x = _number(raw, path)
+def _ticks(raw, path: str, high: float = float("inf")) -> int:
+    """A time in latency units, in 0..high, as integer ticks."""
+    x = _number(raw, path, high=high)
     try:
         return to_ms(x)
     except (ArithmeticError, ValueError) as e:  # too fine, or infinite
         raise ScenarioError(f"{path}: {e}") from e
+
+
+def _object(raw, path: str, fields) -> dict:
+    """A JSON object with no field outside ``fields``: a misspelt field
+    must not leave its default in place unnoticed."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{path}: must be an object, got {raw!r}")
+    for key in raw:
+        if key not in fields:
+            raise ScenarioError(f"{path + '.' if path else ''}{key}: unknown field")
+    return raw
+
+
+def _kind_object(raw, path: str, kinds: dict) -> str:
+    """The kind of an object whose ``kind`` field picks the fields it may have."""
+    if not isinstance(raw, dict):
+        raise ScenarioError(f"{path}: must be an object, got {raw!r}")
+    kind = raw.get("kind")
+    if not isinstance(kind, str) or kind not in kinds:
+        raise ScenarioError(f"{path}.kind: unknown kind {kind!r}")
+    _object(raw, path, kinds[kind])
+    return kind
 
 
 def scenario_from_json(doc) -> Scenario:
@@ -172,15 +239,9 @@ def scenario_from_json(doc) -> Scenario:
         except json.JSONDecodeError:
             with open(doc) as fh:
                 doc = json.load(fh)
-    if not isinstance(doc, dict):
-        raise ScenarioError(": scenario must be a JSON object")
-    for key in doc:
-        if key not in TOP_LEVEL_FIELDS:
-            raise ScenarioError(f"{key}: unknown field")
+    _object(doc, "", TOP_LEVEL_FIELDS)
 
-    code_doc = _expect(doc, "code", "")
-    if not isinstance(code_doc, dict):
-        raise ScenarioError("code: must be a JSON object")
+    code_doc = _object(_expect(doc, "code", ""), "code", {"field_p", "value_len", "coeffs"})
     try:
         code = LinearCode.from_json(code_doc)
     except ValueError as e:
@@ -190,9 +251,7 @@ def scenario_from_json(doc) -> Scenario:
     except ValueError as e:
         raise ScenarioError(f"code: {e}") from e
 
-    graph_doc = _expect(doc, "latency_graph", "")
-    if not isinstance(graph_doc, dict):
-        raise ScenarioError(f"latency_graph: must be an object, got {graph_doc!r}")
+    graph_doc = _object(_expect(doc, "latency_graph", ""), "latency_graph", {"n", "edges"})
     n = _integer(_expect(graph_doc, "n", "latency_graph."), "latency_graph.n", 1)
     weights = {}
     edges = _list(_expect(graph_doc, "edges", "latency_graph."), "latency_graph.edges")
@@ -209,18 +268,16 @@ def scenario_from_json(doc) -> Scenario:
 
     clients = []
     for i, c in enumerate(_list(doc.get("clients", []), "clients")):
-        if not isinstance(c, dict) or "id" not in c or "home" not in c:
-            raise ScenarioError(f"clients[{i}]: needs fields 'id' and 'home'")
-        clients.append(ClientSpec(_integer(c["id"], f"clients[{i}].id", 1),
-                                  _integer(c["home"], f"clients[{i}].home", 1)))
+        path = f"clients[{i}]"
+        _object(c, path, {"id", "home"})
+        clients.append(ClientSpec(_integer(_expect(c, "id", path + "."), path + ".id", 1),
+                                  _integer(_expect(c, "home", path + "."), path + ".home", 1)))
 
     random_workload = None
     scripts: Dict[int, List[ScriptOp]] = {}
     w = doc.get("workload")
     if w is not None:
-        if not isinstance(w, dict):
-            raise ScenarioError(f"workload: must be an object, got {w!r}")
-        kind = _expect(w, "kind", "workload.")
+        kind = _kind_object(w, "workload", WORKLOAD_FIELDS)
         if kind == "random":
             ops = _expect(w, "ops", "workload.")
             if type(ops) is not int or ops < 0:
@@ -236,14 +293,12 @@ def scenario_from_json(doc) -> Scenario:
                                       "workload.read_fraction", 0, 1),
                 think_ms=(low, high),
             )
-        elif kind == "script":
+        else:
             for i, op in enumerate(_list(_expect(w, "ops", "workload."), "workload.ops")):
                 path = f"workload.ops[{i}]"
-                if not isinstance(op, dict):
-                    raise ScenarioError(f"{path}: must be an object")
+                _object(op, path, {"time", "client", "op", "object", "value"})
                 for fld in ("client", "op", "object"):
-                    if fld not in op:
-                        raise ScenarioError(f"{path}.{fld}: missing required field")
+                    _expect(op, fld, path + ".")
                 kind_op = op["op"]
                 if kind_op not in ("read", "write"):
                     raise ScenarioError(f"{path}.op: must be 'read' or 'write'")
@@ -262,37 +317,22 @@ def scenario_from_json(doc) -> Scenario:
                 scripts.setdefault(_integer(op["client"], f"{path}.client", 1), []).append(
                     ScriptOp(_ticks(op.get("time", 0), f"{path}.time"), kind_op,
                              _integer(op["object"], f"{path}.object", 1, code.k), value))
-        else:
-            raise ScenarioError(f"workload.kind: unknown kind {kind!r}")
-
-    delays = doc.get("delays", {"kind": "graph"})
-    if not isinstance(delays, dict):
-        raise ScenarioError(f"delays: must be an object, got {delays!r}")
-    if delays.get("kind") not in ("graph", "jitter", "uniform"):
-        raise ScenarioError(f"delays.kind: unknown kind {delays.get('kind')!r}")
-    if delays.get("kind") == "jitter":
-        _number(delays.get("factor", 1), "delays.factor", 1, MAX_JITTER)
-    elif delays.get("kind") == "uniform":
-        _number(delays.get("max", 1), "delays.max",
-                _number(delays.get("min", 0), "delays.min", high=MAX_LATENCY), MAX_LATENCY)
 
     halts = {}
     for i, h in enumerate(_list(doc.get("halts", []), "halts")):
-        if not isinstance(h, dict) or "server" not in h or "time" not in h:
-            raise ScenarioError(f"halts[{i}]: needs fields 'server' and 'time'")
-        srv = _integer(h["server"], f"halts[{i}].server", 1, code.n)
+        path = f"halts[{i}]"
+        _object(h, path, {"server", "time"})
+        srv = _integer(_expect(h, "server", path + "."), path + ".server", 1, code.n)
         if srv in halts:
-            raise ScenarioError(f"halts[{i}].server: server {srv} already halts")
-        halts[srv] = _ticks(h["time"], f"halts[{i}].time")
+            raise ScenarioError(f"{path}.server: server {srv} already halts")
+        halts[srv] = _ticks(_expect(h, "time", path + "."), path + ".time")
 
     extra = {}
     for i, e in enumerate(_list(doc.get("channel_extra", []), "channel_extra")):
         path = f"channel_extra[{i}]"
-        if not isinstance(e, dict):
-            raise ScenarioError(f"{path}: needs fields 'from', 'to' and 'extra'")
+        _object(e, path, {"from", "to", "extra"})
         for fld in ("from", "to", "extra"):
-            if fld not in e:
-                raise ScenarioError(f"{path}.{fld}: missing required field")
+            _expect(e, fld, path + ".")
         chan = (_integer(e["from"], f"{path}.from", 1, code.n),
                 _integer(e["to"], f"{path}.to", 1, code.n))
         if chan in extra:
@@ -311,7 +351,7 @@ def scenario_from_json(doc) -> Scenario:
         clients=clients,
         random_workload=random_workload,
         scripts=scripts,
-        delays=delays,
+        delays=doc.get("delays", {"kind": "graph"}),
         halts=halts,
         channel_extra_ms=extra,
         step_cap=_integer(doc.get("step_cap", DEFAULT_STEP_CAP), "step_cap", 1),

@@ -143,10 +143,6 @@ class Server:
         self._gc_dirty = set(self.object_indices())
         self._apply_dirty = False
         self.round_due = True
-        # the paper's per-object error flags provably stay 0, and a flag that
-        # would be set raises instead; the trace format keeps their two digest
-        # slots, all zero, until ROADMAP item 4's re-bless
-        self._zero_flags = (0,) * self.k
 
     # -- small helpers -----------------------------------------------------
 
@@ -266,11 +262,13 @@ class Server:
             ht, hv = highest
             if self.variant == EVENTUAL or self.m_tagvec[obj - 1] <= ht:
                 return [Send("client", clientid, ReadReturn(opid, hv))]
-        rs = self.code.singleton_recovery(self.id, obj)
-        if rs is not None:
-            v = self.code.decode(obj, rs, {self.id: self.m_val})
-            self.notes.append(("decoded", obj, (self.id,), opid))
-            return [Send("client", clientid, ReadReturn(opid, v))]
+        for rs in self.code.minimal_recovery_sets(obj):  # by size: singletons first
+            if len(rs.members) > 1:
+                break
+            if self.id in rs.members:  # this symbol decodes obj alone
+                v = self.code.decode(obj, rs, {self.id: self.m_val})
+                self.notes.append(("decoded", obj, (self.id,), opid))
+                return [Send("client", clientid, ReadReturn(opid, v))]
         return self._fetch(clientid, opid, obj)
 
     def _fetch(self, clientid: int, opid: OpId, obj: int) -> List[Send]:
@@ -576,17 +574,14 @@ class Server:
 
     def digest(self) -> tuple:
         """Compact per-transition snapshot used by traces:
-        ``(vc, m_tagvec, history sizes, flags, flags, tmax, inqueue size,
-        pending reads)``, where both error-flag slots hold the all-zero
-        K-tuple.  It holds only tuples of ints and (immutable)
-        ``Tag`` objects, so it stays valid after the server moves on; tags
-        are rendered as text only when the trace is serialised."""
+        ``(vc, m_tagvec, history sizes, tmax, inqueue size, pending
+        reads)``.  It holds only tuples of ints and (immutable) ``Tag``
+        objects, so it stays valid after the server moves on; tags are
+        rendered as text only when the trace is serialised."""
         return (
             tuple(self.vc),
             tuple(self.m_tagvec),
             tuple(map(len, self.L)),
-            self._zero_flags,
-            self._zero_flags,
             tuple(self.tmax),
             sum(map(len, self.inqueue.values())),
             len(self.readl),

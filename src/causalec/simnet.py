@@ -96,7 +96,12 @@ def trace_lines(trace: Sequence[TraceRecord]) -> Iterator[str]:
     its object, so the id is not reused); the time text per change of
     ``t``; and, for a record with no sends, no notes and a non-``recv``
     event, the text between the digest and ``seq`` per (event, node).  Node
-    names and send kinds are plain words, written without escaping."""
+    names and send kinds are plain words, written without escaping.
+
+    Trace format v1 has two per-object error-flag slots after the history
+    sizes of each digest.  The paper's flags provably stay 0 (a flag that
+    would be set raises instead), so they are written here as all-zero
+    K-tuples and are not part of ``Server.digest()``."""
     ints = functools.cache(lambda v: f"[{','.join(map(str, v))}]")
     tag = functools.cache(lambda t: f'"{t.render()}"')
     tags = functools.cache(lambda v: f"[{','.join(map(tag, v))}]")
@@ -109,9 +114,10 @@ def trace_lines(trace: Sequence[TraceRecord]) -> Iterator[str]:
     def digest(d: Optional[tuple]) -> str:
         hit = digests.get(id(d))
         if hit is None:
-            vc, tagvec, lsizes, err1, err2, tmax, inq, readl = d
+            vc, tagvec, lsizes, tmax, inq, readl = d
+            flags = ints((0,) * len(tagvec))
             hit = digests[id(d)] = (d, f"[{ints(vc)},{tags(tagvec)},{ints(lsizes)},"
-                                       f"{ints(err1)},{ints(err2)},{tags(tmax)},{inq},{readl}]")
+                                       f"{flags},{flags},{tags(tmax)},{inq},{readl}]")
         return hit[1]
 
     def field(v) -> str:  # None, int, Tag, or a tuple of tags or of ints
@@ -160,7 +166,6 @@ class RunResult:
     pending_opids: List[OpId]
     halted: List[int]
     servers: Dict[int, Server]
-    write_registry: Dict[Tag, Tuple[int, Value]]
     client_homes: Dict[int, int]
 
     def trace_jsonl(self) -> str:
@@ -192,9 +197,9 @@ class Simulation:
         self.code = scenario.code
         self.n = scenario.code.n
         self.rng = random.Random(0xD15C ^ (seed * 7919))
-        self.write_registry: Dict[Tag, Tuple[int, Value]] = {}
+        registry: Dict[Tag, Tuple[int, Value]] = {}  # for the servers' probes
         self.servers: Dict[int, Server] = {
-            s: Server(s, self.code, self.protocol, write_registry=self.write_registry)
+            s: Server(s, self.code, self.protocol, write_registry=registry)
             for s in range(1, self.n + 1)}
         self.clients: Dict[int, Client] = {
             c.id: Client(c.id, c.home) for c in scenario.clients}
@@ -208,23 +213,9 @@ class Simulation:
         self.violations: List[str] = []
         self.write_locality_breaks = 0
         self._chan_last: Dict[tuple, int] = {}
-        # per server channel, the delay bounds and the fixed extra delay; a
-        # graph delay is fixed, the other kinds draw from rng per message
-        mode = scenario.delays
-        kind = mode.get("kind", "graph")
-        self._draw_delays = kind != "graph"
-        self._links: Dict[Tuple[int, int], Tuple[int, int, int]] = {}
-        for src in self.servers:
-            for dst in self.servers:
-                base = scenario.graph.delay_ms(src, dst)
-                if kind == "graph":
-                    lo = hi = base
-                elif kind == "jitter":
-                    lo, hi = base, max(base, int(base * float(mode.get("factor", 1))))
-                else:  # uniform
-                    lo = int(float(mode.get("min", 0)) * 1000)
-                    hi = int(float(mode.get("max", 1)) * 1000)
-                self._links[src, dst] = (lo, hi, scenario.channel_extra_ms.get((src, dst), 0))
+        # per server channel, the delay bounds in ticks; unless the delay is
+        # fixed, each server message draws one from rng
+        self._draw_delays, self._links = scenario.channel_delays()
         self._names = {s: f"s{s}" for s in self.servers}
         # per server, the state the probes last checked and the digest last
         # recorded (None: not yet)
@@ -251,9 +242,9 @@ class Simulation:
 
     def _schedule_send(self, src_kind: str, src_id: int, send: Send) -> None:
         if send.kind == "server" and src_kind == "server":
-            lo, hi, extra = self._links[src_id, send.dst]
+            lo, hi = self._links[src_id, send.dst]
             # randint(lo, hi)'s value sequence, without its argument checks
-            delay = (lo + self.rng._randbelow(hi - lo + 1) if self._draw_delays else lo) + extra
+            delay = lo + self.rng._randbelow(hi - lo + 1) if self._draw_delays else lo
         else:
             delay = 0  # clients talk to their co-located home server
         chan = (src_kind, src_id, send.kind, send.dst)
@@ -533,7 +524,6 @@ class Simulation:
             pending_opids=sorted(pending),
             halted=sorted(self.halted),
             servers=self.servers,
-            write_registry=self.write_registry,
             client_homes={cid: c.home for cid, c in self.clients.items()},
         )
 
@@ -553,11 +543,3 @@ def run(scenario: Scenario, seed: int, protocol: Optional[str] = None,
         quiescent = sim.run_to_quiescence()
     return sim.result(quiescent)
 
-
-def max_tag_write_value(result: RunResult, obj: int, code_zero: Value) -> Value:
-    """The value of the newest write to obj, or the zero value if none."""
-    tags = [t for t, (o, _v) in result.write_registry.items() if o == obj]
-    if not tags:
-        return code_zero
-    newest = max(tags)
-    return result.write_registry[newest][1]

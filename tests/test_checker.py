@@ -133,8 +133,9 @@ class TestEventual:
                     2: [ScriptOp(0, "write", 1, (6,))]}, n=2)
         r = run(sc, seed=0, probes=True)
         assert check_eventual(r).passed
-        from causalec.simnet import max_tag_write_value
-        want = max_tag_write_value(r, 1, (0,))
+        # the newest write is the one with the larger tag (clock, then client)
+        want = max((Tag(op.ts, op.client), op.value)
+                   for op in r.ops.values() if op.kind == "write")[1]
         assert probe_values(r) == {want}
 
     def test_zero_writes_return_initial_value(self):

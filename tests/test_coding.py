@@ -187,8 +187,13 @@ class TestRecoverySets:
         code = code_of(FIG1_COEFFS)
         assert code.is_recovery_set({1}, 1).decode_coeffs == {1: 1}
         assert code.is_recovery_set({1}, 2) is None
-        assert code.singleton_recovery(1, 1) is not None
-        assert code.singleton_recovery(3, 1) is None
+        # the size-1 prefix of the minimal sets: the servers that decode the
+        # object alone, each with coefficient inv(row[obj])
+        assert [rs.members for rs in code.minimal_recovery_sets(1)
+                if len(rs.members) == 1] == [{1}]
+        scaled = code_of([[3, 0], [0, 1], [1, 1]])
+        (rs,) = [rs for rs in scaled.minimal_recovery_sets(1) if len(rs.members) == 1]
+        assert rs.decode_coeffs == {1: scaled.field.inv(3)}
 
     def test_minimal_sets_of_bundled_example(self):
         code = code_of(FIG1_COEFFS)

@@ -104,6 +104,19 @@ def test_run_multiple_seeds(scenario_dir, capsys):
     assert capsys.readouterr().out.count("[ok]") == 3
 
 
+def test_workers_match_a_single_process(capsys):
+    # the process pool must give the reports that one process gives, in seed order
+    fig1 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+                        "scenarios", "fig1.json")
+    reports = {}
+    for workers in ("1", "2"):
+        rc = main(["run", fig1, "--seeds", "0..3", "--format", "json", "--workers", workers])
+        assert rc == 0
+        reports[workers] = capsys.readouterr().out
+    assert [json.loads(line)["seed"] for line in reports["2"].splitlines()] == [0, 1, 2, 3]
+    assert reports["2"] == reports["1"]
+
+
 def test_malformed_scenario_exits_two(tmp_path, capsys):
     doc = json.load(open("scenarios/fig1.json"))
     del doc["code"]["coeffs"]

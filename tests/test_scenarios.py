@@ -16,6 +16,7 @@ from causalec.harness import main
 from causalec.messages import ValInq
 from causalec.scenarios import ScenarioError, scenario_from_json
 from causalec.simnet import run
+from causalec.tags import Tag
 
 
 def run_doc(doc, seed=0, **kw):
@@ -34,8 +35,9 @@ def client_reads(result):
 
 
 def write_tag(result, obj, value):
-    (t,) = [t for t, (o, v) in result.write_registry.items()
-            if o == obj and v == value]
+    """The tag the home server gave the one write of value to obj."""
+    (t,) = [Tag(op.ts, op.client) for op in result.ops.values()
+            if op.kind == "write" and op.obj == obj and op.value == value]
     return t
 
 
@@ -141,6 +143,31 @@ MALFORMED = {
         r"delays\.min:"),
     "jittered_edge_overflows": (
         _set(["latency_graph", "edges", 0, 2], 1e306), r"latency_graph\.edges\[0\]\[2\]:"),
+    # a misspelt nested field loaded and ran with its default in place
+    "code_field_unknown": (_set(["code", "valu_len"], 3), r"code\.valu_len: unknown field"),
+    "delays_field_unknown": (_set(["delays", "factr"], 3), r"delays\.factr: unknown field"),
+    "delays_field_of_another_kind": (
+        _set(["delays"], {"kind": "graph", "factor": 2}), r"delays\.factor: unknown field"),
+    "workload_field_unknown": (
+        _set(["workload", "read_fracton"], 0.9), r"workload\.read_fracton: unknown field"),
+    "client_field_unknown": (_set(["clients", 0, "hme"], 2), r"clients\[0\]\.hme: unknown field"),
+    "halt_field_unknown": (
+        _set(["halts"], [{"server": 2, "time": 1, "x": 0}]), r"halts\[0\]\.x: unknown field"),
+    "latency_graph_field_unknown": (
+        _set(["latency_graph", "weights"], []), r"latency_graph\.weights: unknown field"),
+    "script_op_field_unknown": (
+        _set(["workload", "ops", 0, "tme"], 1, builtin.read_scenario_2_doc),
+        r"workload\.ops\[0\]\.tme: unknown field"),
+    "channel_extra_field_unknown": (
+        _set(["channel_extra"], [{"from": 1, "to": 2, "extra": 1, "delay": 2}]),
+        r"channel_extra\[0\]\.delay: unknown field"),
+    "client_missing_home": (_set(["clients", 0], {"id": 1}), r"clients\[0\]\.home:"),
+    "delays_kind_misspelt": (_set(["delays"], {"kind": "jiter"}), r"delays\.kind:"),
+    # uniform bounds were truncated to whole ticks: 0.0015 ran as 1 tick
+    "uniform_min_too_fine": (
+        _set(["delays"], {"kind": "uniform", "min": 0.0015, "max": 1}), r"delays\.min:"),
+    "uniform_max_too_fine": (
+        _set(["delays"], {"kind": "uniform", "min": 0, "max": 1.0005}), r"delays\.max:"),
 }
 
 

@@ -28,7 +28,8 @@ from causalec.latency import (
     to_ms,
 )
 from causalec.messages import App
-from causalec.scenarios import ClientSpec, Scenario, ScriptOp, scenario_from_json
+from causalec.checker import check_all
+from causalec.scenarios import ClientSpec, Scenario, ScenarioError, ScriptOp, scenario_from_json
 from causalec.server import VARIANTS
 from causalec.simnet import FAIRNESS_STEPS, Simulation, run
 from causalec.tags import Tag
@@ -115,6 +116,50 @@ class TestChannels:
                 assert last.get(chan, -1) <= rec.t
                 last[chan] = rec.t
 
+    @pytest.mark.parametrize("name", ["encoding_scenario_1", "fig1"])
+    def test_uniform_delays_stay_in_bounds(self, name):
+        # every server-to-server delivery takes min..max plus the channel's
+        # extra delay; FIFO clamping cannot push one past the bound, since
+        # the message ahead of it was sent no later and bounded alike
+        doc = builtin.BUNDLED[name]()
+        doc["delays"] = {"kind": "uniform", "min": 0.5, "max": 3}
+        sc = scenario_from_json(doc)
+        assert sc.channel_extra_ms or name == "fig1"
+        for seed in range(3):
+            r = run(sc, seed, collect_trace=True, probes=True)
+            assert all(v.passed for v in check_all(r)), seed
+            in_flight = {}  # channel -> send times of undelivered messages
+            delays = []
+            for rec in r.trace:
+                if not rec.node.startswith("s"):
+                    continue
+                sid = int(rec.node[1:])
+                if rec.event[0] == "recv" and rec.event[1].startswith("s"):
+                    src = int(rec.event[1][1:])
+                    extra = sc.channel_extra_ms.get((src, sid), 0)
+                    delays.append(rec.t - in_flight[src, sid].pop(0) - extra)
+                for kind, dst, _msg in rec.emitted:
+                    if kind == "server":
+                        in_flight.setdefault((sid, dst), []).append(rec.t)
+            assert len(set(delays)) > 1
+            assert all(to_ms(0.5) <= d <= to_ms(3) for d in delays)
+
+    def test_scenario_built_in_code_checks_its_delays(self):
+        # a misspelt kind ran as uniform [0, 1]
+        with pytest.raises(ScenarioError, match=r"^delays\.kind:"):
+            small_scenario(delays={"kind": "jiter"})
+        with pytest.raises(ScenarioError, match=r"^delays\.min:"):
+            small_scenario(delays={"kind": "uniform", "min": 0.0015})
+        with pytest.raises(ScenarioError, match=r"^delays\.factr: unknown field"):
+            small_scenario(delays={"kind": "jitter", "factr": 2})
+        sc = small_scenario(delays={"kind": "uniform", "min": 0.25, "max": 1.5},
+                            channel_extra_ms={(1, 2): 40})
+        draws, bounds = sc.channel_delays()
+        assert draws
+        assert bounds[1, 2] == (290, 1540) and bounds[2, 1] == (250, 1500)
+        draws, bounds = small_scenario().channel_delays()  # graph: fixed, no draw
+        assert not draws and bounds[3, 1] == (3000, 3000)
+
     def test_delay_draw_is_randints_sequence(self):
         # Simulation._schedule_send draws lo + rng._randbelow(hi - lo + 1);
         # every jittered trace depends on that being randint(lo, hi)
@@ -156,8 +201,10 @@ def reference_jsonl(result):
             event = event[:2] + (event[2].describe(),)
         digest = rec.digest
         if digest is not None:
-            vc, tagvec, lsizes, err1, err2, tmax, inq, readl = digest
-            digest = (vc, tags(tagvec), lsizes, err1, err2, tags(tmax), inq, readl)
+            # format v1's two error-flag slots, all zero, follow the history sizes
+            vc, tagvec, lsizes, tmax, inq, readl = digest
+            flags = (0,) * len(tagvec)
+            digest = (vc, tags(tagvec), lsizes, flags, flags, tags(tmax), inq, readl)
         lines.append(json.dumps(
             {"seq": rec.seq, "t": format_ms(rec.t), "node": rec.node, "event": event,
              "digest": digest,
