@@ -6,8 +6,8 @@ and what a read returned are recorded by the simulator, not here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Optional, Tuple
 
 from .field import Value
 from .messages import Message, OpId, Read, ReadReturn, Write, WriteReturnAck
@@ -24,7 +24,6 @@ class Client:
     home: int
     opcounter: int = 0
     pending: Optional[OpId] = None
-    stale_responses: List[OpId] = field(default_factory=list)
 
     def __post_init__(self):
         if self.id < 1:
@@ -41,12 +40,11 @@ class Client:
         return opid, Send("server", self.home, msg)
 
     def on_server_message(self, msg: Message) -> Optional[OpId]:
-        """Complete the pending operation and return its id, or drop a stale
-        response and return None."""
+        """Complete the pending operation and return its id, or return None
+        for a response to an operation that is not pending."""
         if not isinstance(msg, (WriteReturnAck, ReadReturn)):
             raise TypeError(f"client cannot handle {type(msg).__name__}")
         if msg.opid != self.pending:
-            self.stale_responses.append(msg.opid)
             return None
         self.pending = None
         return msg.opid

@@ -86,13 +86,6 @@ class LinearCode:
             raise ValueError(f"field_p: {e}") from e
         return cls(field, doc["coeffs"], value_len=doc.get("value_len", 1))
 
-    def to_json(self) -> dict:
-        return {
-            "field_p": self.field.p,
-            "value_len": self.value_len,
-            "coeffs": [list(r) for r in self.coeffs],
-        }
-
     def __repr__(self) -> str:
         return f"LinearCode(n={self.n}, k={self.k}, p={self.field.p}, L={self.value_len})"
 
@@ -233,11 +226,15 @@ class LinearCode:
             for x, sets in enumerate(found, start=1))
 
     def check_recoverable(self) -> None:
-        """Raise unless the rows have rank K, so every object is recoverable."""
-        basis = self._span(range(1, self.n + 1))
-        if len(basis) < self.k:
-            obj = next(x for x in range(1, self.k + 1) if self._decoder(basis, x) is None)
-            raise ValueError(f"object {obj} cannot be recovered from any server set")
+        """Raise unless the rows have rank K, so every object is recoverable;
+        rows are added only until the rank reaches K."""
+        basis: Basis = {}
+        for s in range(1, self.n + 1):
+            basis = self._insert(basis, s) or basis
+            if len(basis) == self.k:
+                return
+        obj = next(x for x in range(1, self.k + 1) if self._decoder(basis, x) is None)
+        raise ValueError(f"object {obj} cannot be recovered from any server set")
 
     def decode(self, obj: int, rs: RecoverySet, symbols: Mapping[int, Value]) -> Value:
         """Combine symbols of a recovery set into the object value."""

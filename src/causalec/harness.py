@@ -12,6 +12,8 @@ from __future__ import annotations
 
 import argparse
 import concurrent.futures
+import dataclasses
+import functools
 import hashlib
 import json
 import os
@@ -150,8 +152,8 @@ def parse_seeds(text: str) -> List[int]:
 
 
 def int_at_least(low: int):
-    """An argparse type: an integer no smaller than ``low``, the bound the
-    scenario loader puts on the field that the flag overrides."""
+    """An argparse type: an integer no smaller than ``low``, the bound
+    ``Scenario`` puts on the field that the flag overrides."""
     def parse(text: str) -> int:
         try:
             value = int(text)
@@ -163,52 +165,53 @@ def int_at_least(low: int):
     return parse
 
 
-def _run_one(doc: dict, seed: int, protocol: Optional[str], step_cap: Optional[int],
-             collect_trace: bool) -> dict:
-    scenario = scenario_from_json(doc)
-    if step_cap is not None:
-        scenario.step_cap = step_cap
+def _load(path: str) -> Optional[Scenario]:
+    """The scenario in the file at ``path``, or None after reporting why not."""
+    try:
+        return scenario_from_json(path)
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ScenarioError) as e:
+        print(f"error: {path}: {e}", file=sys.stderr)
+        return None
+
+
+def _run_one(scenario: Scenario, seed: int, protocol: Optional[str],
+             collect_trace: bool) -> Tuple[dict, Optional[str]]:
+    """The report of one probed, checked run, and its trace text when collected."""
     result = run_scenario(scenario, seed, protocol=protocol,
                           collect_trace=collect_trace, probes=True)
     report = verdicts_to_json(result, check_all(result))
-    if collect_trace:
-        text = result.trace_jsonl()
-        report["trace_sha256"] = hashlib.sha256(text.encode()).hexdigest()
-        report["_trace_jsonl"] = text
-    return report
+    if not collect_trace:
+        return report, None
+    text = result.trace_jsonl()
+    report["trace_sha256"] = hashlib.sha256(text.encode()).hexdigest()
+    return report, text
 
 
 def cmd_run(args) -> int:
-    try:
-        with open(args.scenario) as fh:
-            doc = json.load(fh)
-        scenario_from_json(doc)  # validate before fanning out
-    except (OSError, json.JSONDecodeError, ScenarioError) as e:
-        print(f"error: {args.scenario}: {e}", file=sys.stderr)
+    scenario = _load(args.scenario)
+    if scenario is None:
         return 2
-    seeds = args.seeds
-    collect_trace = args.out is not None
-    reports = []
+    if args.step_cap is not None:
+        scenario = dataclasses.replace(scenario, step_cap=args.step_cap)
+    run_seed = functools.partial(_run_one, scenario, protocol=args.protocol,
+                                 collect_trace=args.out is not None)
     if args.workers > 1:
+        # each task gets a pickled copy of the parsed scenario
         with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
-            futs = [pool.submit(_run_one, doc, s, args.protocol, args.step_cap,
-                                collect_trace) for s in seeds]
-            reports = [f.result() for f in futs]
+            results = list(pool.map(run_seed, args.seeds))
     else:
-        reports = [_run_one(doc, s, args.protocol, args.step_cap, collect_trace)
-                   for s in seeds]
+        results = list(map(run_seed, args.seeds))
     ok = True
-    for report in reports:
+    for report, text in results:
         ok &= report["ok"]
         if args.out:
             os.makedirs(args.out, exist_ok=True)
             base = os.path.join(args.out, f"{report['scenario']}-seed{report['seed']}")
             with open(base + ".trace.jsonl", "w") as fh:
-                fh.write(report.pop("_trace_jsonl"))
+                fh.write(text)
             with open(base + ".report.json", "w") as fh:
                 json.dump(report, fh, indent=1)
         if args.format == "json":
-            report.pop("_trace_jsonl", None)
             print(json.dumps(report, sort_keys=True))
         else:
             status = "ok" if report["ok"] else "FAIL"
@@ -221,10 +224,8 @@ def cmd_run(args) -> int:
 
 
 def cmd_latency(args) -> int:
-    try:
-        scenario = scenario_from_json(args.scenario)
-    except (OSError, json.JSONDecodeError, ScenarioError) as e:
-        print(f"error: {args.scenario}: {e}", file=sys.stderr)
+    scenario = _load(args.scenario)
+    if scenario is None:
         return 2
     if args.format == "json":
         print(json.dumps(latency_report_json(scenario.code, scenario.graph), sort_keys=True))

@@ -4,10 +4,16 @@ A scenario bundles the code, the latency graph, the protocol variant, the
 client population with their home servers, a workload (a fixed script or a
 seeded random generator), message-delay behaviour, a halt schedule, and the
 step cap.  Validation errors name the offending field path, an unknown
-field at any level included, so the CLI can report them usefully.  The
-scenario owns the delay model: it validates ``delays`` however it was
-built, and ``Scenario.channel_delays`` gives the per-channel tick bounds the
-simulator draws from.
+field at any level included, so the CLI can report them usefully.
+
+``scenario_from_json`` (a dict, or the path of a JSON file) checks what only
+a document has: JSON types, unknown, missing and duplicate fields, and the
+script op checks that need the op's index (``object``, ``value``, ``time``).
+``Scenario.__post_init__`` checks every other rule, so a scenario built in
+code obeys them too: client ids and homes, halted servers and channels in
+1..N (indexed in insertion order), a code that recovers every object,
+``step_cap >= 1`` and ``delays``.  ``Scenario.channel_delays`` gives the
+per-channel tick bounds the simulator draws from.
 """
 
 from __future__ import annotations
@@ -79,30 +85,31 @@ class Scenario:
         if self.code.n != self.graph.n:
             raise ScenarioError(
                 f"latency_graph.n: {self.graph.n} servers but the code has {self.code.n} rows")
+        try:
+            self.code.check_recoverable()
+        except ValueError as e:
+            raise ScenarioError(f"code: {e}") from e
         if self.protocol not in VARIANTS:
             raise ScenarioError(f"protocol: must be one of {VARIANTS}, got {self.protocol!r}")
+        n = self.code.n
         seen = set()
         for i, c in enumerate(self.clients):
-            if c.id < 1:
-                raise ScenarioError(f"clients[{i}].id: must be >= 1")
+            _integer(c.id, f"clients[{i}].id", 1)
             if c.id in seen:
                 raise ScenarioError(f"clients[{i}].id: duplicate client id {c.id}")
             seen.add(c.id)
-            if not 1 <= c.home <= self.code.n:
-                raise ScenarioError(
-                    f"clients[{i}].home: {c.home} out of range 1..{self.code.n}")
+            _integer(c.home, f"clients[{i}].home", 1, n)
         for cid in self.scripts:
             if cid not in seen:
                 raise ScenarioError(f"workload.ops: script references unknown client {cid}")
-        for srv in self.halts:
-            if not 1 <= srv <= self.code.n:
-                raise ScenarioError(f"halts: server {srv} out of range 1..{self.code.n}")
-        for src, dst in self.channel_extra_ms:
-            if not (1 <= src <= self.code.n and 1 <= dst <= self.code.n):
-                raise ScenarioError(
-                    f"channel_extra: channel {src}->{dst} out of range 1..{self.code.n}")
+        for i, srv in enumerate(self.halts):
+            _integer(srv, f"halts[{i}].server", 1, n)
+        for i, (src, dst) in enumerate(self.channel_extra_ms):
+            _integer(src, f"channel_extra[{i}].from", 1, n)
+            _integer(dst, f"channel_extra[{i}].to", 1, n)
         if self.random_workload is not None and not self.clients:
             raise ScenarioError("clients: random workload needs at least one client")
+        _integer(self.step_cap, "step_cap", 1)
         self._delay_model = self._check_delays()
 
     def _check_delays(self) -> Tuple[str, float, int, int]:
@@ -175,7 +182,7 @@ def _expect(doc: dict, key: str, path: str):
 def _number(raw, path: str, low: float = 0.0, high: float = float("inf")) -> float:
     """A JSON number within low..high.  The exact type test rejects booleans
     (an ``int`` subclass) and numeric strings (which ``float`` would parse)."""
-    if type(raw) not in (int, float):
+    if type(raw) not in (int, float) or raw != raw:  # NaN, which JSON text may hold
         raise ScenarioError(f"{path}: must be a number, got {raw!r}")
     try:
         x = float(raw)
@@ -187,7 +194,7 @@ def _number(raw, path: str, low: float = 0.0, high: float = float("inf")) -> flo
     return x
 
 
-def _integer(raw, path: str, low: float = 0.0, high: float = float("inf")) -> int:
+def _integer(raw, path: str, low: float = float("-inf"), high: float = float("inf")) -> int:
     x = _number(raw, path, low, high)
     if not x.is_integer():
         raise ScenarioError(f"{path}: must be an integer, got {raw!r}")
@@ -213,7 +220,7 @@ def _object(raw, path: str, fields) -> dict:
     """A JSON object with no field outside ``fields``: a misspelt field
     must not leave its default in place unnoticed."""
     if not isinstance(raw, dict):
-        raise ScenarioError(f"{path}: must be an object, got {raw!r}")
+        raise ScenarioError(f"{path or 'scenario'}: must be an object, got {raw!r}")
     for key in raw:
         if key not in fields:
             raise ScenarioError(f"{path + '.' if path else ''}{key}: unknown field")
@@ -232,13 +239,10 @@ def _kind_object(raw, path: str, kinds: dict) -> str:
 
 
 def scenario_from_json(doc) -> Scenario:
-    """Parse a scenario document (dict, JSON text, or file path)."""
+    """Parse a scenario document: a dict, or the path of a JSON file."""
     if isinstance(doc, str):
-        try:
-            doc = json.loads(doc)
-        except json.JSONDecodeError:
-            with open(doc) as fh:
-                doc = json.load(fh)
+        with open(doc) as fh:
+            doc = json.load(fh)
     _object(doc, "", TOP_LEVEL_FIELDS)
 
     code_doc = _object(_expect(doc, "code", ""), "code", {"field_p", "value_len", "coeffs"})
@@ -246,10 +250,6 @@ def scenario_from_json(doc) -> Scenario:
         code = LinearCode.from_json(code_doc)
     except ValueError as e:
         raise ScenarioError(f"code.{e}") from e
-    try:
-        code.check_recoverable()
-    except ValueError as e:
-        raise ScenarioError(f"code: {e}") from e
 
     graph_doc = _object(_expect(doc, "latency_graph", ""), "latency_graph", {"n", "edges"})
     n = _integer(_expect(graph_doc, "n", "latency_graph."), "latency_graph.n", 1)
@@ -270,8 +270,8 @@ def scenario_from_json(doc) -> Scenario:
     for i, c in enumerate(_list(doc.get("clients", []), "clients")):
         path = f"clients[{i}]"
         _object(c, path, {"id", "home"})
-        clients.append(ClientSpec(_integer(_expect(c, "id", path + "."), path + ".id", 1),
-                                  _integer(_expect(c, "home", path + "."), path + ".home", 1)))
+        clients.append(ClientSpec(_integer(_expect(c, "id", path + "."), path + ".id"),
+                                  _integer(_expect(c, "home", path + "."), path + ".home")))
 
     random_workload = None
     scripts: Dict[int, List[ScriptOp]] = {}
@@ -285,7 +285,7 @@ def scenario_from_json(doc) -> Scenario:
             think = w.get("think_ms", [0, 2000])
             if not isinstance(think, (list, tuple)) or len(think) != 2:
                 raise ScenarioError("workload.think_ms: must be a [low, high] pair")
-            low = _integer(think[0], "workload.think_ms[0]")
+            low = _integer(think[0], "workload.think_ms[0]", 0)
             high = _integer(think[1], "workload.think_ms[1]", low)
             random_workload = RandomWorkload(
                 ops=ops,
@@ -314,7 +314,7 @@ def scenario_from_json(doc) -> Scenario:
                     if len(value) != code.value_len:
                         raise ScenarioError(
                             f"{path}.value: length {len(value)} != code value_len {code.value_len}")
-                scripts.setdefault(_integer(op["client"], f"{path}.client", 1), []).append(
+                scripts.setdefault(_integer(op["client"], f"{path}.client"), []).append(
                     ScriptOp(_ticks(op.get("time", 0), f"{path}.time"), kind_op,
                              _integer(op["object"], f"{path}.object", 1, code.k), value))
 
@@ -322,7 +322,7 @@ def scenario_from_json(doc) -> Scenario:
     for i, h in enumerate(_list(doc.get("halts", []), "halts")):
         path = f"halts[{i}]"
         _object(h, path, {"server", "time"})
-        srv = _integer(_expect(h, "server", path + "."), path + ".server", 1, code.n)
+        srv = _integer(_expect(h, "server", path + "."), path + ".server")
         if srv in halts:
             raise ScenarioError(f"{path}.server: server {srv} already halts")
         halts[srv] = _ticks(_expect(h, "time", path + "."), path + ".time")
@@ -333,8 +333,7 @@ def scenario_from_json(doc) -> Scenario:
         _object(e, path, {"from", "to", "extra"})
         for fld in ("from", "to", "extra"):
             _expect(e, fld, path + ".")
-        chan = (_integer(e["from"], f"{path}.from", 1, code.n),
-                _integer(e["to"], f"{path}.to", 1, code.n))
+        chan = _integer(e["from"], f"{path}.from"), _integer(e["to"], f"{path}.to")
         if chan in extra:
             raise ScenarioError(f"{path}: channel {chan[0]}->{chan[1]} listed twice")
         extra[chan] = _ticks(e["extra"], f"{path}.extra")
@@ -354,5 +353,5 @@ def scenario_from_json(doc) -> Scenario:
         delays=doc.get("delays", {"kind": "graph"}),
         halts=halts,
         channel_extra_ms=extra,
-        step_cap=_integer(doc.get("step_cap", DEFAULT_STEP_CAP), "step_cap", 1),
+        step_cap=_integer(doc.get("step_cap", DEFAULT_STEP_CAP), "step_cap"),
     )

@@ -377,7 +377,8 @@ class Simulation:
         client = self.clients[cid]
         opid = client.on_server_message(msg)
         self._record(f"c{cid}", ("recv", f"s{src}", msg) if self.collect_trace else None)
-        if opid is None:
+        if opid is None:  # a server answered an operation twice, or unasked
+            self._fail(f"client {cid}: response to {msg.opid}, which is not pending")
             return
         rec = self.ops[opid]
         rec.t_response = self.now

@@ -2,10 +2,10 @@
 
 Every function ``bench/spans.py`` wraps must exist: the benchmark patches
 causalec functions by name from outside, and renaming or deleting one would
-break it without failing any other test.  One pass each of the ``replay``
-workload, the only one that serialises traces, and of ``scale``, whose
-delete-notice traffic drives the internal actions, must end ``correct``.
-All of them run with bytecode writing off, so no cache lands in ``bench/``.
+break it without failing any other test.  One pass of each workload must
+end ``correct``: every checked run builds its scenario anew, so each pass
+also runs the rules ``Scenario`` checks on construction.  All of them run
+with bytecode writing off, so no cache lands in ``bench/``.
 """
 
 import importlib
@@ -60,3 +60,11 @@ def test_replay_pass_is_correct():
 
 def test_scale_pass_is_correct():
     assert one_pass("scale")["correct"] is True
+
+
+def test_fuzz_pass_is_correct():
+    assert one_pass("fuzz")["correct"] is True
+
+
+def test_coded_pass_is_correct():
+    assert one_pass("coded")["correct"] is True

@@ -306,6 +306,23 @@ class TestProbeFaults:
             r, f"outgoing response: server {sid}: stored symbol is not the encoding "
                f"of its tag vector", f"s{sid}", event)
 
+    def test_write_acknowledged_twice(self, monkeypatch):
+        # the second ack answers an operation its client no longer waits on
+        original, fired = Server.on_write, []
+
+        def on_write(srv, clientid, opid, obj, value):
+            sends = original(srv, clientid, opid, obj, value)
+            if not fired:
+                sends.insert(0, sends[0])
+                fired.append((clientid, srv.id, sends[0].msg))
+            return sends
+
+        monkeypatch.setattr(Server, "on_write", on_write)
+        r = self.run_fig1()
+        ((cid, sid, ack),) = fired
+        self.assert_stopped(r, f"client {cid}: response to {ack.opid}, which is not pending",
+                            f"c{cid}", ("recv", f"s{sid}", ack))
+
     def test_list_entry_not_matching_its_write(self, monkeypatch):
         # the corrupted value waits in the inqueue until it is applied to L[X]
         original, fired = Server.on_app, []

@@ -162,3 +162,12 @@ def test_latency_malformed_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{}")
     assert main(["latency", str(path)]) == 2
+
+
+@pytest.mark.parametrize("cmd", ["run", "latency"])
+def test_undecodable_file_exits_two(tmp_path, capsys, cmd):
+    # bytes that are not UTF-8 once ended in a traceback
+    path = tmp_path / "binary.json"
+    path.write_bytes(b"\xff\xfe\x00")
+    assert main([cmd, str(path)]) == 2
+    assert "codec can't decode" in capsys.readouterr().err

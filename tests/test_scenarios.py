@@ -5,6 +5,7 @@ has to survive; the tests assert the staged mechanism actually fired, not
 just that the run ended well.
 """
 
+import dataclasses
 import json
 import re
 
@@ -12,9 +13,12 @@ import pytest
 
 from causalec import builtin
 from causalec.checker import all_passed, check_all
+from causalec.coding import LinearCode
+from causalec.field import PrimeField
 from causalec.harness import main
+from causalec.latency import LatencyGraph
 from causalec.messages import ValInq
-from causalec.scenarios import ScenarioError, scenario_from_json
+from causalec.scenarios import ClientSpec, Scenario, ScenarioError, ScriptOp, scenario_from_json
 from causalec.simnet import run
 from causalec.tags import Tag
 
@@ -128,6 +132,11 @@ MALFORMED = {
     # a cap of 0 allows no step: the run reported ok with no transition
     "step_cap_zero": (_set(["step_cap"], 0), r"step_cap:"),
     "step_cap_negative": (_set(["step_cap"], -1), r"step_cap:"),
+    # JSON text may spell NaN, which no range check rejects
+    "step_cap_nan": (_set(["step_cap"], float("nan")), r"step_cap: must be a number"),
+    "halt_server_nan": (
+        _set(["halts"], [{"server": float("nan"), "time": 1}]),
+        r"halts\[0\]\.server: must be a number"),
     "random_ops_is_a_bool": (_set(["workload", "ops"], True), r"workload\.ops:"),
     "think_ms_fractional": (
         _set(["workload", "think_ms"], [0.5, 1.7]), r"workload\.think_ms\[0\]:"),
@@ -184,6 +193,53 @@ def test_cli_exits_two_on_every_malformed_field(tmp_path, capsys):
         path.write_text(json.dumps(build()))
         assert main(["run", str(path), "--seeds", "0"]) == 2, case
         assert re.search(field_path, capsys.readouterr().err), case
+
+
+def _fig1(**changes):
+    return dataclasses.replace(scenario_from_json(builtin.fig1_scenario_doc()), **changes)
+
+
+def _unrecoverable():
+    return Scenario(name="t", code=LinearCode(PrimeField(7), [[1, 1], [1, 1]]),
+                    graph=LatencyGraph(2, {(1, 2): 1}), clients=[ClientSpec(1, 1)],
+                    scripts={1: [ScriptOp(0, "read", 1)]})
+
+
+# (a scenario built in code, the start of its ScenarioError): the loader's
+# rules hold without the loader
+BUILT_IN_CODE = {
+    "code_unrecoverable": (_unrecoverable, r"code: object 1 cannot be recovered"),
+    "step_cap_zero": (lambda: _fig1(step_cap=0), r"step_cap: must be >= 1"),
+    "halt_server_out_of_range": (
+        lambda: _fig1(halts={9: 0}), r"halts\[0\]\.server: must be in 1\.\.5, got 9"),
+    "channel_to_out_of_range": (
+        lambda: _fig1(channel_extra_ms={(1, 2): 5, (1, 9): 5}), r"channel_extra\[1\]\.to:"),
+    "client_id_zero": (lambda: _fig1(clients=[ClientSpec(0, 1)]), r"clients\[0\]\.id:"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BUILT_IN_CODE))
+def test_scenario_built_in_code_follows_the_loader_rules(case):
+    build, message = BUILT_IN_CODE[case]
+    with pytest.raises(ScenarioError, match="^" + message):
+        build()
+
+
+@pytest.mark.parametrize("name", ["7", "null"])
+def test_file_named_like_json_text_is_read_as_a_path(tmp_path, monkeypatch, capsys, name):
+    # such a name was once parsed as the document itself
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / name).write_text(json.dumps(builtin.fig1_scenario_doc()))
+    assert scenario_from_json(name).name == "fig1"
+    assert main(["latency", name]) == 0
+    assert main(["run", name, "--seeds", "0"]) == 0
+
+
+def test_document_that_is_not_an_object_is_named(tmp_path):
+    path = tmp_path / "list.json"
+    path.write_text("[1]")
+    with pytest.raises(ScenarioError, match=r"^scenario: must be an object, got \[1\]"):
+        scenario_from_json(str(path))
 
 
 class TestValidation:
