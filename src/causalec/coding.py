@@ -67,8 +67,10 @@ class LinearCode:
         self.k = len(coeffs[0])
         self.coeffs = tuple(tuple(c % field.p for c in row) for row in coeffs)
         self._minimal: Optional[Tuple[Tuple[RecoverySet, ...], ...]] = None
-        self._objects_at = tuple(
-            frozenset(j + 1 for j, c in enumerate(row) if c) for row in self.coeffs)
+        # placement, in index order: per server its objects, per object its holders
+        self.held = tuple(tuple(j + 1 for j, c in enumerate(row) if c) for row in self.coeffs)
+        self.holders = tuple(tuple(i + 1 for i, row in enumerate(self.coeffs) if row[x])
+                             for x in range(self.k))
 
     # -- construction -----------------------------------------------------
 
@@ -137,7 +139,7 @@ class LinearCode:
         """Objects whose value affects this server's symbol."""
         if not 1 <= server <= self.n:
             raise ValueError(f"server index {server} out of range 1..{self.n}")
-        return self._objects_at[server - 1]
+        return frozenset(self.held[server - 1])
 
     def _insert(self, basis: Basis, server: int) -> Optional[Basis]:
         """``basis`` with ``server``'s row added, or None if the row is in its span.

@@ -7,20 +7,22 @@ step cap.  Validation errors name the offending field path, an unknown
 field at any level included, so the CLI can report them usefully.
 
 ``scenario_from_json`` (a dict, or the path of a JSON file) checks what only
-a document has: JSON types, unknown, missing and duplicate fields, and the
-script op checks that need the op's index (``object``, ``value``, ``time``).
+a document has: JSON types and unknown, missing and duplicate fields.
 ``Scenario.__post_init__`` checks every other rule, so a scenario built in
 code obeys them too: client ids and homes, halted servers and channels in
-1..N (indexed in insertion order), a code that recovers every object,
-``step_cap >= 1`` and ``delays``.  ``Scenario.channel_delays`` gives the
-per-channel tick bounds the simulator draws from.
+1..N (indexed in insertion order), a code that recovers every object, the
+random workload, ``step_cap >= 1`` and ``delays``.  ``_check_op`` holds the
+rules on a script op; the loader applies them first, naming the op
+``workload.ops[3]``, and the scenario then as ``workload.ops[client 2][0]``.
+``Scenario.channel_delays`` gives the per-channel tick bounds the simulator
+draws from.
 """
 
 from __future__ import annotations
 
 import json
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
 from .coding import LinearCode
@@ -99,16 +101,29 @@ class Scenario:
                 raise ScenarioError(f"clients[{i}].id: duplicate client id {c.id}")
             seen.add(c.id)
             _integer(c.home, f"clients[{i}].home", 1, n)
-        for cid in self.scripts:
+        for cid, ops in self.scripts.items():
             if cid not in seen:
                 raise ScenarioError(f"workload.ops: script references unknown client {cid}")
+            for j, op in enumerate(ops):
+                _check_op(op, self.code, f"workload.ops[client {cid}][{j}]")
         for i, srv in enumerate(self.halts):
             _integer(srv, f"halts[{i}].server", 1, n)
         for i, (src, dst) in enumerate(self.channel_extra_ms):
             _integer(src, f"channel_extra[{i}].from", 1, n)
             _integer(dst, f"channel_extra[{i}].to", 1, n)
-        if self.random_workload is not None and not self.clients:
-            raise ScenarioError("clients: random workload needs at least one client")
+        rw = self.random_workload
+        if rw is not None:
+            if not self.clients:
+                raise ScenarioError("clients: random workload needs at least one client")
+            if type(rw.ops) is not int or rw.ops < 0:
+                raise ScenarioError("workload.ops: must be a non-negative integer")
+            _number(rw.read_fraction, "workload.read_fraction", 0, 1)
+            think = rw.think_ms
+            if not isinstance(think, (list, tuple)) or len(think) != 2:
+                raise ScenarioError("workload.think_ms: must be a [low, high] pair")
+            low = _integer(think[0], "workload.think_ms[0]", 0)
+            self.random_workload = replace(
+                rw, think_ms=(low, _integer(think[1], "workload.think_ms[1]", low)))
         _integer(self.step_cap, "step_cap", 1)
         self._delay_model = self._check_delays()
 
@@ -171,6 +186,25 @@ class Scenario:
                 value = tuple(rng.randrange(p) for _ in range(length))
                 scripts[c].append(ScriptOp(clock[c], "write", obj, value))
         return scripts
+
+
+def _check_op(op: ScriptOp, code: LinearCode, path: str) -> None:
+    """The rules on one script op, named by ``path``: its kind, a write's
+    value or a read's none, a time >= 0 and an object in 1..K."""
+    value, p = op.value, code.field.p
+    if op.kind not in ("read", "write"):
+        raise ScenarioError(f"{path}.op: must be 'read' or 'write', got {op.kind!r}")
+    if op.kind == "read" and value is not None:
+        raise ScenarioError(f"{path}.value: a read has no value, got {value!r}")
+    if op.kind == "write" and (
+            type(value) is not tuple or len(value) != code.value_len
+            or not set(map(type, value)) <= {int} or min(value) < 0 or max(value) >= p):
+        raise ScenarioError(f"{path}.value: must be a tuple of value_len {code.value_len} "
+                            f"integers in 0..{p - 1}, got {value!r}")
+    if type(op.time_ms) is not int or op.time_ms < 0:
+        raise ScenarioError(f"{path}.time: must be an integer >= 0, got {op.time_ms!r}")
+    if type(op.obj) is not int or not 1 <= op.obj <= code.k:
+        raise ScenarioError(f"{path}.object: must be in 1..{code.k}, got {op.obj!r}")
 
 
 def _expect(doc: dict, key: str, path: str):
@@ -279,31 +313,17 @@ def scenario_from_json(doc) -> Scenario:
     if w is not None:
         kind = _kind_object(w, "workload", WORKLOAD_FIELDS)
         if kind == "random":
-            ops = _expect(w, "ops", "workload.")
-            if type(ops) is not int or ops < 0:
-                raise ScenarioError("workload.ops: must be a non-negative integer")
-            think = w.get("think_ms", [0, 2000])
-            if not isinstance(think, (list, tuple)) or len(think) != 2:
-                raise ScenarioError("workload.think_ms: must be a [low, high] pair")
-            low = _integer(think[0], "workload.think_ms[0]", 0)
-            high = _integer(think[1], "workload.think_ms[1]", low)
-            random_workload = RandomWorkload(
-                ops=ops,
-                read_fraction=_number(w.get("read_fraction", 0.5),
-                                      "workload.read_fraction", 0, 1),
-                think_ms=(low, high),
-            )
+            random_workload = RandomWorkload(_expect(w, "ops", "workload."),
+                                             w.get("read_fraction", 0.5),
+                                             w.get("think_ms", (0, 2000)))
         else:
             for i, op in enumerate(_list(_expect(w, "ops", "workload."), "workload.ops")):
                 path = f"workload.ops[{i}]"
                 _object(op, path, {"time", "client", "op", "object", "value"})
                 for fld in ("client", "op", "object"):
                     _expect(op, fld, path + ".")
-                kind_op = op["op"]
-                if kind_op not in ("read", "write"):
-                    raise ScenarioError(f"{path}.op: must be 'read' or 'write'")
                 value = None
-                if kind_op == "write":
+                if op["op"] == "write" or "value" in op:  # a read's value is an error
                     raw = _expect(op, "value", path + ".")
                     if isinstance(raw, int):
                         raw = [raw]
@@ -311,12 +331,11 @@ def scenario_from_json(doc) -> Scenario:
                         raise ScenarioError(
                             f"{path}.value: must be an integer or a list of integers")
                     value = code.field.value(raw)
-                    if len(value) != code.value_len:
-                        raise ScenarioError(
-                            f"{path}.value: length {len(value)} != code value_len {code.value_len}")
+                script_op = ScriptOp(_ticks(op.get("time", 0), f"{path}.time"), op["op"],
+                                     _integer(op["object"], f"{path}.object"), value)
+                _check_op(script_op, code, path)
                 scripts.setdefault(_integer(op["client"], f"{path}.client"), []).append(
-                    ScriptOp(_ticks(op.get("time", 0), f"{path}.time"), kind_op,
-                             _integer(op["object"], f"{path}.object", 1, code.k), value))
+                    script_op)
 
     halts = {}
     for i, h in enumerate(_list(doc.get("halts", []), "halts")):

@@ -1,12 +1,15 @@
 """Server state machine for the coded store, in both protocol variants.
 
 One event (message receipt or internal action) executes a full handler body
-atomically and returns the ordered batch of messages it emits.  The causal
-variant ("causalec") applies remote writes only in causal order and serves
-list reads only when the list is at least as new as the encoded symbol; the
-eventually consistent variant ("eventualec") drops those guards and lets a
-value response answer every pending read on its object.  All other lines are
-shared, so the variants differ exactly by the guard flags below.
+atomically and emits an ordered batch of messages; ``handle`` and the
+internal actions return ``(changed, sends)``.  The causal variant
+("causalec") and the eventually consistent one ("eventualec") differ only
+where ``variant`` is tested: apply readiness (causalec applies a remote
+write after the writes it depends on, and answers with it only the reads
+that asked for no newer version), the list-read guard (causalec serves
+``L[X]`` only when it is as new as the symbol) and ``ValResp`` addressing
+(eventualec answers a client read's inquiry with its newest version, naming
+no operation, and that response answers every pending read on its object).
 
 State per server (all tag vectors indexed by object-1):
 
@@ -112,7 +115,6 @@ class Server:
         self.n = code.n
         self.k = code.k
         self.objects_here = code.objects_at(sid)
-        self._held = sorted(self.objects_here)
         # the initial version of every object, built once
         self.zero_tag = zt = zero_tag(self.n)
         self.zero_value = zv = code.zero_value()
@@ -128,9 +130,6 @@ class Server:
         self._opid_counter = 0
         self._gc_del_sent: List[Optional[Tag]] = [None] * self.k
         self._readl_opids_seen: set = set()
-        self._holders = [
-            [i for i in range(1, self.n + 1) if x in code.objects_at(i)]
-            for x in range(1, self.k + 1)]
         # incremental view of dell: per-object per-server newest tag
         self._del_max: List[Dict[int, Tag]] = [{} for _ in range(self.k)]
         self._servers = range(1, self.n + 1)
@@ -182,7 +181,7 @@ class Server:
         gc = False
         if prev is None or prev < tag:
             dmax[srv] = tag
-            holders = self._holders[x]
+            holders = self.code.holders[x]
             if srv in holders and _min_moves(dmax, srv, prev, holders):
                 if obj in self.objects_here:
                     gc = True
@@ -315,7 +314,7 @@ class Server:
         resp_val = self.m_val
         resp_tagvec = list(self.m_tagvec)
         zt, zv = self.zero_tag, self.zero_value
-        for x in self._held:
+        for x in self.code.held[self.id - 1]:
             mt = self.m_tagvec[x - 1]
             if mt == wantedtagvec[x - 1]:
                 continue
@@ -359,7 +358,7 @@ class Server:
             return []
         modified = msg.symbol
         zt, zv = self.zero_tag, self.zero_value
-        for x in sorted(self.code.objects_at(frm)):
+        for x in self.code.held[frm - 1]:
             rt = msg.requestedtags[x - 1]
             mt = msg.tagvec[x - 1]
             if rt == mt:
@@ -385,13 +384,13 @@ class Server:
                 return self._answer_reads([entry], v)
         return []
 
-    def handle(self, frm: int, msg: Message) -> List[Send]:
+    def handle(self, frm: int, msg: Message) -> Tuple[bool, List[Send]]:
         """Dispatch one received message; frm is a client id for Write/Read,
-        a server id otherwise."""
+        a server id otherwise.  A delivery always counts as a change."""
         handler = _HANDLERS.get(type(msg))
         if handler is None:
             raise TypeError(f"server cannot handle {type(msg).__name__}")
-        return handler(self, frm, msg)
+        return True, handler(self, frm, msg)
 
     # -- internal actions ----------------------------------------------------
 
@@ -454,11 +453,11 @@ class Server:
                         changed = True
                     continue
                 self.m_val = self.code.reencode(self.id, x, self.m_val, old, hv)
-                dsts = [j for j in self._holders[x - 1] if j != self.id]
+                dsts = [j for j in self.code.holders[x - 1] if j != self.id]
             else:
                 # the symbol does not depend on X: its tag follows the newest
                 # version every holder of X has deleted past
-                threshold = self._per_server_del_max(x, self._holders[x - 1])
+                threshold = self._per_server_del_max(x, self.code.holders[x - 1])
                 newer = [] if threshold is None else [
                     t for t in self.L[x - 1] if mt < t <= threshold]
                 if not newer:
@@ -521,7 +520,7 @@ class Server:
                         del lx[t]
                         changed = True
             if x in self.objects_here:
-                max_u = self._per_server_del_max(x, self._holders[x - 1])
+                max_u = self._per_server_del_max(x, self.code.holders[x - 1])
                 if max_u is not None and self._gc_del_sent[x - 1] != max_u:
                     # re-broadcasting the same notice forever would keep the
                     # run from quiescing; only a new max goes out

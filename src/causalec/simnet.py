@@ -14,8 +14,10 @@ drains every live server is swept until no action changes state and nothing
 is in flight -- that fixed point is quiescence, and it is detected by forced
 rounds, not by timeouts.  A round records all of its steps but calls only
 the actions that have work (``Server.can_apply``, ``can_encode``,
-``can_collect``); the others would change nothing.  A run stops at its step cap, and is then not quiescent.
-Trace records stay structured; ``trace_lines`` writes them as JSON text.
+``can_collect``); the others would change nothing.  Every server transition,
+a delivery or an internal action, is one ``Simulation._server_step``.  A run
+stops at its step cap, and is then not quiescent.  Trace records stay
+structured; ``trace_lines`` writes them as JSON text.
 """
 
 from __future__ import annotations
@@ -39,7 +41,10 @@ from .tags import ProtocolInvariantViolation, Tag
 
 PROBE_CLIENT_BASE = 1_000_000
 FAIRNESS_STEPS = 8  # per server: the age of a last full round that forces one
-APPLY, ENCODE, GC = ("apply",), ("encode",), ("gc",)
+APPLY = ("apply",)
+# a round's (event, work predicate, action) steps, by name so Server wrappers apply
+ROUND_STEPS = ((("encode",), "can_encode", "encoding"),
+               (("gc",), "can_collect", "garbage_collection"))
 
 
 @dataclass
@@ -311,49 +316,37 @@ class Simulation:
         if any(old > new for old, new in zip(prev[1], srv.m_tagvec)):
             self._fail(f"server {srv.id}: symbol tag vector decreased")
 
-    def _act(self, srv: Server, event: tuple, action) -> bool:
-        """Run one internal action ``action() -> (changed, sends)``; returns
-        whether it moved: changed state or emitted."""
-        try:
-            changed, sends = action()
-        except ProtocolInvariantViolation as e:
-            self._raised(srv, event, e)
-            return False
-        return self._step(srv, event, changed or bool(sends), sends)
-
-    def _step(self, srv: Server, event: Optional[tuple], moved: bool,
-              sends: List[Send]) -> bool:
-        """Finish a server step that returned: schedule its sends, record it,
-        and probe the server if it moved."""
+    def _server_step(self, srv: Server, event: Optional[tuple], action, *args) -> bool:
+        """One server transition, ``action(*args) -> (changed, sends)``.  A raise
+        is a violation, recorded with no sends or notes; otherwise each send is
+        scheduled (a coded symbol checked, a client response's ``ts`` stamped),
+        the step recorded and the server probed if it moved; returns whether it did."""
         sid = srv.id
+        try:
+            changed, sends = action(*args)
+        except ProtocolInvariantViolation as e:
+            self._fail(str(e))
+            srv.notes.clear()
+            self._record(self._names[sid], event, srv, moved=True)
+            return False
         for s in sends:
-            self._check_outgoing(srv, s)
+            msg = s.msg
+            if isinstance(msg, ValRespEncoded):
+                try:
+                    srv.check_symbol_legitimacy(msg.symbol, msg.tagvec)
+                except ProtocolInvariantViolation as e:
+                    self._fail(f"outgoing response: {e}")
             self._schedule_send("server", sid, s)
-            if s.kind == "client" and isinstance(s.msg, (WriteReturnAck, ReadReturn)):
-                rec = self.ops.get(s.msg.opid)
+            if s.kind == "client" and isinstance(msg, (WriteReturnAck, ReadReturn)):
+                rec = self.ops.get(msg.opid)
                 if rec is not None and rec.ts is None:
                     rec.ts = tuple(srv.vc)
-        notes = srv.notes
-        self._record(self._names[sid], event, srv, sends, notes, moved)
-        if notes:
-            notes.clear()
+        moved = changed or bool(sends)
+        self._record(self._names[sid], event, srv, sends, srv.notes, moved)
+        srv.notes.clear()
         if moved:
             self._probe_after(srv)
         return moved
-
-    def _raised(self, srv: Server, event: Optional[tuple], e: Exception) -> None:
-        """A server step raised: that is a violation, and the step is recorded
-        with no sends or notes."""
-        self._fail(str(e))
-        srv.notes.clear()
-        self._record(self._names[srv.id], event, srv, moved=True)
-
-    def _check_outgoing(self, srv: Server, send: Send) -> None:
-        if isinstance(send.msg, ValRespEncoded):
-            try:
-                srv.check_symbol_legitimacy(send.msg.symbol, send.msg.tagvec)
-            except ProtocolInvariantViolation as e:
-                self._fail(f"outgoing response: {e}")
 
     # -- event processing -------------------------------------------------------
 
@@ -361,14 +354,8 @@ class Simulation:
         srv = self.servers[sid]
         event = (("recv", f"{'c' if src_kind == 'client' else 's'}{src}", msg)
                  if self.collect_trace else None)
-        try:
-            sends = srv.handle(src, msg)
-        except ProtocolInvariantViolation as e:
-            self._raised(srv, event, e)  # not also a write-locality break
-            return
-        self._step(srv, event, True, sends)  # a delivery always counts as a change
-        if isinstance(msg, Write):
-            # write locality: the ack must come out of this very transition
+        # write locality: this very transition must ack; one that raised is no break
+        if self._server_step(srv, event, srv.handle, src, msg) and isinstance(msg, Write):
             rec = self.ops.get(msg.opid)
             if rec is None or rec.ts is None:
                 self.write_locality_breaks += 1
@@ -388,13 +375,10 @@ class Simulation:
         if script:
             self._push(max(self.now, script[0].time_ms), "invoke", cid)
 
-    def _try_invoke(self, cid: int) -> None:
-        client = self.clients[cid]
-        script = self.scripts.get(cid, [])
-        if not script or client.pending is not None:
-            return
-        op = script.pop(0)
-        opid, send = client.invoke(op.kind, op.obj, op.value)
+    def _invoke(self, cid: int) -> None:
+        # an invoke is pushed only when the client has ops left and none pending
+        op = self.scripts[cid].pop(0)
+        opid, send = self.clients[cid].invoke(op.kind, op.obj, op.value)
         self.ops[opid] = OperationRecord(
             opid=opid, client=cid, kind=op.kind, obj=op.obj,
             value=op.value, t_invoke=self.now,
@@ -406,7 +390,7 @@ class Simulation:
     def _service_round(self, sid: int, force: bool = False) -> bool:
         """Apply-drain then encode and collect.  Unless forced, the encode
         and collect steps are taken only when the server's round is due
-        (``Server.round_due``), which is cleared as the encode step begins;
+        (``Server.round_due``), which is cleared as they begin;
         forced rounds certify quiescence and fairness.  Each step whose
         action has no work is recorded without calling the action, which
         would change nothing."""
@@ -421,7 +405,7 @@ class Simulation:
             if not srv.can_apply:
                 self._record(name, APPLY, srv)
                 break
-            applied = self._act(srv, APPLY, srv.apply_inqueue)
+            applied = self._server_step(srv, APPLY, srv.apply_inqueue)
             moved |= applied
             if not applied or self._stopped:
                 break
@@ -430,19 +414,14 @@ class Simulation:
         if not recorded:
             self._record(name, APPLY, srv)
         self._last_full_round[sid] = self.steps
-        if self._stopped:
-            return moved
         srv.round_due = False
-        if srv.can_encode:
-            moved |= self._act(srv, ENCODE, srv.encoding)
-        else:
-            self._record(name, ENCODE, srv)
-        if self._stopped:
-            return moved
-        if srv.can_collect:
-            moved |= self._act(srv, GC, srv.garbage_collection)
-        else:
-            self._record(name, GC, srv)
+        for event, can, action in ROUND_STEPS:
+            if self._stopped:
+                break
+            if getattr(srv, can):
+                moved |= self._server_step(srv, event, getattr(srv, action))
+            else:
+                self._record(name, event, srv)
         return moved
 
     def _fairness_rounds(self) -> None:
@@ -472,7 +451,7 @@ class Simulation:
                 self.halted.add(payload)
                 self._record(self._names[payload], ("halt",))
             elif kind == "invoke":
-                self._try_invoke(payload)
+                self._invoke(payload)
             else:
                 dst_kind, dst, src_kind, src, msg = payload
                 if dst_kind == "server":

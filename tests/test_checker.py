@@ -340,6 +340,25 @@ class TestProbeFaults:
             r, f"server {sid}: list entry {tag.render()} on X{obj} does not match "
                f"the write with that tag", f"s{sid}", ("apply",))
 
+    @pytest.mark.parametrize("action,event", [("encoding", ("encode",)),
+                                              ("garbage_collection", ("gc",))])
+    def test_internal_action_raises(self, monkeypatch, action, event):
+        # an internal action's raise takes the same path as a handler's: one
+        # violation, and the step recorded with nothing emitted
+        original, fired = getattr(Server, action), []
+
+        def raise_once(srv):
+            if not fired:
+                fired.append(srv.id)
+                raise ProtocolInvariantViolation(f"server {srv.id}: {action} raised")
+            return original(srv)
+
+        monkeypatch.setattr(Server, action, raise_once)
+        r = self.run_fig1()
+        (sid,) = fired
+        self.assert_stopped(r, f"server {sid}: {action} raised", f"s{sid}", event)
+        assert r.trace[-1].emitted == ()
+
     def test_tmax_above_symbol_tag(self, monkeypatch):
         original, fired = Server.on_del, []
 

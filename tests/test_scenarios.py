@@ -18,7 +18,8 @@ from causalec.field import PrimeField
 from causalec.harness import main
 from causalec.latency import LatencyGraph
 from causalec.messages import ValInq
-from causalec.scenarios import ClientSpec, Scenario, ScenarioError, ScriptOp, scenario_from_json
+from causalec.scenarios import (
+    ClientSpec, RandomWorkload, Scenario, ScenarioError, ScriptOp, scenario_from_json)
 from causalec.simnet import run
 from causalec.tags import Tag
 
@@ -88,6 +89,10 @@ MALFORMED = {
         r"workload\.ops\[0\]\.object:"),
     "op_not_an_object": (
         _set(["workload", "ops", 0], 5, builtin.read_scenario_2_doc), r"workload\.ops\[0\]:"),
+    # a read's value was dropped unread
+    "read_op_with_value": (
+        _set(["workload", "ops", 5, "value"], 3, builtin.read_scenario_2_doc),
+        r"workload\.ops\[5\]\.value: a read has no value"),
     "op_value_not_int": (
         _set(["workload", "ops", 0, "value"], "abc", builtin.read_scenario_2_doc),
         r"workload\.ops\[0\]\.value:"),
@@ -205,9 +210,42 @@ def _unrecoverable():
                     scripts={1: [ScriptOp(0, "read", 1)]})
 
 
+def _k2(**fields):
+    """A scenario built in code on a K=2, value_len 1 code over GF(7)."""
+    return Scenario(name="t", code=LinearCode(PrimeField(7), [[1, 0], [0, 1]]),
+                    graph=LatencyGraph(2, {(1, 2): 1}), clients=[ClientSpec(1, 1)], **fields)
+
+
+def _op(*args):
+    return lambda: _k2(scripts={1: [ScriptOp(0, "read", 1), ScriptOp(*args)]})
+
+
 # (a scenario built in code, the start of its ScenarioError): the loader's
 # rules hold without the loader
 BUILT_IN_CODE = {
+    # these four ran into a traceback, or ran a delete as a read
+    "op_object_out_of_range": (
+        _op(0, "read", 3), r"workload\.ops\[client 1\]\[1\]\.object: must be in 1\.\.2, got 3"),
+    "op_value_empty": (
+        _op(0, "write", 1, ()),
+        r"workload\.ops\[client 1\]\[1\]\.value: must be a tuple of value_len 1 "),
+    "think_range_empty": (
+        lambda: _k2(random_workload=RandomWorkload(ops=3, think_ms=(5, 1))),
+        r"workload\.think_ms\[1\]: must be >= 5, got 1"),
+    "op_kind_unknown": (
+        _op(0, "delete", 1), r"workload\.ops\[client 1\]\[1\]\.op: must be 'read' or 'write'"),
+    "op_value_outside_field": (
+        _op(0, "write", 1, (7,)), r"workload\.ops\[client 1\]\[1\]\.value: must be a tuple"),
+    "op_value_a_list": (
+        _op(0, "write", 1, [1]), r"workload\.ops\[client 1\]\[1\]\.value: must be a tuple"),
+    "read_with_value": (
+        _op(0, "read", 1, (1,)), r"workload\.ops\[client 1\]\[1\]\.value: a read has no value"),
+    "op_time_negative": (_op(-1, "read", 1), r"workload\.ops\[client 1\]\[1\]\.time:"),
+    "random_ops_negative": (
+        lambda: _k2(random_workload=RandomWorkload(ops=-1)), r"workload\.ops: must be"),
+    "read_fraction_above_one": (
+        lambda: _k2(random_workload=RandomWorkload(ops=3, read_fraction=1.5)),
+        r"workload\.read_fraction: must be in 0\.\.1"),
     "code_unrecoverable": (_unrecoverable, r"code: object 1 cannot be recovered"),
     "step_cap_zero": (lambda: _fig1(step_cap=0), r"step_cap: must be >= 1"),
     "halt_server_out_of_range": (
@@ -294,6 +332,12 @@ class TestValidation:
         doc["workload"]["think_ms"] = [5, 1]
         with pytest.raises(ScenarioError, match=r"^workload\.think_ms\[1\]:"):
             scenario_from_json(doc)
+
+    def test_think_range_is_held_as_integers(self):
+        doc = builtin.fig1_scenario_doc()
+        doc["workload"]["think_ms"] = [1.0, 3.0]
+        think = scenario_from_json(doc).random_workload.think_ms
+        assert think == (1, 3) and all(type(t) is int for t in think)
 
     def test_read_fraction_must_be_a_number(self):
         doc = builtin.fig1_scenario_doc()

@@ -621,7 +621,7 @@ class UnmovedTwin(Server):
         everyone = range(1, self.n + 1)
         mt = self.m_tagvec[obj - 1]
         return (self._per_server_del_max(obj, everyone),
-                self._per_server_del_max(obj, self._holders[obj - 1]),
+                self._per_server_del_max(obj, self.code.holders[obj - 1]),
                 all((mt, i) in self.dell[obj - 1] for i in everyone))
 
     def _skip_is_exact(self, predicate, action):

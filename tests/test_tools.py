@@ -3,8 +3,8 @@
 ``tools/fit_fig1_weights.py`` produced ``builtin.FIG1_EDGES``; a full search
 takes minutes, so these tests check its fixed parts and its final step (every
 weight frozen, no free coordinate left), which once crashed.
-``tools/trace_sweep.py`` hashes 770 traced runs; these tests check its table
-and one case against the golden table.
+``tools/trace_sweep.py`` hashes 770 traced runs; these tests check its table,
+that it holds every case of the golden table, and one case against it.
 """
 
 import importlib.util
@@ -53,3 +53,13 @@ def test_sweep_case_hash_matches_golden_table():
         golden = json.load(fh)
     trace_sha256, _ = load_tool("trace_sweep").case_hashes("fig1", 7, "eventualec")
     assert trace_sha256 == golden["fig1/eventualec/7"]["sha256"]
+
+
+def test_sweep_holds_every_golden_case():
+    # both gates pin the same bytes; a golden case outside the sweep would
+    # let the two drift apart
+    with open(GOLDEN) as fh:
+        golden = json.load(fh)
+    sweep = {f"{name}/{protocol}/{seed}"
+             for name, seed, protocol in load_tool("trace_sweep").cases()}
+    assert set(golden) <= sweep
