@@ -20,7 +20,7 @@ timestamps (the proof is in its docstring).
 
 The remaining checks cover convergence (probe reads after quiescence all
 return the newest write), storage (history lists and queues drain to exactly
-one codeword symbol per server), and write locality and read liveness under
+one codeword symbol per server), and locality and read liveness under
 the halting hypothesis; convergence and storage take their writes from the
 stamped write records in ``RunResult.ops``.  Each run fact has one record,
 kept by the layer that sees it.  The simulator checks the per-transition
@@ -29,7 +29,7 @@ such as a set error flag), stops the run at the violating transition and
 keeps the violations, which ``probe_invariants`` reports.  It re-checks a server only when the
 server's snapshot ``(vc, m_tagvec, tmax, m_val)`` changed, and the symbol
 check compares against a per-server encoding memo on every call.  It
-counts write-locality breaks, which only ``check_locality_and_liveness``
+counts locality breaks, which only ``check_locality_and_liveness``
 reads.  Probe reads are ordinary operation records marked ``probe``.
 """
 
@@ -284,13 +284,15 @@ def check_storage(result: RunResult) -> Verdict:
 
 
 def check_locality_and_liveness(result: RunResult) -> Verdict:
-    """Writes at live homes complete locally; reads complete whenever the
-    home and one full recovery set stayed live."""
+    """Writes at live homes, and reads at a home that stores the object
+    uncoded (its row a nonzero multiple of e_X), are answered in the
+    transition that receives them; reads complete whenever the home and one
+    full recovery set stayed live."""
     code = result.servers[1].code
     halted = set(result.halted)
     failures = []
-    if result.write_locality_breaks:
-        failures.append({"kind": "locality", "count": result.write_locality_breaks})
+    if result.locality_breaks:
+        failures.append({"kind": "locality", "count": result.locality_breaks})
     if result.violations:
         # the run stopped on a violation, which ``invariants`` reports; the
         # operations it left pending say nothing about liveness

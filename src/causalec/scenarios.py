@@ -9,11 +9,12 @@ field at any level included, so the CLI can report them usefully.
 ``scenario_from_json`` (a dict, or the path of a JSON file) checks what only
 a document has: JSON types and unknown, missing and duplicate fields.
 ``Scenario.__post_init__`` checks every other rule, so a scenario built in
-code obeys them too: client ids and homes, halted servers and channels in
-1..N (indexed in insertion order), a code that recovers every object, the
-random workload, ``step_cap >= 1`` and ``delays``.  ``_check_op`` holds the
-rules on a script op; the loader applies them first, naming the op
-``workload.ops[3]``, and the scenario then as ``workload.ops[client 2][0]``.
+code obeys them too: client ids in 1..``PROBE_CLIENT_BASE - 1`` and homes,
+halted servers and channels in 1..N (indexed in insertion order), a code
+that recovers every object, the random workload, ``step_cap >= 1``,
+``delays`` and, through ``_check_op``, each script op.  It names an op
+``workload.ops[client 2][0]``; the loader maps that back to the op's place
+in the document, ``workload.ops[3]``.
 ``Scenario.channel_delays`` gives the per-channel tick bounds the simulator
 draws from.
 """
@@ -22,6 +23,7 @@ from __future__ import annotations
 
 import json
 import random
+import re
 from dataclasses import dataclass, field, replace
 from typing import Dict, List, Optional, Tuple
 
@@ -31,8 +33,9 @@ from .latency import LatencyGraph, to_ms
 from .server import CAUSAL, VARIANTS
 
 DEFAULT_STEP_CAP = 500_000
+PROBE_CLIENT_BASE = 1_000_000  # probe clients take the ids above; scenario clients stay below
 # jittered delays are computed with float arithmetic on tick counts; these
-# bounds keep every product finite, and uniform bounds share the edge limit
+# bounds keep every product finite
 MAX_LATENCY = 1e300
 MAX_JITTER = 1e5
 TOP_LEVEL_FIELDS = frozenset(["name", "code", "latency_graph", "protocol", "clients",
@@ -40,8 +43,7 @@ TOP_LEVEL_FIELDS = frozenset(["name", "code", "latency_graph", "protocol", "clie
 # per kind, the fields a ``workload`` or ``delays`` object may have
 WORKLOAD_FIELDS = {"random": frozenset(["kind", "ops", "read_fraction", "think_ms"]),
                    "script": frozenset(["kind", "ops"])}
-DELAY_FIELDS = {"graph": frozenset(["kind"]), "jitter": frozenset(["kind", "factor"]),
-                "uniform": frozenset(["kind", "min", "max"])}
+DELAY_FIELDS = {"graph": frozenset(["kind"]), "jitter": frozenset(["kind", "factor"])}
 
 
 class ScenarioError(ValueError):
@@ -96,7 +98,7 @@ class Scenario:
         n = self.code.n
         seen = set()
         for i, c in enumerate(self.clients):
-            _integer(c.id, f"clients[{i}].id", 1)
+            _integer(c.id, f"clients[{i}].id", 1, PROBE_CLIENT_BASE - 1)
             if c.id in seen:
                 raise ScenarioError(f"clients[{i}].id: duplicate client id {c.id}")
             seen.add(c.id)
@@ -125,43 +127,25 @@ class Scenario:
             self.random_workload = replace(
                 rw, think_ms=(low, _integer(think[1], "workload.think_ms[1]", low)))
         _integer(self.step_cap, "step_cap", 1)
-        self._delay_model = self._check_delays()
-
-    def _check_delays(self) -> Tuple[str, float, int, int]:
-        """Validate ``delays``: its kind, a jitter factor, and uniform bounds
-        in ticks."""
-        kind = _kind_object(self.delays, "delays", DELAY_FIELDS)
-        factor, low, high = 1.0, 0, 0
-        if kind == "jitter":
-            factor = _number(self.delays.get("factor", 1), "delays.factor", 1, MAX_JITTER)
-        elif kind == "uniform":
-            raw_max = self.delays.get("max", 1)
-            low = _ticks(self.delays.get("min", 0), "delays.min", MAX_LATENCY)
-            high = _ticks(raw_max, "delays.max", MAX_LATENCY)
-            if high < low:
-                raise ScenarioError(f"delays.max: must be >= delays.min, got {raw_max!r}")
-        return kind, factor, low, high
+        _kind_object(self.delays, "delays", DELAY_FIELDS)
+        # a graph delay has no factor field, so it reads as 1
+        self._jitter = _number(self.delays.get("factor", 1), "delays.factor", 1, MAX_JITTER)
 
     def channel_delays(self) -> Tuple[bool, Dict[Tuple[int, int], Tuple[int, int]]]:
-        """Whether each server message draws its delay (every kind but
-        ``graph``) and, per server channel, the delay bounds in ticks with
-        the channel's fixed extra delay added.  Built for each simulation
-        rather than kept, so a scenario holds no per-channel table."""
-        kind, factor, low, high = self._delay_model
+        """Whether each server message draws its delay (``jitter``) and, per
+        server channel, the delay bounds in ticks with the channel's fixed
+        extra delay added.  Built for each simulation rather than kept, so a
+        scenario holds no per-channel table."""
+        jitter = self.delays["kind"] == "jitter"
         bounds = {}
         servers = range(1, self.code.n + 1)
         for src in servers:
             for dst in servers:
                 base = self.graph.delay_ms(src, dst)
-                if kind == "graph":
-                    lo = hi = base
-                elif kind == "jitter":
-                    lo, hi = base, max(base, int(base * factor))
-                else:
-                    lo, hi = low, high
+                hi = max(base, int(base * self._jitter)) if jitter else base
                 extra = self.channel_extra_ms.get((src, dst), 0)
-                bounds[src, dst] = (lo + extra, hi + extra)
-        return kind != "graph", bounds
+                bounds[src, dst] = (base + extra, hi + extra)
+        return jitter, bounds
 
     # -- workload materialisation -------------------------------------------
 
@@ -241,9 +225,9 @@ def _list(raw, path: str) -> list:
     return raw
 
 
-def _ticks(raw, path: str, high: float = float("inf")) -> int:
-    """A time in latency units, in 0..high, as integer ticks."""
-    x = _number(raw, path, high=high)
+def _ticks(raw, path: str) -> int:
+    """A time in latency units, at least 0, as integer ticks."""
+    x = _number(raw, path)
     try:
         return to_ms(x)
     except (ArithmeticError, ValueError) as e:  # too fine, or infinite
@@ -309,6 +293,7 @@ def scenario_from_json(doc) -> Scenario:
 
     random_workload = None
     scripts: Dict[int, List[ScriptOp]] = {}
+    places: Dict[int, List[int]] = {}  # client -> document index of each of its ops
     w = doc.get("workload")
     if w is not None:
         kind = _kind_object(w, "workload", WORKLOAD_FIELDS)
@@ -324,18 +309,13 @@ def scenario_from_json(doc) -> Scenario:
                     _expect(op, fld, path + ".")
                 value = None
                 if op["op"] == "write" or "value" in op:  # a read's value is an error
-                    raw = _expect(op, "value", path + ".")
-                    if isinstance(raw, int):
-                        raw = [raw]
-                    if not isinstance(raw, list) or not set(map(type, raw)) <= {int}:
-                        raise ScenarioError(
-                            f"{path}.value: must be an integer or a list of integers")
-                    value = code.field.value(raw)
-                script_op = ScriptOp(_ticks(op.get("time", 0), f"{path}.time"), op["op"],
-                                     _integer(op["object"], f"{path}.object"), value)
-                _check_op(script_op, code, path)
-                scripts.setdefault(_integer(op["client"], f"{path}.client"), []).append(
-                    script_op)
+                    value = _expect(op, "value", path + ".")
+                    value = tuple(value) if isinstance(value, list) else (value,)
+                cid = _integer(op["client"], f"{path}.client")
+                scripts.setdefault(cid, []).append(ScriptOp(
+                    _ticks(op.get("time", 0), f"{path}.time"), op["op"],
+                    _integer(op["object"], f"{path}.object"), value))
+                places.setdefault(cid, []).append(i)
 
     halts = {}
     for i, h in enumerate(_list(doc.get("halts", []), "halts")):
@@ -361,16 +341,23 @@ def scenario_from_json(doc) -> Scenario:
     if not isinstance(name, str):
         raise ScenarioError(f"name: must be a string, got {name!r}")
 
-    return Scenario(
-        name=name,
-        code=code,
-        graph=graph,
-        protocol=doc.get("protocol", CAUSAL),
-        clients=clients,
-        random_workload=random_workload,
-        scripts=scripts,
-        delays=doc.get("delays", {"kind": "graph"}),
-        halts=halts,
-        channel_extra_ms=extra,
-        step_cap=_integer(doc.get("step_cap", DEFAULT_STEP_CAP), "step_cap"),
-    )
+    try:
+        return Scenario(
+            name=name,
+            code=code,
+            graph=graph,
+            protocol=doc.get("protocol", CAUSAL),
+            clients=clients,
+            random_workload=random_workload,
+            scripts=scripts,
+            delays=doc.get("delays", {"kind": "graph"}),
+            halts=halts,
+            channel_extra_ms=extra,
+            step_cap=_integer(doc.get("step_cap", DEFAULT_STEP_CAP), "step_cap"),
+        )
+    except ScenarioError as e:  # name a script op by its place in the document
+        at = re.match(r"workload\.ops\[client (\d+)\]\[(\d+)\]", str(e))
+        if at is None:
+            raise
+        i = places[int(at[1])][int(at[2])]
+        raise ScenarioError(f"workload.ops[{i}]{str(e)[at.end():]}") from None

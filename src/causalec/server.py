@@ -522,8 +522,8 @@ class Server:
             if x in self.objects_here:
                 max_u = self._per_server_del_max(x, self.code.holders[x - 1])
                 if max_u is not None and self._gc_del_sent[x - 1] != max_u:
-                    # re-broadcasting the same notice forever would keep the
-                    # run from quiescing; only a new max goes out
+                    # only a new max goes out: re-broadcasting the same
+                    # notice would only send repeat messages
                     self._gc_del_sent[x - 1] = max_u
                     notice = Del(x, max_u)
                     sends += [Send("server", j, notice) for j in self._others]

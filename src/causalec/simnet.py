@@ -34,12 +34,11 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from .client import Client
 from .field import Value
 from .latency import format_ms
-from .messages import Message, OpId, ReadReturn, ValRespEncoded, Write, WriteReturnAck
-from .scenarios import Scenario, ScriptOp
+from .messages import Message, OpId, Read, ReadReturn, ValRespEncoded, Write, WriteReturnAck
+from .scenarios import PROBE_CLIENT_BASE, Scenario, ScriptOp
 from .server import Send, Server
 from .tags import ProtocolInvariantViolation, Tag
 
-PROBE_CLIENT_BASE = 1_000_000
 FAIRNESS_STEPS = 8  # per server: the age of a last full round that forces one
 APPLY = ("apply",)
 # a round's (event, work predicate, action) steps, by name so Server wrappers apply
@@ -167,7 +166,7 @@ class RunResult:
     ops: Dict[OpId, OperationRecord]
     trace: List[TraceRecord]
     violations: List[str]
-    write_locality_breaks: int
+    locality_breaks: int
     pending_opids: List[OpId]
     halted: List[int]
     servers: Dict[int, Server]
@@ -216,7 +215,7 @@ class Simulation:
         self.trace: List[TraceRecord] = []
         self.ops: Dict[OpId, OperationRecord] = {}
         self.violations: List[str] = []
-        self.write_locality_breaks = 0
+        self.locality_breaks = 0
         self._chan_last: Dict[tuple, int] = {}
         # per server channel, the delay bounds in ticks; unless the delay is
         # fixed, each server message draws one from rng
@@ -354,11 +353,14 @@ class Simulation:
         srv = self.servers[sid]
         event = (("recv", f"{'c' if src_kind == 'client' else 's'}{src}", msg)
                  if self.collect_trace else None)
-        # write locality: this very transition must ack; one that raised is no break
-        if self._server_step(srv, event, srv.handle, src, msg) and isinstance(msg, Write):
+        # locality: a write, or a read of the object this server stores
+        # uncoded, is answered in this very transition; one that raised is no break
+        if self._server_step(srv, event, srv.handle, src, msg) and (
+                isinstance(msg, Write)
+                or isinstance(msg, Read) and self.code.held[sid - 1] == (msg.obj,)):
             rec = self.ops.get(msg.opid)
             if rec is None or rec.ts is None:
-                self.write_locality_breaks += 1
+                self.locality_breaks += 1
 
     def _deliver_to_client(self, cid: int, src_kind: str, src: int, msg: Message) -> None:
         client = self.clients[cid]
@@ -500,7 +502,7 @@ class Simulation:
             ops=self.ops,
             trace=self.trace,
             violations=self.violations,
-            write_locality_breaks=self.write_locality_breaks,
+            locality_breaks=self.locality_breaks,
             pending_opids=sorted(pending),
             halted=sorted(self.halted),
             servers=self.servers,

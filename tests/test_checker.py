@@ -10,11 +10,14 @@ kind.
 
 import copy
 import dataclasses
+import inspect
+import textwrap
 from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from causalec import server
 from causalec.builtin import differential_scenario_doc, fig1_scenario_doc
 from causalec.checker import (
     _leads_to,
@@ -214,11 +217,27 @@ class TestLocalityLiveness:
 
         monkeypatch.setattr(Server, "on_write", drop_ack)
         r = run(small({1: [ScriptOp(0, "write", 1, (5,))]}), seed=0)
-        assert r.write_locality_breaks == 1
+        assert r.locality_breaks == 1
         verdict = check_locality_and_liveness(r)
         assert not verdict.passed
         assert {"kind": "locality", "count": 1} in verdict.details["failures"]
         assert probe_invariants(r).passed
+
+    def test_uncoded_read_sent_remote_fails_locality(self, monkeypatch):
+        # on_read with its singleton decode skipped: a read at a server that
+        # stores the object uncoded is fetched remotely, answering late
+        source = textwrap.dedent(inspect.getsource(Server.on_read))
+        assert source.count("len(rs.members) > 1") == 1
+        mutant = {}
+        exec(source.replace("len(rs.members) > 1", "len(rs.members) >= 1"),
+             vars(server), mutant)
+        monkeypatch.setattr(Server, "on_read", mutant["on_read"])
+        r = run(scenario_from_json(fig1_scenario_doc()), seed=0, probes=True)
+        assert r.locality_breaks > 0
+        failed = [v.name for v in check_all(r) if not (v.passed or v.inconclusive)]
+        assert failed == ["locality+liveness"]
+        assert check_locality_and_liveness(r).details["failures"] == [
+            {"kind": "locality", "count": r.locality_breaks}]
 
     def test_raising_write_handler_fails_invariants_only(self, monkeypatch):
         def boom(self, clientid, opid, obj, value):
@@ -227,7 +246,7 @@ class TestLocalityLiveness:
         monkeypatch.setattr(Server, "on_write", boom)
         r = run(small({1: [ScriptOp(0, "write", 1, (5,))]}), seed=0)
         assert r.violations == ["boom"]
-        assert r.write_locality_breaks == 0
+        assert r.locality_breaks == 0
         failed = [v.name for v in check_all(r) if not (v.passed or v.inconclusive)]
         assert failed == ["invariants"]
 

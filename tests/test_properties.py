@@ -84,8 +84,7 @@ def _nested_base(delays):
     return doc
 
 
-NESTED_BASES = [{"kind": "graph"}, {"kind": "jitter", "factor": 2},
-                {"kind": "uniform", "min": 0.5, "max": 3}]
+NESTED_BASES = [{"kind": "graph"}, {"kind": "jitter", "factor": 2}]
 _BASE = _nested_base(NESTED_BASES[0])
 # the leaves below each top-level field, drawn field first so the many
 # latency_graph edge entries do not crowd out the rest
@@ -111,7 +110,7 @@ NESTED_VALUE = (st.sampled_from([1, 2, 3, 5, 0.5, "jitter", "uniform"])
 # and too few examples reach a run.  The explicit examples are delay
 # arithmetic that overflowed a float in the run before the loader bounded it.
 @example(NESTED_BASES[1], ("delays", "factor"), float("inf"))
-@example(NESTED_BASES[2], ("delays", "max"), 1e308)
+@example(NESTED_BASES[1], ("delays", "factor"), 1e308)
 @example(NESTED_BASES[1], ("latency_graph", "edges", 0, 2), 1e306)
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.sampled_from(NESTED_BASES), NESTED_LEAF, NESTED_VALUE)

@@ -18,8 +18,10 @@ from causalec.field import PrimeField
 from causalec.harness import main
 from causalec.latency import LatencyGraph
 from causalec.messages import ValInq
+from causalec import scenarios
 from causalec.scenarios import (
-    ClientSpec, RandomWorkload, Scenario, ScenarioError, ScriptOp, scenario_from_json)
+    PROBE_CLIENT_BASE, ClientSpec, RandomWorkload, Scenario, ScenarioError, ScriptOp,
+    scenario_from_json)
 from causalec.simnet import run
 from causalec.tags import Tag
 
@@ -96,10 +98,19 @@ MALFORMED = {
     "op_value_not_int": (
         _set(["workload", "ops", 0, "value"], "abc", builtin.read_scenario_2_doc),
         r"workload\.ops\[0\]\.value:"),
-    "uniform_delay_not_a_number": (
-        _set(["delays"], {"kind": "uniform", "min": "a"}), r"delays\.min:"),
-    "uniform_delay_range_empty": (
-        _set(["delays"], {"kind": "uniform", "min": 2, "max": 1}), r"delays\.max:"),
+    # the loader reduced a document's value mod p: 9 ran as (2,), [-1] as (6,)
+    "op_value_outside_field": (
+        _set(["workload", "ops", 3, "value"], 9, builtin.read_scenario_2_doc),
+        r"workload\.ops\[3\]\.value: must be a tuple of value_len 1 integers in 0\.\.6"),
+    "op_value_negative": (
+        _set(["workload", "ops", 0, "value"], [-1], builtin.read_scenario_2_doc),
+        r"workload\.ops\[0\]\.value:"),
+    "read_op_with_null_value": (
+        _set(["workload", "ops", 5, "value"], None, builtin.read_scenario_2_doc),
+        r"workload\.ops\[5\]\.value: a read has no value"),
+    # the probe clients' ids: such a client's ops were taken for probes
+    "client_id_in_probe_range": (_set(["clients", 0, "id"], 1_000_001),
+                                 r"clients\[0\]\.id: must be in 1\.\.999999"),
     "code_unrecoverable": (_zero_coeffs, r"code:"),
     "code_not_an_object": (_set(["code"], 5), r"code:"),
     "field_p_not_int": (_set(["code", "field_p"], "7"), r"code\.field_p:"),
@@ -150,11 +161,6 @@ MALFORMED = {
     # float delay arithmetic overflowed in the run, a traceback from `causalec run`
     "jitter_factor_overflows": (_set(["delays", "factor"], 1e308), r"delays\.factor:"),
     "jitter_factor_infinite": (_set(["delays", "factor"], float("inf")), r"delays\.factor:"),
-    "uniform_max_overflows": (
-        _set(["delays"], {"kind": "uniform", "min": 0, "max": 1e308}), r"delays\.max:"),
-    "uniform_min_infinite": (
-        _set(["delays"], {"kind": "uniform", "min": float("inf"), "max": float("inf")}),
-        r"delays\.min:"),
     "jittered_edge_overflows": (
         _set(["latency_graph", "edges", 0, 2], 1e306), r"latency_graph\.edges\[0\]\[2\]:"),
     # a misspelt nested field loaded and ran with its default in place
@@ -177,11 +183,9 @@ MALFORMED = {
         r"channel_extra\[0\]\.delay: unknown field"),
     "client_missing_home": (_set(["clients", 0], {"id": 1}), r"clients\[0\]\.home:"),
     "delays_kind_misspelt": (_set(["delays"], {"kind": "jiter"}), r"delays\.kind:"),
-    # uniform bounds were truncated to whole ticks: 0.0015 ran as 1 tick
-    "uniform_min_too_fine": (
-        _set(["delays"], {"kind": "uniform", "min": 0.0015, "max": 1}), r"delays\.min:"),
-    "uniform_max_too_fine": (
-        _set(["delays"], {"kind": "uniform", "min": 0, "max": 1.0005}), r"delays\.max:"),
+    "delays_kind_uniform_is_gone": (
+        _set(["delays"], {"kind": "uniform", "min": 0.5, "max": 3}),
+        r"delays\.kind: unknown kind 'uniform'"),
 }
 
 
@@ -253,6 +257,9 @@ BUILT_IN_CODE = {
     "channel_to_out_of_range": (
         lambda: _fig1(channel_extra_ms={(1, 2): 5, (1, 9): 5}), r"channel_extra\[1\]\.to:"),
     "client_id_zero": (lambda: _fig1(clients=[ClientSpec(0, 1)]), r"clients\[0\]\.id:"),
+    "client_id_in_probe_range": (
+        lambda: _fig1(clients=[ClientSpec(PROBE_CLIENT_BASE, 1)]),
+        r"clients\[0\]\.id: must be in 1\.\.999999, got 1000000"),
 }
 
 
@@ -261,6 +268,24 @@ def test_scenario_built_in_code_follows_the_loader_rules(case):
     build, message = BUILT_IN_CODE[case]
     with pytest.raises(ScenarioError, match="^" + message):
         build()
+
+
+def test_each_script_op_is_checked_once(monkeypatch):
+    # the loader checked every op, and the scenario it built checked it again
+    calls = []
+    check_op = scenarios._check_op
+
+    def counted(op, code, path):
+        calls.append(path)
+        return check_op(op, code, path)
+
+    monkeypatch.setattr(scenarios, "_check_op", counted)
+    for name, build in builtin.BUNDLED.items():
+        doc = build()
+        ops = doc["workload"]["ops"] if doc["workload"]["kind"] == "script" else []
+        calls.clear()
+        scenario_from_json(doc)
+        assert len(calls) == len(ops) == len(set(calls)), name
 
 
 @pytest.mark.parametrize("name", ["7", "null"])

@@ -117,12 +117,13 @@ class TestChannels:
                 last[chan] = rec.t
 
     @pytest.mark.parametrize("name", ["encoding_scenario_1", "fig1"])
-    def test_uniform_delays_stay_in_bounds(self, name):
-        # every server-to-server delivery takes min..max plus the channel's
-        # extra delay; FIFO clamping cannot push one past the bound, since
-        # the message ahead of it was sent no later and bounded alike
+    def test_jittered_delays_stay_in_bounds(self, name):
+        # every server-to-server delivery takes its graph delay up to three
+        # times that, plus the channel's extra delay; FIFO clamping cannot
+        # push one past the bound, since the message ahead of it on the
+        # channel was sent no later and bounded alike
         doc = builtin.BUNDLED[name]()
-        doc["delays"] = {"kind": "uniform", "min": 0.5, "max": 3}
+        doc["delays"] = {"kind": "jitter", "factor": 3}
         sc = scenario_from_json(doc)
         assert sc.channel_extra_ms or name == "fig1"
         for seed in range(3):
@@ -137,26 +138,27 @@ class TestChannels:
                 if rec.event[0] == "recv" and rec.event[1].startswith("s"):
                     src = int(rec.event[1][1:])
                     extra = sc.channel_extra_ms.get((src, sid), 0)
+                    base = sc.graph.delay_ms(src, sid)
                     delays.append(rec.t - in_flight[src, sid].pop(0) - extra)
+                    assert base <= delays[-1] <= int(base * 3), (seed, src, sid)
                 for kind, dst, _msg in rec.emitted:
                     if kind == "server":
                         in_flight.setdefault((sid, dst), []).append(rec.t)
             assert len(set(delays)) > 1
-            assert all(to_ms(0.5) <= d <= to_ms(3) for d in delays)
 
     def test_scenario_built_in_code_checks_its_delays(self):
-        # a misspelt kind ran as uniform [0, 1]
+        # a misspelt kind once ran with a default delay
         with pytest.raises(ScenarioError, match=r"^delays\.kind:"):
             small_scenario(delays={"kind": "jiter"})
-        with pytest.raises(ScenarioError, match=r"^delays\.min:"):
-            small_scenario(delays={"kind": "uniform", "min": 0.0015})
+        with pytest.raises(ScenarioError, match=r"^delays\.factor: must be in 1\.\.100000"):
+            small_scenario(delays={"kind": "jitter", "factor": 0.5})
         with pytest.raises(ScenarioError, match=r"^delays\.factr: unknown field"):
             small_scenario(delays={"kind": "jitter", "factr": 2})
-        sc = small_scenario(delays={"kind": "uniform", "min": 0.25, "max": 1.5},
+        sc = small_scenario(delays={"kind": "jitter", "factor": 1.5},
                             channel_extra_ms={(1, 2): 40})
         draws, bounds = sc.channel_delays()
         assert draws
-        assert bounds[1, 2] == (290, 1540) and bounds[2, 1] == (250, 1500)
+        assert bounds[1, 2] == (2040, 3040) and bounds[2, 1] == (2000, 3000)
         draws, bounds = small_scenario().channel_delays()  # graph: fixed, no draw
         assert not draws and bounds[3, 1] == (3000, 3000)
 
