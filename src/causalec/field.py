@@ -8,7 +8,7 @@ coefficient 2 is invertible.
 
 from __future__ import annotations
 
-from typing import Iterable, Tuple
+from typing import Tuple
 
 Value = Tuple[int, ...]
 
@@ -64,9 +64,6 @@ class PrimeField:
 
     def zero_value(self, length: int) -> Value:
         return (0,) * length
-
-    def value(self, coords: Iterable[int]) -> Value:
-        return tuple(c % self.p for c in coords)
 
     def vadd(self, u: Value, v: Value) -> Value:
         if len(u) != len(v):

@@ -12,22 +12,26 @@ while ``Server.round_due`` is set), a server with no full round in the last
 ``FAIRNESS_STEPS`` steps per server gets one forced, and once the event heap
 drains every live server is swept until no action changes state and nothing
 is in flight -- that fixed point is quiescence, and it is detected by forced
-rounds, not by timeouts.  A round records all of its steps but calls only
-the actions that have work (``Server.can_apply``, ``can_encode``,
-``can_collect``); the others would change nothing.  Every server transition,
-a delivery or an internal action, is one ``Simulation._server_step``.  A run
-stops at its step cap, and is then not quiescent.  Trace records stay
-structured; ``trace_lines`` writes them as JSON text.
+rounds, not by timeouts.  The live servers are kept least recent full round
+first: a full round moves its server to the end, and its step count is above
+every earlier one, and a halt removes it, so the order stays sorted and the
+servers due a forced round are a prefix of it.  A round records all of its
+steps but calls only the actions that have work (``Server.can_apply``,
+``can_encode``, ``can_collect``); the others would change nothing.  Every
+server transition, a delivery or an internal action, is one
+``Simulation._server_step``.  A run stops at its step cap, and is then not
+quiescent.  Trace records stay structured; ``trace_lines`` writes them as
+JSON text.
 """
 
 from __future__ import annotations
 
 import functools
 import hashlib
-import heapq
 import json
 import random
 from dataclasses import dataclass
+from heapq import heappop, heappush
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
@@ -40,10 +44,7 @@ from .server import Send, Server
 from .tags import ProtocolInvariantViolation, Tag
 
 FAIRNESS_STEPS = 8  # per server: the age of a last full round that forces one
-APPLY = ("apply",)
-# a round's (event, work predicate, action) steps, by name so Server wrappers apply
-ROUND_STEPS = ((("encode",), "can_encode", "encoding"),
-               (("gc",), "can_collect", "garbage_collection"))
+APPLY, ENCODE, GC = ("apply",), ("encode",), ("gc",)  # a round's internal events
 
 
 @dataclass
@@ -70,7 +71,7 @@ class TraceRecord:
     ``event`` is ``("recv", source, Message)``, ``("invoke", kind, obj,
     value)`` or an internal step such as ``("apply",)``; ``digest`` is the
     acting server's ``Server.digest()`` (None for client and halt steps),
-    shared with that server's previous record when the step did not move;
+    shared with that server's previous record when it is unchanged;
     ``emitted`` holds the ``Send`` tuples the transition produced.  Messages
     and tags are immutable, so a record is a snapshot.  Text appears only in
     ``trace_lines``, when the trace is serialised.  Records are for
@@ -216,16 +217,20 @@ class Simulation:
         self.ops: Dict[OpId, OperationRecord] = {}
         self.violations: List[str] = []
         self.locality_breaks = 0
-        self._chan_last: Dict[tuple, int] = {}
-        # per server channel, the delay bounds in ticks; unless the delay is
-        # fixed, each server message draws one from rng
-        self._draw_delays, self._links = scenario.channel_delays()
+        self._chan_last: Dict[Tuple[int, int], int] = {}  # per server channel
+        # per server channel, the least delay in ticks and the number of
+        # delays a message draws from with rng (0: the delay is fixed)
+        draws, bounds = scenario.channel_delays()
+        self._links = {link: (lo, hi - lo + 1 if draws else 0)
+                       for link, (lo, hi) in bounds.items()}
+        self._randbelow = self.rng._randbelow
         self._names = {s: f"s{s}" for s in self.servers}
         # per server, the state the probes last checked and the digest last
         # recorded (None: not yet)
         self._snapshots: Dict[int, Optional[tuple]] = dict.fromkeys(self.servers)
         self._digests: Dict[int, Optional[tuple]] = dict.fromkeys(self.servers)
-        self._last_full_round: Dict[int, int] = {s: 0 for s in self.servers}
+        # live server -> step count of its last full round, least recent first
+        self._last_full_round: Dict[int, int] = dict.fromkeys(self.servers, 0)
         self.halted: Set[int] = set()  # a halted server processes nothing further
         self._next_fair_scan = 0
         self._fair_floor = 0  # no live server is due before this step count
@@ -242,19 +247,7 @@ class Simulation:
 
     def _push(self, t: int, kind: str, payload) -> None:
         self.seq += 1
-        heapq.heappush(self.heap, (t, self.seq, kind, payload))
-
-    def _schedule_send(self, src_kind: str, src_id: int, send: Send) -> None:
-        if send.kind == "server" and src_kind == "server":
-            lo, hi = self._links[src_id, send.dst]
-            # randint(lo, hi)'s value sequence, without its argument checks
-            delay = lo + self.rng._randbelow(hi - lo + 1) if self._draw_delays else lo
-        else:
-            delay = 0  # clients talk to their co-located home server
-        chan = (src_kind, src_id, send.kind, send.dst)
-        t = max(self.now + delay, self._chan_last.get(chan, 0))
-        self._chan_last[chan] = t
-        self._push(t, "deliver", (send.kind, send.dst, src_kind, src_id, send.msg))
+        heappush(self.heap, (t, self.seq, kind, payload))
 
     # -- trace / probes --------------------------------------------------------
 
@@ -267,7 +260,9 @@ class Simulation:
 
         A server's state changes only inside its own steps, and each step
         that changes it says so; a step that did not move therefore reuses
-        the digest of that server's last record instead of taking a new one."""
+        the digest of that server's last record instead of taking a new one.
+        A step that moved but left a digest equal to the last one reuses
+        the last one too, so the trace writer's identity memo hits."""
         self.steps += 1
         if self.steps >= self.step_cap:
             self._stopped = True
@@ -277,7 +272,9 @@ class Simulation:
         if srv is not None:
             digest = self._digests[srv.id]
             if moved or digest is None:
-                digest = self._digests[srv.id] = srv.digest()
+                new = srv.digest()
+                if new != digest:
+                    digest = self._digests[srv.id] = new
         self.trace.append(TraceRecord(self.steps, self.now, node, event, digest,
                                       tuple(emitted), tuple(notes)))
 
@@ -319,7 +316,12 @@ class Simulation:
         """One server transition, ``action(*args) -> (changed, sends)``.  A raise
         is a violation, recorded with no sends or notes; otherwise each send is
         scheduled (a coded symbol checked, a client response's ``ts`` stamped),
-        the step recorded and the server probed if it moved; returns whether it did."""
+        the step recorded and the server probed if it moved; returns whether it did.
+
+        A server message takes its channel's least delay plus, when delays
+        are drawn, ``rng._randbelow(span)`` (``randint(lo, hi)``'s values),
+        clamped to stay FIFO; a message to a client has no delay and, as
+        virtual time never goes back, needs no clamp."""
         sid = srv.id
         try:
             changed, sends = action(*args)
@@ -328,18 +330,32 @@ class Simulation:
             srv.notes.clear()
             self._record(self._names[sid], event, srv, moved=True)
             return False
-        for s in sends:
-            msg = s.msg
-            if isinstance(msg, ValRespEncoded):
-                try:
-                    srv.check_symbol_legitimacy(msg.symbol, msg.tagvec)
-                except ProtocolInvariantViolation as e:
-                    self._fail(f"outgoing response: {e}")
-            self._schedule_send("server", sid, s)
-            if s.kind == "client" and isinstance(msg, (WriteReturnAck, ReadReturn)):
-                rec = self.ops.get(msg.opid)
-                if rec is not None and rec.ts is None:
-                    rec.ts = tuple(srv.vc)
+        if sends:
+            now, heap, links, chan_last = self.now, self.heap, self._links, self._chan_last
+            seq, randbelow = self.seq, self._randbelow
+            for kind, dst, msg in sends:
+                mtype = type(msg)
+                if kind == "client":
+                    t = now
+                    if mtype is WriteReturnAck or mtype is ReadReturn:
+                        rec = self.ops.get(msg.opid)
+                        if rec is not None and rec.ts is None:
+                            rec.ts = tuple(srv.vc)
+                else:
+                    if mtype is ValRespEncoded:
+                        try:
+                            srv.check_symbol_legitimacy(msg.symbol, msg.tagvec)
+                        except ProtocolInvariantViolation as e:
+                            self._fail(f"outgoing response: {e}")
+                    lo, span = links[sid, dst]
+                    t = now + lo + randbelow(span) if span else now + lo
+                    last = chan_last.get((sid, dst), 0)
+                    if t < last:
+                        t = last
+                    chan_last[sid, dst] = t
+                seq += 1
+                heappush(heap, (t, seq, "deliver", (kind, dst, "server", sid, msg)))
+            self.seq = seq
         moved = changed or bool(sends)
         self._record(self._names[sid], event, srv, sends, srv.notes, moved)
         srv.notes.clear()
@@ -356,8 +372,8 @@ class Simulation:
         # locality: a write, or a read of the object this server stores
         # uncoded, is answered in this very transition; one that raised is no break
         if self._server_step(srv, event, srv.handle, src, msg) and (
-                isinstance(msg, Write)
-                or isinstance(msg, Read) and self.code.held[sid - 1] == (msg.obj,)):
+                type(msg) is Write
+                or type(msg) is Read and self.code.held[sid - 1] == (msg.obj,)):
             rec = self.ops.get(msg.opid)
             if rec is None or rec.ts is None:
                 self.locality_breaks += 1
@@ -371,7 +387,7 @@ class Simulation:
             return
         rec = self.ops[opid]
         rec.t_response = self.now
-        if isinstance(msg, ReadReturn):
+        if type(msg) is ReadReturn:
             rec.value = msg.value
         script = self.scripts.get(cid, [])
         if script:
@@ -387,7 +403,8 @@ class Simulation:
             probe=cid >= PROBE_CLIENT_BASE)
         self._record(f"c{cid}", ("invoke", op.kind, op.obj,
                                  op.value if op.kind == "write" else None), None, (send,))
-        self._schedule_send("client", cid, send)
+        # to the co-located home server, with no delay, as in _server_step
+        self._push(self.now, "deliver", (send.kind, send.dst, "client", cid, send.msg))
 
     def _service_round(self, sid: int, force: bool = False) -> bool:
         """Apply-drain then encode and collect.  Unless forced, the encode
@@ -415,54 +432,70 @@ class Simulation:
             return moved
         if not recorded:
             self._record(name, APPLY, srv)
-        self._last_full_round[sid] = self.steps
+        order = self._last_full_round  # this round's step count is above every other
+        del order[sid]
+        order[sid] = self.steps
         srv.round_due = False
-        for event, can, action in ROUND_STEPS:
-            if self._stopped:
-                break
-            if getattr(srv, can):
-                moved |= self._server_step(srv, event, getattr(srv, action))
-            else:
-                self._record(name, event, srv)
+        if self._stopped:
+            return moved
+        if srv.can_encode:
+            moved |= self._server_step(srv, ENCODE, srv.encoding)
+        else:
+            self._record(name, ENCODE, srv)
+        if self._stopped:
+            return moved
+        if srv.can_collect:
+            moved |= self._server_step(srv, GC, srv.garbage_collection)
+        else:
+            self._record(name, GC, srv)
         return moved
 
     def _fairness_rounds(self) -> None:
         """Called every 4 steps: force a round at each live server whose
-        last full round is ``_fair_window`` steps old.  ``_last_full_round``
-        entries only rise and the live set only shrinks, so no server is due
-        below the floor taken at the last scan, and the scan is skipped
-        there."""
+        last full round is ``_fair_window`` steps old, in id order.
+
+        ``_last_full_round`` holds the live servers least recent first: a
+        server moves to the end at each full round, whose step count is
+        above every earlier one, and leaves at its halt.  So the due servers
+        are a prefix of it, and its first entry sets the floor below which
+        no server is due and the scan is skipped."""
         self._next_fair_scan = self.steps + 4
         if self.steps < self._fair_floor:
             return
-        due = [s for s, last in self._last_full_round.items()
-               if s not in self.halted and self.steps - last >= self._fair_window]
+        cutoff = self.steps - self._fair_window
+        due = []
+        for s, last in self._last_full_round.items():
+            if last > cutoff:
+                break
+            due.append(s)
         for s in sorted(due):
             self._service_round(s, force=True)
-        self._fair_floor = self._fair_window + min(
-            (last for s, last in self._last_full_round.items() if s not in self.halted),
-            default=self.step_cap)
+        self._fair_floor = self._fair_window + next(iter(self._last_full_round.values()),
+                                                    self.step_cap)
 
     # -- main loop -----------------------------------------------------------------
 
     def _drain(self) -> None:
-        while self.heap and not self._stopped:
-            t, _, kind, payload = heapq.heappop(self.heap)
-            self.now = max(self.now, t)
-            if kind == "halt":
-                self.halted.add(payload)
-                self._record(self._names[payload], ("halt",))
+        heap, halted = self.heap, self.halted
+        while heap and not self._stopped:
+            t, _, kind, payload = heappop(heap)
+            if t > self.now:
+                self.now = t
+            if kind == "deliver":
+                dst_kind, dst, src_kind, src, msg = payload
+                if dst_kind == "client":
+                    self._deliver_to_client(dst, src_kind, src, msg)
+                elif dst in halted:
+                    continue
+                else:
+                    self._deliver_to_server(dst, src_kind, src, msg)
+                    self._service_round(dst)
             elif kind == "invoke":
                 self._invoke(payload)
             else:
-                dst_kind, dst, src_kind, src, msg = payload
-                if dst_kind == "server":
-                    if dst in self.halted:
-                        continue
-                    self._deliver_to_server(dst, src_kind, src, msg)
-                    self._service_round(dst)
-                else:
-                    self._deliver_to_client(dst, src_kind, src, msg)
+                halted.add(payload)
+                del self._last_full_round[payload]
+                self._record(self._names[payload], ("halt",))
             if self.steps >= self._next_fair_scan:
                 self._fairness_rounds()
 

@@ -151,10 +151,10 @@ class TestReencode:
         for _ in range(40):
             coeffs = [[rng.randrange(11) for _ in range(3)] for _ in range(4)]
             code = LinearCode(f, coeffs, value_len=2)
-            x = [f.value([rng.randrange(11), rng.randrange(11)]) for _ in range(3)]
+            x = [(rng.randrange(11), rng.randrange(11)) for _ in range(3)]
             i = rng.randint(1, 4)
             k = rng.randint(1, 3)
-            new = f.value([rng.randrange(11), rng.randrange(11)])
+            new = (rng.randrange(11), rng.randrange(11))
             sym = code.encode(x)[i - 1]
             want = code.encode(x[:k - 1] + [new] + x[k:])[i - 1]
             zero = f.zero_value(2)

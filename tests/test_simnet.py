@@ -1,6 +1,7 @@
 """Simulation fabric: FIFO channels, determinism, halting, quiescence,
 fairness, trace serialisation, and the latency analysis."""
 
+import collections
 import dataclasses
 import hashlib
 import json
@@ -18,7 +19,7 @@ from causalec.builtin import (
 )
 from causalec.coding import LinearCode
 from causalec.field import PrimeField
-from causalec.harness import fuzz_scenario
+from causalec.harness import fuzz_scenario, verdicts_to_json
 from causalec.latency import (
     LatencyGraph,
     LatencyReport,
@@ -163,8 +164,9 @@ class TestChannels:
         assert not draws and bounds[3, 1] == (3000, 3000)
 
     def test_delay_draw_is_randints_sequence(self):
-        # Simulation._schedule_send draws lo + rng._randbelow(hi - lo + 1);
-        # every jittered trace depends on that being randint(lo, hi)
+        # Simulation._server_step draws lo + rng._randbelow(span), with the
+        # channel's span = hi - lo + 1 taken at set-up; every jittered trace
+        # depends on that being randint(lo, hi)
         bounds = random.Random(5)
         pairs = [(lo, lo + w) for lo, w in
                  ((bounds.randint(0, 10**5), bounds.choice([0, 0, 1, 2, 7, 999, 2**31, 10**12]))
@@ -222,14 +224,14 @@ def fig1_value_len_3_doc():
     return doc
 
 
-def traced_run(name, seed, protocol="causalec"):
+def traced_run(name, seed, protocol="causalec", collect_trace=True):
     if name == "fuzz":
         scenario = fuzz_scenario(seed)
     elif name == "fig1_value_len_3":
         scenario = scenario_from_json(fig1_value_len_3_doc())
     else:
         scenario = scenario_from_json(builtin.BUNDLED[name]())
-    return run(scenario, seed, protocol=protocol, collect_trace=True, probes=True)
+    return run(scenario, seed, protocol=protocol, collect_trace=collect_trace, probes=True)
 
 
 # every bundled scenario under both protocols, plus further seeds, fuzz
@@ -262,8 +264,15 @@ RECORD_SHAPES = {
     "unmoved step, previous digest object": lambda rec, prev: (
         prev is not None and rec.event in (("apply",), ("encode",), ("gc",))
         and rec.digest is not None and rec.digest is prev.digest),
+    "delivery leaving an equal digest, previous digest object": lambda rec, prev: (
+        prev is not None and rec.event[0] == "recv" and rec.node == prev.node
+        and rec.digest is not None and rec.digest is prev.digest),
     "fractional t": lambda rec, prev: "." in format_ms(rec.t),
 }
+
+
+def op_outcomes(result):
+    return {opid: (rec.t_invoke, rec.t_response, rec.value) for opid, rec in result.ops.items()}
 
 
 @pytest.fixture(scope="module")
@@ -287,6 +296,16 @@ class TestTraceSerialisation:
     def test_block_hash_matches_whole_text(self, traced_runs, name, seed, protocol):
         r = traced_runs[name, seed, protocol]
         assert r.trace_sha256() == hashlib.sha256(r.trace_jsonl().encode()).hexdigest()
+
+    @pytest.mark.parametrize("name,seed,protocol", TRACE_CASES)
+    def test_untraced_run_agrees(self, traced_runs, name, seed, protocol):
+        # fuzz, scale and coded run untraced, and only traced runs are hashed
+        traced = traced_runs[name, seed, protocol]
+        untraced = traced_run(name, seed, protocol, collect_trace=False)
+        assert untraced.trace == [] and untraced.transitions == traced.transitions
+        assert verdicts_to_json(untraced, check_all(untraced)) == \
+            verdicts_to_json(traced, check_all(traced))
+        assert op_outcomes(untraced) == op_outcomes(traced)
 
     @pytest.mark.parametrize("records", [0, 1, simnet.TRACE_BLOCK - 1, simnet.TRACE_BLOCK,
                                          simnet.TRACE_BLOCK + 1, 2 * simnet.TRACE_BLOCK])
@@ -363,6 +382,10 @@ class TestQuiescence:
         r = run(sc, seed=3, probes=True)
         assert not r.quiescent
         assert r.transitions == len(r.trace) <= cap
+        untraced = run(sc, seed=3, probes=True, collect_trace=False)
+        assert not untraced.quiescent and not untraced.trace
+        assert untraced.transitions == r.transitions
+        assert op_outcomes(untraced) == op_outcomes(r)
 
     @pytest.fixture
     def forced_rounds(self, monkeypatch):
@@ -404,7 +427,90 @@ class TestQuiescence:
         assert r.trace[-1].event == ("encode",)
 
 
+class FullScanTwin(Simulation):
+    """At every fairness scan, finds the due servers and the floor by a
+    full scan over every live server's last full round, and asserts that
+    the ordered scan forces the same rounds, in id order, and leaves the
+    same floor; a scan skipped under the floor must have nothing due.
+    ``last`` keeps every server's last full round, halted ones too.
+    ``scans`` counts the full and skipped scans, the rounds forced and the
+    full scans taken while a server is halted; ``halts`` says, per halt,
+    whether the halted server was the least recent."""
+
+    def __init__(self, *args, **kwargs):
+        self.forced = None  # the rounds the running scan forced
+        self.scans = collections.Counter()
+        self.halts = []
+        super().__init__(*args, **kwargs)
+        self.last = dict(self._last_full_round)
+
+    def _service_round(self, sid, force=False):
+        if self.forced is not None:
+            self.forced.append(sid)
+        moved = super()._service_round(sid, force)
+        if sid in self._last_full_round:
+            self.last[sid] = self._last_full_round[sid]
+        return moved
+
+    def _live_last(self):
+        return {s: last for s, last in self.last.items() if s not in self.halted}
+
+    def _fairness_rounds(self):
+        due = sorted(s for s, last in self._live_last().items()
+                     if self.steps - last >= self._fair_window)
+        if self.steps < self._fair_floor:
+            assert not due
+            self.scans["skipped"] += 1
+            return super()._fairness_rounds()
+        self.forced = []
+        super()._fairness_rounds()
+        assert self.forced == due
+        self.forced = None
+        assert self._fair_floor == self._fair_window + min(
+            self._live_last().values(), default=self.step_cap)
+        self.scans.update(full=1, forced=len(due), halted=bool(self.halted))
+
+    def _record(self, node, event, *args, **kwargs):
+        if event == ("halt",):
+            sid = int(node[1:])
+            self.halts.append(all(self.last[sid] < last
+                                  for s, last in self._live_last().items() if s != sid))
+        super()._record(node, event, *args, **kwargs)
+
+
+def full_scan_run(scenario, seed, protocol="causalec"):
+    """``run`` with probes, on a ``FullScanTwin``."""
+    sim = FullScanTwin(scenario, seed, protocol=protocol, collect_trace=False)
+    if sim.run_to_quiescence() and not sim.halted:
+        sim.inject_probes()
+        sim.run_to_quiescence()
+    return sim
+
+
 class TestFairness:
+    @pytest.mark.parametrize("protocol", VARIANTS)
+    def test_ordered_scan_matches_full_scan(self, protocol):
+        scans = collections.Counter()
+        halts = []
+        sims = [full_scan_run(fuzz_scenario(seed), seed, protocol) for seed in range(100)]
+        sims += [full_scan_run(scenario_from_json(builtin.BUNDLED[name]()), 0, protocol)
+                 for name in sorted(builtin.BUNDLED)]
+        for sim in sims:
+            scans += sim.scans
+            halts += sim.halts
+        assert scans["forced"] and scans["skipped"] and scans["halted"]
+        assert len(halts) > 20
+
+    def test_halted_server_least_recent(self):
+        # server 3 takes no full round before it halts, while servers 1 and
+        # 2 do; the scans after the halt must not see it
+        sc = small_scenario(
+            scripts={1: [ScriptOp(0, "write", 1, (5,)), ScriptOp(9000, "write", 1, (6,))],
+                     2: [ScriptOp(1000, "read", 1), ScriptOp(12000, "read", 1)]},
+            halts={3: 2500})
+        sim = full_scan_run(sc, 0)
+        assert sim.halts == [True] and sim.scans["halted"]
+
     def test_every_live_server_acts_within_bounded_windows(self):
         doc = fig1_scenario_doc()
         doc["workload"]["ops"] = 30

@@ -4,7 +4,8 @@
 takes minutes, so these tests check its fixed parts and its final step (every
 weight frozen, no free coordinate left), which once crashed.
 ``tools/trace_sweep.py`` hashes 770 traced runs; these tests check its table,
-that it holds every case of the golden table, and one case against it.
+that it holds every case of the golden table, one case against it, and that
+it fails on a case whose untraced run differs.
 """
 
 import importlib.util
@@ -63,3 +64,22 @@ def test_sweep_holds_every_golden_case():
     sweep = {f"{name}/{protocol}/{seed}"
              for name, seed, protocol in load_tool("trace_sweep").cases()}
     assert set(golden) <= sweep
+
+
+def test_sweep_names_a_case_whose_untraced_run_differs(monkeypatch, capsys):
+    sweep = load_tool("trace_sweep")
+    monkeypatch.setattr(sweep, "cases", lambda: [("fig1", 0, "causalec")])
+    real_run = sweep.run
+
+    def run(*args, collect_trace, **kwargs):
+        result = real_run(*args, collect_trace=collect_trace, **kwargs)
+        result.transitions += not collect_trace
+        return result
+
+    monkeypatch.setattr(sweep, "run", run)
+    with pytest.raises(SystemExit) as stop:
+        sweep.main()
+    assert stop.value.code == 1
+    out = capsys.readouterr()
+    assert out.out.startswith("1 cases ")
+    assert "untraced run differs: fig1/0/causalec" in out.err

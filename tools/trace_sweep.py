@@ -6,7 +6,10 @@ other five bundled scenarios on seeds 0-2, and ``fuzz_scenario`` 0-249, each
 under both protocol variants, as probed runs with the trace collected.  Each
 case contributes its trace SHA-256 and the SHA-256 of its
 ``verdicts_to_json`` report; the printed digest is the SHA-256 of those
-hex strings in table order.  From the root of a checkout (about 25 s on a
+hex strings in table order.  Each case is also run untraced, as the
+benchmark's untraced workloads run; if that run's transition count or
+report hash differs from the traced run's, the tool names the case on
+standard error and exits 1.  From the root of a checkout (about 20 s on a
 2-core host):
 
     python tools/trace_sweep.py
@@ -41,24 +44,40 @@ def cases():
     return out
 
 
-def case_hashes(name, seed, protocol):
-    """The trace SHA-256 and the report SHA-256 of one case."""
+def case_run(name, seed, protocol, collect_trace):
+    """The run of one case and the SHA-256 of its report."""
     if name == "fuzz":
         scenario = fuzz_scenario(seed)
     else:
         scenario = scenario_from_json(builtin.BUNDLED[name]())
-    result = run(scenario, seed, protocol=protocol, probes=True, collect_trace=True)
+    result = run(scenario, seed, protocol=protocol, probes=True, collect_trace=collect_trace)
     report = json.dumps(verdicts_to_json(result, check_all(result)), sort_keys=True)
-    return result.trace_sha256(), hashlib.sha256(report.encode()).hexdigest()
+    return result, hashlib.sha256(report.encode()).hexdigest()
+
+
+def case_hashes(name, seed, protocol):
+    """The trace SHA-256 and the report SHA-256 of one case."""
+    result, report = case_run(name, seed, protocol, collect_trace=True)
+    return result.trace_sha256(), report
 
 
 def main():
     table = cases()
     combined = hashlib.sha256()
+    failed = False
     for case in table:
-        for digest in case_hashes(*case):
-            combined.update(digest.encode())
+        traced, report = case_run(*case, collect_trace=True)
+        untraced, untraced_report = case_run(*case, collect_trace=False)
+        if (untraced.transitions, untraced_report) != (traced.transitions, report):
+            failed = True
+            print(f"untraced run differs: {'/'.join(map(str, case))} (transitions "
+                  f"{traced.transitions} traced, {untraced.transitions} untraced)",
+                  file=sys.stderr)
+        combined.update(traced.trace_sha256().encode())
+        combined.update(report.encode())
     print(f"{len(table)} cases {combined.hexdigest()}")
+    if failed:
+        sys.exit(1)
 
 
 if __name__ == "__main__":
