@@ -26,11 +26,14 @@ stamped write records in ``RunResult.ops``.  Each run fact has one record,
 kept by the layer that sees it.  The simulator checks the per-transition
 state invariants inline (``Server.check_invariants``, and handler raises
 such as a set error flag), stops the run at the violating transition and
-keeps the violations, which ``probe_invariants`` reports.  It re-checks a server only when the
-server's snapshot ``(vc, m_tagvec, tmax, m_val)`` changed, and the symbol
-check compares against a per-server encoding memo on every call.  It
-counts locality breaks, which only ``check_locality_and_liveness``
-reads.  Probe reads are ordinary operation records marked ``probe``.
+keeps the violations, which ``probe_invariants`` reports.  Each check runs
+only when its inputs changed: ``check_invariants`` when ``m_tagvec``,
+``tmax`` or ``m_val`` did, the clock test alone when only ``vc`` moved, and
+the check of an outgoing coded response unless it carries the last checked
+symbol object under that symbol's tag vector.  The symbol check compares
+against a per-server encoding memo on every call.  The simulator counts
+locality breaks, which only ``check_locality_and_liveness`` reads.  Probe
+reads are ordinary operation records marked ``probe``.
 """
 
 from __future__ import annotations
@@ -287,9 +290,14 @@ def check_locality_and_liveness(result: RunResult) -> Verdict:
     """Writes at live homes, and reads at a home that stores the object
     uncoded (its row a nonzero multiple of e_X), are answered in the
     transition that receives them; reads complete whenever the home and one
-    full recovery set stayed live."""
+    full recovery set stayed live, that is, whenever the live servers
+    recover the object."""
     code = result.servers[1].code
     halted = set(result.halted)
+    live = [s for s in result.servers if s not in halted]
+    # recovery sets are closed upward, so one of them stayed live iff the
+    # live servers recover the object
+    recoverable: Dict[int, bool] = {}
     failures = []
     if result.locality_breaks:
         failures.append({"kind": "locality", "count": result.locality_breaks})
@@ -304,11 +312,11 @@ def check_locality_and_liveness(result: RunResult) -> Verdict:
             if home not in halted and not op.completed:
                 failures.append({"kind": "write-liveness", "op": op.opid})
         else:
-            if home in halted:
+            if home in halted or op.completed:
                 continue
-            eligible = any(not (rs.members & halted)
-                           for rs in code.minimal_recovery_sets(op.obj))
-            if eligible and not op.completed:
+            if op.obj not in recoverable:
+                recoverable[op.obj] = code.is_recovery_set(live, op.obj) is not None
+            if recoverable[op.obj]:
                 failures.append({"kind": "read-liveness", "op": op.opid})
     return Verdict("locality+liveness", not failures, details={"failures": failures})
 

@@ -5,7 +5,8 @@ A code for K objects on N servers is an N x K coefficient matrix.  Server
 vectors), so a symbol mixes the values of *different* objects rather than
 fragments of one object.  Servers and objects are numbered from 1 in the
 public API.  Re-encoding after one object changes is a single scaled update,
-``symbol + coeffs[i][k] * (new - old)``.
+``symbol + coeffs[i][k] * (new - old)``.  Every kernel reduces mod p once
+per coordinate; encoding and decoding share one, ``_combine``.
 
 Server set S recovers object X when the unit vector ``e_X`` is a combination
 ``sum a_j row_j`` of S's rows; the ``a_j`` decode X from S's symbols.  All
@@ -100,18 +101,22 @@ class LinearCode:
         if len(v) != self.value_len:
             raise ValueError(f"value length {len(v)} != configured {self.value_len}")
 
+    def _combine(self, terms: Iterable[Tuple[int, Value]]) -> Value:
+        """``sum c * v`` over the ``(c, v)`` terms, coordinate-wise: the
+        products are summed unreduced and reduced mod p once at the end."""
+        acc = [0] * self.value_len
+        for c, v in terms:
+            acc = [a + c * b for a, b in zip(acc, v)]
+        p = self.field.p
+        return tuple([a % p for a in acc])
+
     def encode_one(self, server: int, x: Sequence[Value]) -> Value:
         """Symbol of one server for the full object vector ``x``."""
         if len(x) != self.k:
             raise ValueError(f"expected {self.k} object values, got {len(x)}")
-        row = self.coeffs[server - 1]
-        acc = self.zero_value()
-        f = self.field
-        for c, xv in zip(row, x):
+        for xv in x:
             self._check_value(xv)
-            if c:
-                acc = f.vadd(acc, f.vscale(c, xv))
-        return acc
+        return self._combine([(c, xv) for c, xv in zip(self.coeffs[server - 1], x) if c])
 
     def encode(self, x: Sequence[Value]) -> List[Value]:
         """All N codeword symbols for the object vector ``x``."""
@@ -130,8 +135,8 @@ class LinearCode:
         c = self.coeffs[server - 1][obj - 1]
         if not c:
             return symbol
-        f = self.field
-        return f.vadd(symbol, f.vscale(c, f.vsub(new_xk, old_xk)))
+        p = self.field.p
+        return tuple([(s + c * (b - a)) % p for s, a, b in zip(symbol, old_xk, new_xk)])
 
     # -- recovery ----------------------------------------------------------
 
@@ -242,12 +247,11 @@ class LinearCode:
         """Combine symbols of a recovery set into the object value."""
         if rs.object != obj:
             raise ValueError(f"recovery set is for object {rs.object}, not {obj}")
-        f = self.field
-        acc = self.zero_value()
+        terms = []
         for server in sorted(rs.members):
             if server not in symbols:
                 raise ValueError(f"missing symbol for server {server}")
             sym = symbols[server]
             self._check_value(sym)
-            acc = f.vadd(acc, f.vscale(rs.decode_coeffs[server], sym))
-        return acc
+            terms.append((rs.decode_coeffs[server], sym))
+        return self._combine(terms)

@@ -373,8 +373,12 @@ class Server:
                     f"server {self.id}: error flag set for X{x}")
             modified = self.code.reencode(frm, x, modified, old, new)
         entry.symbols[frm - 1] = modified
+        sets = self.code.minimal_recovery_sets(entry.obj)
+        # the sets are by size: none fits fewer symbols than the first holds
+        if self.n - entry.symbols.count(None) < len(sets[0].members):
+            return []
         populated = {i + 1 for i, w in enumerate(entry.symbols) if w is not None}
-        for rs in self.code.minimal_recovery_sets(entry.obj):
+        for rs in sets:
             if rs.members <= populated:
                 symbols = {j: entry.symbols[j - 1] for j in rs.members}
                 v = self.code.decode(entry.obj, rs, symbols)

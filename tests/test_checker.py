@@ -17,7 +17,7 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from causalec import server
+from causalec import server, simnet
 from causalec.builtin import differential_scenario_doc, fig1_scenario_doc
 from causalec.checker import (
     _leads_to,
@@ -31,11 +31,12 @@ from causalec.checker import (
 )
 from causalec.coding import LinearCode
 from causalec.field import PrimeField
+from causalec.harness import fuzz_scenario
 from causalec.latency import LatencyGraph
 from causalec.messages import Del, ValInq, ValRespEncoded
 from causalec.scenarios import ClientSpec, Scenario, ScriptOp, scenario_from_json
 from causalec.server import Server
-from causalec.simnet import OperationRecord, RunResult, run
+from causalec.simnet import OperationRecord, RunResult, Simulation, run
 from causalec.tags import ProtocolInvariantViolation, Tag
 
 
@@ -239,6 +240,22 @@ class TestLocalityLiveness:
         assert check_locality_and_liveness(r).details["failures"] == [
             {"kind": "locality", "count": r.locality_breaks}]
 
+    def test_live_rank_matches_minimal_set_scan(self):
+        # recovery sets are closed upward, so some minimal set avoids the
+        # halted server iff the live servers recover the object
+        seen = set()
+        for seed in range(300):
+            code = fuzz_scenario(seed).code
+            for halted in range(1, code.n + 1):
+                live = [s for s in range(1, code.n + 1) if s != halted]
+                for obj in range(1, code.k + 1):
+                    scan = any(halted not in rs.members
+                               for rs in code.minimal_recovery_sets(obj))
+                    rank = code.is_recovery_set(live, obj) is not None
+                    assert rank == scan, (seed, halted, obj)
+                    seen.add(scan)
+        assert seen == {False, True}
+
     def test_raising_write_handler_fails_invariants_only(self, monkeypatch):
         def boom(self, clientid, opid, obj, value):
             raise ProtocolInvariantViolation("boom")
@@ -395,6 +412,113 @@ class TestProbeFaults:
         r = self.run_fig1()
         ((sid, event, text),) = fired
         self.assert_stopped(r, f"server {sid}: {text}", f"s{sid}", event)
+
+
+class TestNarrowedProbeFaults:
+    """The probes re-check only the state that a transition changed: the
+    clock test alone when only ``vc`` moved, ``check_invariants`` when
+    ``m_tagvec``, ``tmax`` or ``m_val`` changed, and an outgoing coded
+    response unless it is the last checked symbol under its own tag vector.
+    A fault aimed at each of those branches must still stop the run at the
+    faulty transition."""
+
+    assert_stopped = staticmethod(TestProbeFaults.assert_stopped)
+    run_fig1 = staticmethod(TestProbeFaults.run_fig1)
+
+    @staticmethod
+    def keep_simulations(monkeypatch):
+        """The simulations ``run`` builds, so a fault can read the snapshot
+        that the probes last checked."""
+        sims = []
+
+        class Kept(Simulation):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sims.append(self)
+
+        monkeypatch.setattr(simnet, "Simulation", Kept)
+        return sims
+
+    def test_clock_entry_moved_backwards_with_only_vc_changed(self, monkeypatch):
+        original, fired = Server.apply_inqueue, []
+
+        def apply_inqueue(srv):
+            before = (srv.vc[:], srv.m_tagvec[:], srv.tmax[:], srv.m_val)
+            changed, sends = original(srv)
+            kept = [i for i, (a, b) in enumerate(zip(before[0], srv.vc)) if a == b > 0]
+            if changed and kept and not fired:
+                assert (srv.m_tagvec, srv.tmax) == (before[1], before[2])
+                assert srv.m_val is before[3]
+                srv.vc[kept[0]] -= 1
+                fired.append(srv.id)
+            return changed, sends
+
+        monkeypatch.setattr(Server, "apply_inqueue", apply_inqueue)
+        r = self.run_fig1()
+        (sid,) = fired
+        self.assert_stopped(r, f"server {sid}: vector clock went backwards", f"s{sid}",
+                            ("apply",))
+
+    def test_wrong_symbol_with_tag_vector_unchanged(self, monkeypatch):
+        # the applied write moves the clock, and the symbol is swapped while
+        # its tag vector stays as checked
+        original, fired = Server.apply_inqueue, []
+
+        def apply_inqueue(srv):
+            tagvec = srv.m_tagvec[:]
+            changed, sends = original(srv)
+            if changed and not fired:
+                assert srv.m_tagvec == tagvec
+                srv.m_val = corrupted(srv, srv.m_val)
+                fired.append(srv.id)
+            return changed, sends
+
+        monkeypatch.setattr(Server, "apply_inqueue", apply_inqueue)
+        r = self.run_fig1()
+        (sid,) = fired
+        self.assert_stopped(
+            r, f"server {sid}: stored symbol is not the encoding of its tag vector",
+            f"s{sid}", ("apply",))
+
+    def fault_outgoing(self, monkeypatch, fault):
+        """Run fig1 with ``fault(srv, msg)`` applied to the first outgoing
+        ``ValRespEncoded`` that is the last checked symbol under the last
+        checked tag vector; it returns the faulty message, or None to pass."""
+        sims = self.keep_simulations(monkeypatch)
+        original, fired = Server.on_val_inq, []
+
+        def on_val_inq(srv, frm, clientid, opid, obj, wanted):
+            sends = original(srv, frm, clientid, opid, obj, wanted)
+            snap = sims[-1]._snapshots[srv.id]
+            for i, send in enumerate(sends):
+                msg = send.msg
+                if (fired or not isinstance(msg, ValRespEncoded) or snap is None
+                        or msg.symbol is not snap[3] or list(msg.tagvec) != snap[1]):
+                    continue
+                bad = fault(srv, msg)
+                if bad is not None:
+                    sends[i] = send._replace(msg=bad)
+                    fired.append((srv.id, ("recv", f"s{frm}",
+                                           ValInq(clientid, opid, obj, wanted))))
+            return sends
+
+        monkeypatch.setattr(Server, "on_val_inq", on_val_inq)
+        r = self.run_fig1()
+        ((sid, event),) = fired
+        self.assert_stopped(
+            r, f"outgoing response: server {sid}: stored symbol is not the encoding "
+               f"of its tag vector", f"s{sid}", event)
+
+    def test_outgoing_stored_symbol_under_another_tag_vector(self, monkeypatch):
+        def other_tagvec(srv, msg):
+            other = next((tv for tv, enc in srv._encodings.items() if enc != msg.symbol), None)
+            return None if other is None else dataclasses.replace(msg, tagvec=other)
+
+        self.fault_outgoing(monkeypatch, other_tagvec)
+
+    def test_outgoing_other_symbol_under_stored_tag_vector(self, monkeypatch):
+        self.fault_outgoing(monkeypatch, lambda srv, msg: dataclasses.replace(
+            msg, symbol=corrupted(srv, msg.symbol)))
 
 
 # -- reference oracle: the all-pairs bitmask checker --------------------------------

@@ -13,7 +13,7 @@ from itertools import combinations, product
 import pytest
 
 from causalec.builtin import ALT_COEFFS, FIG1_COEFFS
-from causalec.coding import LinearCode
+from causalec.coding import LinearCode, RecoverySet
 from causalec.field import PrimeField
 
 # a 5x3 sample with denser mixing, used alongside the bundled example code
@@ -314,6 +314,90 @@ class TestDecode:
                 for rs in code.minimal_recovery_sets(obj):
                     got = code.decode(obj, rs, {j: symbols[j - 1] for j in rs.members})
                     assert got == vals[obj - 1]
+
+
+def scaled_sum(f, terms, length):
+    """The composition the one-pass kernels must equal: a ``vscale`` and a
+    ``vadd`` per ``(c, v)`` term, each reduced mod p."""
+    acc = f.zero_value(length)
+    for c, v in terms:
+        acc = f.vadd(acc, f.vscale(c, v))
+    return acc
+
+
+# a unit row (singleton decodes), rows holding zero coefficients, an
+# all-zero row and a dense row; rows 1, 3 and 4 have rank 3 in each field
+KERNEL_COEFFS = [[1, 0, 0], [0, 0, 0], [0, 3, 5], [2, 6, 1], [-1, 1, 0]]
+
+
+class TestKernelOracle:
+    """``encode_one``, ``reencode`` and ``decode`` each reduce mod p once per
+    coordinate; they must equal the ``PrimeField`` helper compositions."""
+
+    @staticmethod
+    def kernel_case(p, length):
+        code = code_of(KERNEL_COEFFS, p=p, value_len=length)
+        rng = random.Random(p ^ length)
+        return code, code.field, lambda: tuple(rng.randrange(p) for _ in range(length))
+
+    @pytest.mark.parametrize("p", [7, 257, 2**61 - 1])
+    @pytest.mark.parametrize("length", [1, 3, 32])
+    def test_encode_one(self, p, length):
+        code, f, value = self.kernel_case(p, length)
+        for _ in range(10):
+            x = [value() for _ in range(code.k)]
+            for s in range(1, code.n + 1):
+                assert code.encode_one(s, x) == scaled_sum(f, zip(code.coeffs[s - 1], x), length)
+        assert code.encode_one(2, x) == f.zero_value(length)
+
+    @pytest.mark.parametrize("p", [7, 257, 2**61 - 1])
+    @pytest.mark.parametrize("length", [1, 3, 32])
+    def test_reencode(self, p, length):
+        code, f, value = self.kernel_case(p, length)
+        for _ in range(10):
+            for s in range(1, code.n + 1):
+                for obj in range(1, code.k + 1):
+                    sym, old, new = value(), value(), value()
+                    c = code.coeffs[s - 1][obj - 1]
+                    assert code.reencode(s, obj, sym, old, new) == f.vadd(
+                        sym, f.vscale(c, f.vsub(new, old)))
+
+    @pytest.mark.parametrize("p", [7, 257, 2**61 - 1])
+    @pytest.mark.parametrize("length", [1, 3, 32])
+    def test_decode(self, p, length):
+        code, f, value = self.kernel_case(p, length)
+        sets = [rs for obj in range(1, code.k + 1) for rs in code.minimal_recovery_sets(obj)]
+        assert any(len(rs.members) == 1 for rs in sets)
+        # a dependent member gets coefficient 0, and so may any hand-made set
+        sets.append(code.is_recovery_set({1, 2, 3, 4, 5}, 2))
+        sets.append(RecoverySet(3, frozenset({2, 4, 5}), {2: 0, 4: 0, 5: 0}))
+        sets.append(RecoverySet(3, frozenset({1, 3}), {1: 5, 3: 0}))
+        for _ in range(5):
+            x = [value() for _ in range(code.k)]
+            codeword = code.encode(x)
+            symbols = {s: value() for s in range(1, code.n + 1)}
+            for rs in sets:
+                terms = [(rs.decode_coeffs[s], symbols[s]) for s in sorted(rs.members)]
+                assert code.decode(rs.object, rs, symbols) == scaled_sum(f, terms, length)
+            for rs in sets[:-2]:
+                assert code.decode(rs.object, rs, dict(enumerate(codeword, 1))) == x[rs.object - 1]
+
+    def test_wrong_lengths_still_raise(self):
+        code = code_of(KERNEL_COEFFS, p=257, value_len=3)
+        good, bad = (1, 2, 3), (1, 2)
+        with pytest.raises(ValueError, match="^expected 3 object values, got 2$"):
+            code.encode_one(1, [good, good])
+        # a value under a zero coefficient, and under an all-zero row, is checked too
+        for s in (1, 2):
+            with pytest.raises(ValueError, match="^value length 2 != configured 3$"):
+                code.encode_one(s, [good, good, bad])
+        for s in (1, 2):
+            for args in ((bad, good, good), (good, bad, good), (good, good, bad)):
+                with pytest.raises(ValueError, match="^value length 2 != configured 3$"):
+                    code.reencode(s, 1, *args)
+        rs = code.is_recovery_set({1, 3}, 1)
+        with pytest.raises(ValueError, match="^value length 2 != configured 3$"):
+            code.decode(1, rs, {1: good, 3: bad})
 
 
 class TestJson:
