@@ -1,4 +1,5 @@
-"""A tour of the cross-object code algebra on the bundled 5-server example.
+"""A tour of the cross-object code algebra on the 5-server example in
+``scenarios/fig1.json``.
 
 Symbols mix the values of different objects, so three of the five servers
 hold an object plainly while the other two hold sums.  Run with:
@@ -6,10 +7,12 @@ hold an object plainly while the other two hold sums.  Run with:
     python demos/01_code_algebra.py
 """
 
-from causalec import LinearCode, PrimeField
-from causalec.builtin import FIG1_COEFFS
+import os
 
-code = LinearCode(PrimeField(7), FIG1_COEFFS)
+from causalec import scenario_from_json
+
+code = scenario_from_json(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                       "..", "scenarios", "fig1.json")).code
 
 print("coefficient matrix (rows = servers, columns = objects):")
 for s, row in enumerate(code.coeffs, start=1):

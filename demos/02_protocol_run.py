@@ -1,20 +1,23 @@
 """Watch the store handle a read that needs cross-server reconstruction.
 
-Runs the bundled "read at a non-holder" scenario: server 1 never stores X3,
-so its client's read is answered by re-encoded symbols from servers 3 and 4.
+Runs ``scenarios/read_scenario_2.json``, a read at a non-holder: server 1
+never stores X3, so its client's read is answered by re-encoded symbols from
+servers 3 and 4.
 Prints the interesting trace lines, then the checker verdicts.  Run with:
 
     python demos/02_protocol_run.py
 """
 
+import os
+
 from causalec import check_all
-from causalec.builtin import read_scenario_2_doc
 from causalec.latency import format_ms
 from causalec.messages import ReadReturn, ValInq, ValRespEncoded, Write
 from causalec.scenarios import scenario_from_json
 from causalec.simnet import run
 
-scenario = scenario_from_json(read_scenario_2_doc())
+scenario = scenario_from_json(os.path.join(os.path.dirname(os.path.abspath(__file__)),
+                                           "..", "scenarios", "read_scenario_2.json"))
 result = run(scenario, seed=0, probes=True, collect_trace=True)
 
 print("timeline (writes, inquiries, decodes, returns):")

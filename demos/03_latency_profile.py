@@ -7,15 +7,16 @@ better than 6; an alternate coded layout wins on average latency too.  Run:
     python demos/03_latency_profile.py
 """
 
-from causalec import LinearCode, PrimeField, analyze_latency, replication_baseline
-from causalec.builtin import ALT_COEFFS, FIG1_COEFFS, FIG1_EDGES
-from causalec.latency import LatencyGraph
+import os
 
-graph = LatencyGraph(5, {(i, j): w for i, j, w in FIG1_EDGES})
+from causalec import analyze_latency, replication_baseline, scenario_from_json
 
-for label, coeffs in (("bundled code", FIG1_COEFFS), ("alternate code", ALT_COEFFS)):
-    code = LinearCode(PrimeField(7), coeffs)
-    rep = analyze_latency(graph, code)
+SCENARIOS = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "scenarios")
+# the two documents share the graph and differ in the code
+graph = scenario_from_json(os.path.join(SCENARIOS, "fig1.json")).graph
+
+for label, name in (("bundled code", "fig1"), ("alternate code", "appendix_a")):
+    rep = analyze_latency(graph, scenario_from_json(os.path.join(SCENARIOS, f"{name}.json")).code)
     print(f"{label}: per-(server, object) read latency")
     for s in range(1, 6):
         row = "  ".join(f"{rep.per_pair[(s, k)]:5.2f}" for k in range(1, 4))

@@ -1,11 +1,10 @@
-"""Command-line harness: run scenarios under the checkers, report latency
-tables, and emit the bundled scenario files.
+"""Command-line harness: run scenarios under the checkers and report
+latency tables.
 
 ``run`` executes one seeded simulation per requested seed, follows each with
 probe reads, applies every checker, and exits nonzero if any verdict fails.
 ``latency`` prints the read-latency profile of the scenario's code on its
-graph next to the best replication baseline.  ``scenarios`` writes the
-bundled scenario documents out as JSON files.
+graph next to the best replication baseline.
 """
 
 from __future__ import annotations
@@ -21,7 +20,6 @@ import random
 import sys
 from typing import List, Optional, Tuple
 
-from . import builtin
 from .checker import Verdict, all_passed, check_all
 from .coding import LinearCode
 from .field import PrimeField
@@ -169,7 +167,7 @@ def _load(path: str) -> Optional[Scenario]:
     """The scenario in the file at ``path``, or None after reporting why not."""
     try:
         return scenario_from_json(path)
-    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ScenarioError) as e:
+    except (OSError, ScenarioError) as e:
         print(f"error: {path}: {e}", file=sys.stderr)
         return None
 
@@ -234,16 +232,6 @@ def cmd_latency(args) -> int:
     return 0
 
 
-def cmd_scenarios(args) -> int:
-    os.makedirs(args.out, exist_ok=True)
-    for name, builder in sorted(builtin.BUNDLED.items()):
-        path = os.path.join(args.out, f"{name}.json")
-        with open(path, "w") as fh:
-            json.dump(builder(), fh, indent=1)
-        print(path)
-    return 0
-
-
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="causalec",
@@ -265,10 +253,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_lat.add_argument("scenario")
     p_lat.add_argument("--format", choices=["table", "json"], default="table")
     p_lat.set_defaults(fn=cmd_latency)
-
-    p_scn = sub.add_parser("scenarios", help="emit the bundled scenario files")
-    p_scn.add_argument("--out", default="scenarios")
-    p_scn.set_defaults(fn=cmd_scenarios)
     return ap
 
 

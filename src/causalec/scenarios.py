@@ -257,10 +257,16 @@ def _kind_object(raw, path: str, kinds: dict) -> str:
 
 
 def scenario_from_json(doc) -> Scenario:
-    """Parse a scenario document: a dict, or the path of a JSON file."""
+    """Parse a scenario document: a dict, or the path of a JSON file, which
+    is UTF-8 whatever the locale."""
     if isinstance(doc, str):
-        with open(doc) as fh:
-            doc = json.load(fh)
+        with open(doc, encoding="utf-8") as fh:
+            try:
+                doc = json.load(fh)
+            # bytes that are not UTF-8 or not JSON, nesting deeper than the
+            # recursion limit, an integer longer than int() converts
+            except (RecursionError, ValueError) as e:
+                raise ScenarioError(f"scenario: {e}") from e
     _object(doc, "", TOP_LEVEL_FIELDS)
 
     code_doc = _object(_expect(doc, "code", ""), "code", {"field_p", "value_len", "coeffs"})

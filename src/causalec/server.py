@@ -261,13 +261,11 @@ class Server:
             ht, hv = highest
             if self.variant == EVENTUAL or self.m_tagvec[obj - 1] <= ht:
                 return [Send("client", clientid, ReadReturn(opid, hv))]
-        for rs in self.code.minimal_recovery_sets(obj):  # by size: singletons first
-            if len(rs.members) > 1:
-                break
-            if self.id in rs.members:  # this symbol decodes obj alone
-                v = self.code.decode(obj, rs, {self.id: self.m_val})
-                self.notes.append(("decoded", obj, (self.id,), opid))
-                return [Send("client", clientid, ReadReturn(opid, v))]
+        if self.code.held[self.id - 1] == (obj,):  # this symbol is obj uncoded
+            rs = self.code.is_recovery_set((self.id,), obj)
+            v = self.code.decode(obj, rs, {self.id: self.m_val})
+            self.notes.append(("decoded", obj, (self.id,), opid))
+            return [Send("client", clientid, ReadReturn(opid, v))]
         return self._fetch(clientid, opid, obj)
 
     def _fetch(self, clientid: int, opid: OpId, obj: int) -> List[Send]:

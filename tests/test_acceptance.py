@@ -10,13 +10,8 @@ from itertools import product
 
 import pytest
 
-from causalec.builtin import (
-    ALT_COEFFS,
-    FIG1_COEFFS,
-    appendix_a_scenario_doc,
-    differential_scenario_doc,
-    fig1_scenario_doc,
-)
+import bundled
+from bundled import FIG1_COEFFS
 from causalec.checker import (
     check_causal,
     check_eventual,
@@ -93,9 +88,9 @@ def test_02_minimal_recovery_sets_verbatim():
 
 
 def test_03_latency_reproduction():
-    fig1 = scenario_from_json(fig1_scenario_doc())
+    fig1 = scenario_from_json(bundled.doc("fig1"))
     rep = latency_report_json(fig1.code, fig1.graph)
-    alt = scenario_from_json(appendix_a_scenario_doc())
+    alt = scenario_from_json(bundled.doc("appendix_a"))
     rep_alt = latency_report_json(alt.code, alt.graph)
     checks = {
         "coded worst 4.5": abs(rep["coded"]["worst"] - 4.5) <= 1e-9,
@@ -161,7 +156,7 @@ def test_09_eventual_variant_differential(eventual_battery):
                 bad.append(("eventual", r.seed))
             if not check_storage(r).passed:
                 bad.append(("storage", r.seed))
-    sc = scenario_from_json(differential_scenario_doc())
+    sc = scenario_from_json(bundled.doc("ev_differential"))
     causal_run = run(sc, seed=0, protocol=CAUSAL, probes=True)
     eventual_run = run(sc, seed=0, protocol=EVENTUAL, probes=True)
     split_ok = check_causal(causal_run).passed and not check_causal(eventual_run).passed
@@ -171,7 +166,7 @@ def test_09_eventual_variant_differential(eventual_battery):
 
 
 def test_10_determinism():
-    sc = scenario_from_json(fig1_scenario_doc())
+    sc = scenario_from_json(bundled.doc("fig1"))
     hashes = []
     ok = True
     for seed in range(DETERMINISM_SEEDS):

@@ -17,8 +17,8 @@ from types import SimpleNamespace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bundled
 from causalec import server, simnet
-from causalec.builtin import differential_scenario_doc, fig1_scenario_doc
 from causalec.checker import (
     _leads_to,
     check_all,
@@ -42,7 +42,7 @@ from causalec.tags import ProtocolInvariantViolation, Tag
 
 @pytest.fixture(scope="module")
 def fig1_run():
-    sc = scenario_from_json(fig1_scenario_doc())
+    sc = scenario_from_json(bundled.doc("fig1"))
     return run(sc, seed=5, probes=True, collect_trace=True)
 
 
@@ -80,7 +80,7 @@ class TestCausal:
                 assert _leads_to(a, b)
 
     def test_witness_revalidates(self):
-        sc = scenario_from_json(differential_scenario_doc())
+        sc = scenario_from_json(bundled.doc("ev_differential"))
         r = run(sc, seed=0, protocol="eventualec", probes=True)
         verdict = check_causal(r)
         assert not verdict.passed
@@ -228,12 +228,12 @@ class TestLocalityLiveness:
         # on_read with its singleton decode skipped: a read at a server that
         # stores the object uncoded is fetched remotely, answering late
         source = textwrap.dedent(inspect.getsource(Server.on_read))
-        assert source.count("len(rs.members) > 1") == 1
+        uncoded = "self.code.held[self.id - 1] == (obj,)"
+        assert source.count(uncoded) == 1
         mutant = {}
-        exec(source.replace("len(rs.members) > 1", "len(rs.members) >= 1"),
-             vars(server), mutant)
+        exec(source.replace(uncoded, "False"), vars(server), mutant)
         monkeypatch.setattr(Server, "on_read", mutant["on_read"])
-        r = run(scenario_from_json(fig1_scenario_doc()), seed=0, probes=True)
+        r = run(scenario_from_json(bundled.doc("fig1")), seed=0, probes=True)
         assert r.locality_breaks > 0
         failed = [v.name for v in check_all(r) if not (v.passed or v.inconclusive)]
         assert failed == ["locality+liveness"]
@@ -293,7 +293,7 @@ class TestProbeFaults:
 
     @staticmethod
     def run_fig1():
-        return run(scenario_from_json(fig1_scenario_doc()), seed=5, probes=True,
+        return run(scenario_from_json(bundled.doc("fig1")), seed=5, probes=True,
                    collect_trace=True)
 
     @staticmethod

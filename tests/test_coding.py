@@ -12,7 +12,7 @@ from itertools import combinations, product
 
 import pytest
 
-from causalec.builtin import ALT_COEFFS, FIG1_COEFFS
+from bundled import ALT_COEFFS, FIG1_COEFFS
 from causalec.coding import LinearCode, RecoverySet
 from causalec.field import PrimeField
 

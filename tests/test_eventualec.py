@@ -3,7 +3,7 @@ split it opens against the causal variant on one delivery schedule."""
 
 import pytest
 
-from causalec.builtin import differential_scenario_doc
+import bundled
 from causalec.checker import (
     check_causal,
     check_eventual,
@@ -92,7 +92,7 @@ class TestGuardDiffs:
 
 @pytest.fixture(scope="module")
 def runs():
-    sc = scenario_from_json(differential_scenario_doc())
+    sc = scenario_from_json(bundled.doc("ev_differential"))
     causal = run(sc, seed=0, protocol="causalec", probes=True, collect_trace=True)
     eventual = run(sc, seed=0, protocol="eventualec", probes=True, collect_trace=True)
     return causal, eventual

@@ -27,7 +27,7 @@ import sys
 
 import pytest
 
-from causalec import builtin
+import bundled
 from causalec.checker import check_all
 from causalec.harness import fuzz_scenario
 from causalec.scenarios import scenario_from_json
@@ -45,7 +45,7 @@ def cases():
     """(key, scenario name, seed, protocol) for every table entry."""
     out = []
     for protocol in VARIANTS:
-        for name in sorted(builtin.BUNDLED):
+        for name in bundled.NAMES:
             for seed in (SEEDS if name in JITTERED else (0,)):
                 out.append((name, seed, protocol))
         for seed in SEEDS:
@@ -61,7 +61,7 @@ def entry(name, seed, protocol):
     if name == "fuzz":
         scenario = fuzz_scenario(seed)
     else:
-        scenario = scenario_from_json(builtin.BUNDLED[name]())
+        scenario = scenario_from_json(bundled.doc(name))
     result = run(scenario, seed, protocol=protocol, probes=True, collect_trace=True)
     return {"sha256": result.trace_sha256(),
             "verdicts": [[v.name, v.passed, v.inconclusive] for v in check_all(result)]}

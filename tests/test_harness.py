@@ -1,19 +1,22 @@
-"""CLI surface: exit codes, output formats, scenario emission."""
+"""CLI surface: exit codes, output formats, the bundled scenario files."""
 
 import hashlib
 import json
 import os
+import pathlib
+import subprocess
+import sys
 
 import pytest
 
+import bundled
 from causalec.harness import main, parse_seeds
+from causalec.scenarios import scenario_from_json
 
 
 @pytest.fixture(scope="module")
-def scenario_dir(tmp_path_factory):
-    out = tmp_path_factory.mktemp("scn")
-    assert main(["scenarios", "--out", str(out)]) == 0
-    return out
+def scenario_dir():
+    return pathlib.Path(bundled.SCENARIOS)
 
 
 def test_parse_seeds():
@@ -49,28 +52,21 @@ def test_fairness_flag_is_gone(scenario_dir, capsys):
     assert "unrecognized arguments: --fairness" in capsys.readouterr().err
 
 
-def test_scenarios_emits_all_bundled_files(scenario_dir):
-    names = sorted(p for p in os.listdir(scenario_dir))
-    assert names == [
-        "appendix_a.json",
-        "encoding_scenario_1.json",
-        "encoding_scenario_2.json",
-        "ev_differential.json",
-        "fig1.json",
-        "read_scenario_1.json",
-        "read_scenario_2.json",
-    ]
-    for name in names:
-        json.load(open(scenario_dir / name))
+def test_each_scenario_file_loads_under_its_stem():
+    # the trace tables order their cases by the name, the files by the stem
+    assert bundled.NAMES == ["appendix_a", "encoding_scenario_1", "encoding_scenario_2",
+                             "ev_differential", "fig1", "read_scenario_1", "read_scenario_2"]
+    for name in bundled.NAMES:
+        assert scenario_from_json(bundled.path(name)).name == name
 
 
-def test_scenarios_reproduces_committed_files(scenario_dir):
-    committed = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                             "scenarios")
-    assert sorted(os.listdir(committed)) == sorted(os.listdir(scenario_dir))
-    for name in os.listdir(committed):
-        with open(os.path.join(committed, name), "rb") as want:
-            assert (scenario_dir / name).read_bytes() == want.read(), name
+def test_scenarios_subcommand_is_gone(tmp_path, capsys):
+    # the files under scenarios/ are the only copy, so there is nothing to emit
+    with pytest.raises(SystemExit) as exc:
+        main(["scenarios", "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "invalid choice: 'scenarios'" in capsys.readouterr().err
+    assert not os.listdir(tmp_path)
 
 
 def test_run_green_scenario_exits_zero(scenario_dir, capsys):
@@ -106,8 +102,7 @@ def test_run_multiple_seeds(scenario_dir, capsys):
 
 def test_workers_match_a_single_process(capsys):
     # the process pool must give the reports that one process gives, in seed order
-    fig1 = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                        "scenarios", "fig1.json")
+    fig1 = bundled.path("fig1")
     reports = {}
     for workers in ("1", "2"):
         rc = main(["run", fig1, "--seeds", "0..3", "--format", "json", "--workers", workers])
@@ -118,7 +113,7 @@ def test_workers_match_a_single_process(capsys):
 
 
 def test_malformed_scenario_exits_two(tmp_path, capsys):
-    doc = json.load(open("scenarios/fig1.json"))
+    doc = bundled.doc("fig1")
     del doc["code"]["coeffs"]
     path = tmp_path / "broken.json"
     path.write_text(json.dumps(doc))
@@ -164,10 +159,40 @@ def test_latency_malformed_exits_two(tmp_path, capsys):
     assert main(["latency", str(path)]) == 2
 
 
-@pytest.mark.parametrize("cmd", ["run", "latency"])
-def test_undecodable_file_exits_two(tmp_path, capsys, cmd):
-    # bytes that are not UTF-8 once ended in a traceback
-    path = tmp_path / "binary.json"
-    path.write_bytes(b"\xff\xfe\x00")
+FIG1_TEXT = json.dumps(bundled.doc("fig1"))
+# (id prefix, file bytes, what the error line says after the path), each
+# once a traceback: bytes that are not UTF-8; nesting past the recursion
+# limit; an integer longer than int() converts (4300 digits), whose
+# ValueError is not a JSONDecodeError
+UNDECODABLE = [
+    ("", b"\xff\xfe\x00", ": scenario: 'utf-8' codec can't decode"),
+    ("deep-", b"[" * 200_000 + b"]" * 200_000, ": scenario: maximum recursion depth"),
+    ("long-", FIG1_TEXT.replace('"step_cap": 200000', '"step_cap": ' + "9" * 5000).encode(),
+     ": scenario: Exceeds the limit"),
+]
+
+
+@pytest.mark.parametrize(
+    "cmd,data,error",
+    [(cmd, data, error) for _, data, error in UNDECODABLE for cmd in ("run", "latency")],
+    ids=[prefix + cmd for prefix, _, _ in UNDECODABLE for cmd in ("run", "latency")])
+def test_undecodable_file_exits_two(tmp_path, capsys, cmd, data, error):
+    path = tmp_path / "doc.json"
+    path.write_bytes(data)
     assert main([cmd, str(path)]) == 2
-    assert "codec can't decode" in capsys.readouterr().err
+    assert f"error: {path}{error}" in capsys.readouterr().err
+
+
+def test_utf8_file_loads_under_an_ascii_locale(tmp_path):
+    # the file was read in the locale's encoding, so under the POSIX locale a
+    # valid UTF-8 name failed with "'ascii' codec can't decode" and exit 2
+    doc = bundled.doc("fig1")
+    doc["name"] = "diff\u00e9"
+    path = tmp_path / "utf8.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(bundled.SCENARIOS), "src"),
+               PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="POSIX")
+    proc = subprocess.run([sys.executable, "-m", "causalec.harness", "latency", str(path)],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "worst 4.50" in proc.stdout

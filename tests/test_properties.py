@@ -14,14 +14,14 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings, strategies as st  # noqa: E402
 
-from causalec import builtin  # noqa: E402
+import bundled  # noqa: E402
 from causalec.checker import check_all  # noqa: E402
 from causalec.scenarios import ScenarioError, scenario_from_json  # noqa: E402
 from causalec.server import Server  # noqa: E402
 from causalec.simnet import run  # noqa: E402
 
 CODE_LEAVES = [("field_p",), ("value_len",)] + [
-    ("coeffs", i, j) for i, row in enumerate(builtin.FIG1_COEFFS) for j in range(len(row))]
+    ("coeffs", i, j) for i, row in enumerate(bundled.FIG1_COEFFS) for j in range(len(row))]
 
 # Integers stay small: a well-formed but huge field_p or value_len is a legal
 # input whose cost grows with it, not a malformed one.
@@ -33,7 +33,7 @@ JSON = LEAF | st.lists(LEAF, max_size=3) | st.dictionaries(st.text(max_size=2), 
 @settings(derandomize=True, database=None, max_examples=300, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(CODE_LEAVES), JSON), min_size=1, max_size=3))
 def test_code_leaf_edits_load_or_name_the_code(edits):
-    doc = builtin.fig1_scenario_doc()
+    doc = bundled.doc("fig1")
     for path, value in edits:
         node = doc["code"]
         for key in path[:-1]:
@@ -53,7 +53,7 @@ def test_code_leaf_edits_load_or_name_the_code(edits):
 
 # Every top-level field the loader reads (fig1's document lacks channel_extra),
 # plus fairness, an unknown field that the loader rejects.
-TOP_LEVEL = sorted(builtin.fig1_scenario_doc()) + ["channel_extra", "fairness"]
+TOP_LEVEL = sorted(bundled.doc("fig1")) + ["channel_extra", "fairness"]
 DELETE = object()
 
 
@@ -61,7 +61,7 @@ DELETE = object()
 @given(st.lists(st.tuples(st.sampled_from(TOP_LEVEL), JSON | st.just(DELETE)),
                 min_size=1, max_size=3))
 def test_top_level_edits_load_or_name_the_field(edits):
-    doc = builtin.fig1_scenario_doc()
+    doc = bundled.doc("fig1")
     for key, value in edits:
         if value is DELETE:
             doc.pop(key, None)
@@ -79,7 +79,7 @@ def test_top_level_edits_load_or_name_the_field(edits):
 # A scripted scenario with halts and channel_extra, under each delay kind, so
 # every nested leaf the loader reads below the top level is present.
 def _nested_base(delays):
-    doc = builtin.read_scenario_1_doc()
+    doc = bundled.doc("read_scenario_1")
     doc["delays"] = delays
     return doc
 

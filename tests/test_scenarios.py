@@ -11,7 +11,7 @@ import re
 
 import pytest
 
-from causalec import builtin
+import bundled
 from causalec.checker import all_passed, check_all
 from causalec.coding import LinearCode
 from causalec.field import PrimeField
@@ -48,10 +48,10 @@ def write_tag(result, obj, value):
     return t
 
 
-def _set(path, value, doc_fn=builtin.fig1_scenario_doc):
+def _set(path, value, name="fig1"):
     """A bundled document with the field at path (keys and indices) replaced."""
     def build():
-        doc = doc_fn()
+        doc = bundled.doc(name)
         node = doc
         for key in path[:-1]:
             node = node[key]
@@ -61,7 +61,7 @@ def _set(path, value, doc_fn=builtin.fig1_scenario_doc):
 
 
 def _zero_coeffs():
-    doc = builtin.fig1_scenario_doc()
+    doc = bundled.doc("fig1")
     doc["code"]["coeffs"] = [[0] * len(row) for row in doc["code"]["coeffs"]]
     return doc
 
@@ -84,29 +84,29 @@ MALFORMED = {
         _set(["channel_extra"], [{"from": 1, "to": 2, "extra": 0.0001}]),
         r"channel_extra\[0\]\.extra:"),
     "op_time_too_fine": (
-        _set(["workload", "ops", 0, "time"], 0.0001, builtin.read_scenario_2_doc),
+        _set(["workload", "ops", 0, "time"], 0.0001, "read_scenario_2"),
         r"workload\.ops\[0\]\.time:"),
     "op_object_out_of_range": (
-        _set(["workload", "ops", 0, "object"], 7, builtin.read_scenario_2_doc),
+        _set(["workload", "ops", 0, "object"], 7, "read_scenario_2"),
         r"workload\.ops\[0\]\.object:"),
     "op_not_an_object": (
-        _set(["workload", "ops", 0], 5, builtin.read_scenario_2_doc), r"workload\.ops\[0\]:"),
+        _set(["workload", "ops", 0], 5, "read_scenario_2"), r"workload\.ops\[0\]:"),
     # a read's value was dropped unread
     "read_op_with_value": (
-        _set(["workload", "ops", 5, "value"], 3, builtin.read_scenario_2_doc),
+        _set(["workload", "ops", 5, "value"], 3, "read_scenario_2"),
         r"workload\.ops\[5\]\.value: a read has no value"),
     "op_value_not_int": (
-        _set(["workload", "ops", 0, "value"], "abc", builtin.read_scenario_2_doc),
+        _set(["workload", "ops", 0, "value"], "abc", "read_scenario_2"),
         r"workload\.ops\[0\]\.value:"),
     # the loader reduced a document's value mod p: 9 ran as (2,), [-1] as (6,)
     "op_value_outside_field": (
-        _set(["workload", "ops", 3, "value"], 9, builtin.read_scenario_2_doc),
+        _set(["workload", "ops", 3, "value"], 9, "read_scenario_2"),
         r"workload\.ops\[3\]\.value: must be a tuple of value_len 1 integers in 0\.\.6"),
     "op_value_negative": (
-        _set(["workload", "ops", 0, "value"], [-1], builtin.read_scenario_2_doc),
+        _set(["workload", "ops", 0, "value"], [-1], "read_scenario_2"),
         r"workload\.ops\[0\]\.value:"),
     "read_op_with_null_value": (
-        _set(["workload", "ops", 5, "value"], None, builtin.read_scenario_2_doc),
+        _set(["workload", "ops", 5, "value"], None, "read_scenario_2"),
         r"workload\.ops\[5\]\.value: a read has no value"),
     # the probe clients' ids: such a client's ops were taken for probes
     "client_id_in_probe_range": (_set(["clients", 0, "id"], 1_000_001),
@@ -176,7 +176,7 @@ MALFORMED = {
     "latency_graph_field_unknown": (
         _set(["latency_graph", "weights"], []), r"latency_graph\.weights: unknown field"),
     "script_op_field_unknown": (
-        _set(["workload", "ops", 0, "tme"], 1, builtin.read_scenario_2_doc),
+        _set(["workload", "ops", 0, "tme"], 1, "read_scenario_2"),
         r"workload\.ops\[0\]\.tme: unknown field"),
     "channel_extra_field_unknown": (
         _set(["channel_extra"], [{"from": 1, "to": 2, "extra": 1, "delay": 2}]),
@@ -205,7 +205,7 @@ def test_cli_exits_two_on_every_malformed_field(tmp_path, capsys):
 
 
 def _fig1(**changes):
-    return dataclasses.replace(scenario_from_json(builtin.fig1_scenario_doc()), **changes)
+    return dataclasses.replace(scenario_from_json(bundled.doc("fig1")), **changes)
 
 
 def _unrecoverable():
@@ -280,8 +280,8 @@ def test_each_script_op_is_checked_once(monkeypatch):
         return check_op(op, code, path)
 
     monkeypatch.setattr(scenarios, "_check_op", counted)
-    for name, build in builtin.BUNDLED.items():
-        doc = build()
+    for name in bundled.NAMES:
+        doc = bundled.doc(name)
         ops = doc["workload"]["ops"] if doc["workload"]["kind"] == "script" else []
         calls.clear()
         scenario_from_json(doc)
@@ -292,7 +292,7 @@ def test_each_script_op_is_checked_once(monkeypatch):
 def test_file_named_like_json_text_is_read_as_a_path(tmp_path, monkeypatch, capsys, name):
     # such a name was once parsed as the document itself
     monkeypatch.chdir(tmp_path)
-    (tmp_path / name).write_text(json.dumps(builtin.fig1_scenario_doc()))
+    (tmp_path / name).write_text(json.dumps(bundled.doc("fig1")))
     assert scenario_from_json(name).name == "fig1"
     assert main(["latency", name]) == 0
     assert main(["run", name, "--seeds", "0"]) == 0
@@ -311,80 +311,80 @@ class TestValidation:
             scenario_from_json({"latency_graph": {"n": 1, "edges": []}})
 
     def test_missing_coeffs_names_field(self):
-        doc = builtin.fig1_scenario_doc()
+        doc = bundled.doc("fig1")
         del doc["code"]["coeffs"]
         with pytest.raises(ScenarioError, match="coeffs"):
             scenario_from_json(doc)
 
     def test_bad_protocol(self):
-        doc = builtin.fig1_scenario_doc()
+        doc = bundled.doc("fig1")
         doc["protocol"] = "magic"
         with pytest.raises(ScenarioError, match="protocol"):
             scenario_from_json(doc)
 
     def test_client_home_out_of_range(self):
-        doc = builtin.fig1_scenario_doc()
+        doc = bundled.doc("fig1")
         doc["clients"][0]["home"] = 9
         with pytest.raises(ScenarioError, match=r"clients\[0\].home"):
             scenario_from_json(doc)
 
     def test_graph_code_size_mismatch(self):
-        doc = builtin.fig1_scenario_doc()
+        doc = bundled.doc("fig1")
         doc["latency_graph"] = {"n": 2, "edges": [[1, 2, 1.0]]}
         with pytest.raises(ScenarioError, match="latency_graph"):
             scenario_from_json(doc)
 
     def test_script_value_must_match_value_len(self):
-        doc = builtin.read_scenario_2_doc()
+        doc = bundled.doc("read_scenario_2")
         doc["workload"]["ops"][0]["value"] = [1, 2]
         with pytest.raises(ScenarioError, match="value"):
             scenario_from_json(doc)
 
     def test_halt_server_out_of_range(self):
-        doc = builtin.fig1_scenario_doc()
+        doc = bundled.doc("fig1")
         doc["halts"] = [{"server": 7, "time": 1.0}]
         with pytest.raises(ScenarioError, match="halts"):
             scenario_from_json(doc)
 
     def test_delays_must_be_an_object(self):
-        doc = builtin.fig1_scenario_doc()
+        doc = bundled.doc("fig1")
         doc["delays"] = 5
         with pytest.raises(ScenarioError, match=r"^delays:"):
             scenario_from_json(doc)
 
     def test_think_range_must_not_be_empty(self):
-        doc = builtin.fig1_scenario_doc()
+        doc = bundled.doc("fig1")
         doc["workload"]["think_ms"] = [5, 1]
         with pytest.raises(ScenarioError, match=r"^workload\.think_ms\[1\]:"):
             scenario_from_json(doc)
 
     def test_think_range_is_held_as_integers(self):
-        doc = builtin.fig1_scenario_doc()
+        doc = bundled.doc("fig1")
         doc["workload"]["think_ms"] = [1.0, 3.0]
         think = scenario_from_json(doc).random_workload.think_ms
         assert think == (1, 3) and all(type(t) is int for t in think)
 
     def test_read_fraction_must_be_a_number(self):
-        doc = builtin.fig1_scenario_doc()
+        doc = bundled.doc("fig1")
         doc["workload"]["read_fraction"] = "abc"
         with pytest.raises(ScenarioError, match=r"^workload\.read_fraction:"):
             scenario_from_json(doc)
 
     def test_halt_time_must_not_be_negative(self):
-        doc = builtin.fig1_scenario_doc()
+        doc = bundled.doc("fig1")
         doc["halts"] = [{"server": 2, "time": -3}]
         with pytest.raises(ScenarioError, match=r"^halts\[0\]\.time:"):
             scenario_from_json(doc)
 
     def test_random_scripts_are_seed_stable(self):
-        sc = scenario_from_json(builtin.fig1_scenario_doc())
+        sc = scenario_from_json(bundled.doc("fig1"))
         assert sc.build_scripts(4) == sc.build_scripts(4)
         assert sc.build_scripts(4) != sc.build_scripts(5)
 
 
 class TestEncodingScenario1:
     def test_history_retained_until_fanout_lands(self):
-        r = run_doc(builtin.encoding_scenario_1_doc())
+        r = run_doc(bundled.doc("encoding_scenario_1"))
         assert r.quiescent and all_passed(check_all(r))
         # while the outbound channels stall, server 1 accumulates versions
         peak = max(sum(rec.digest[2]) for rec in r.trace
@@ -396,7 +396,7 @@ class TestEncodingScenario1:
 
 class TestEncodingScenario2:
     def test_symbol_reencoded_in_place(self):
-        r = run_doc(builtin.encoding_scenario_2_doc())
+        r = run_doc(bundled.doc("encoding_scenario_2"))
         assert r.quiescent and all_passed(check_all(r))
         t3 = write_tag(r, 2, (3,))
         t4 = write_tag(r, 2, (4,))
@@ -414,7 +414,7 @@ class TestEncodingScenario2:
 
 class TestReadScenario1:
     def test_read_decodes_from_pair_despite_skew(self):
-        r = run_doc(builtin.read_scenario_1_doc())
+        r = run_doc(bundled.doc("read_scenario_1"))
         assert r.quiescent
         (read,) = client_reads(r)
         assert read.value == (1,)  # the only X3 write
@@ -430,7 +430,7 @@ class TestReadScenario1:
 
 class TestReadScenario2:
     def test_read_at_non_holder_uses_metadata_tracking(self):
-        r = run_doc(builtin.read_scenario_2_doc())
+        r = run_doc(bundled.doc("read_scenario_2"))
         assert r.quiescent and all_passed(check_all(r))
         (read,) = client_reads(r)
         assert read.value == (1,)
@@ -443,9 +443,10 @@ class TestReadScenario2:
 
 
 class TestScriptedScenarioSuite:
-    @pytest.mark.parametrize("name", sorted(builtin.SCRIPTED_SCENARIOS))
+    @pytest.mark.parametrize("name", ["encoding_scenario_1", "encoding_scenario_2",
+                                      "read_scenario_1", "read_scenario_2"])
     def test_all_reads_complete_with_written_values(self, name):
-        r = run_doc(builtin.SCRIPTED_SCENARIOS[name]())
+        r = run_doc(bundled.doc(name))
         assert r.quiescent
         for op in client_reads(r):
             assert op.completed

@@ -18,8 +18,8 @@ import random
 
 import pytest
 
+from bundled import FIG1_COEFFS
 from causalec import simnet
-from causalec.builtin import FIG1_COEFFS
 from causalec.coding import LinearCode
 from causalec.field import PrimeField
 from causalec.messages import (

@@ -10,13 +10,9 @@ from itertools import combinations
 
 import pytest
 
-from causalec import builtin, simnet
-from causalec.builtin import (
-    ALT_COEFFS,
-    FIG1_COEFFS,
-    FIG1_EDGES,
-    fig1_scenario_doc,
-)
+import bundled
+from bundled import ALT_COEFFS, FIG1_COEFFS, FIG1_EDGES
+from causalec import simnet
 from causalec.coding import LinearCode
 from causalec.field import PrimeField
 from causalec.harness import fuzz_scenario, verdicts_to_json
@@ -68,7 +64,7 @@ def small_scenario(**kw):
 
 class TestChannels:
     def test_fifo_order_per_channel(self):
-        doc = fig1_scenario_doc()
+        doc = bundled.doc("fig1")
         doc["workload"]["ops"] = 25
         sc = scenario_from_json(doc)
         r = run(sc, seed=3, collect_trace=True)
@@ -103,7 +99,7 @@ class TestChannels:
         assert r.halted == [3]
 
     def test_jittered_delays_respect_fifo(self):
-        doc = fig1_scenario_doc()
+        doc = bundled.doc("fig1")
         doc["workload"]["ops"] = 20
         doc["delays"] = {"kind": "jitter", "factor": 3}
         sc = scenario_from_json(doc)
@@ -123,7 +119,7 @@ class TestChannels:
         # times that, plus the channel's extra delay; FIFO clamping cannot
         # push one past the bound, since the message ahead of it on the
         # channel was sent no later and bounded alike
-        doc = builtin.BUNDLED[name]()
+        doc = bundled.doc(name)
         doc["delays"] = {"kind": "jitter", "factor": 3}
         sc = scenario_from_json(doc)
         assert sc.channel_extra_ms or name == "fig1"
@@ -180,14 +176,14 @@ class TestChannels:
 
 class TestDeterminism:
     def test_same_seed_same_trace(self):
-        sc = scenario_from_json(fig1_scenario_doc())
+        sc = scenario_from_json(bundled.doc("fig1"))
         for seed in range(3):
             a = run(sc, seed, collect_trace=True, probes=True)
             b = run(sc, seed, collect_trace=True, probes=True)
             assert a.trace_sha256() == b.trace_sha256()
 
     def test_different_seeds_diverge(self):
-        sc = scenario_from_json(fig1_scenario_doc())
+        sc = scenario_from_json(bundled.doc("fig1"))
         hashes = {run(sc, seed, collect_trace=True).trace_sha256() for seed in range(4)}
         assert len(hashes) == 4
 
@@ -219,8 +215,8 @@ def reference_jsonl(result):
 
 
 def fig1_value_len_3_doc():
-    doc = fig1_scenario_doc()
-    doc["name"], doc["code"] = "fig1_value_len_3", builtin.fig1_code_doc(value_len=3)
+    doc = bundled.doc("fig1")
+    doc["name"], doc["code"]["value_len"] = "fig1_value_len_3", 3
     return doc
 
 
@@ -230,13 +226,13 @@ def traced_run(name, seed, protocol="causalec", collect_trace=True):
     elif name == "fig1_value_len_3":
         scenario = scenario_from_json(fig1_value_len_3_doc())
     else:
-        scenario = scenario_from_json(builtin.BUNDLED[name]())
+        scenario = scenario_from_json(bundled.doc(name))
     return run(scenario, seed, protocol=protocol, collect_trace=collect_trace, probes=True)
 
 
 # every bundled scenario under both protocols, plus further seeds, fuzz
 # systems and three-element values
-TRACE_CASES = sorted({(name, 0, protocol) for name in builtin.BUNDLED for protocol in VARIANTS}
+TRACE_CASES = sorted({(name, 0, protocol) for name in bundled.NAMES for protocol in VARIANTS}
                      | {("fig1", 1, "eventualec"), ("appendix_a", 2, "causalec"),
                         ("fuzz", 0, "causalec"), ("fuzz", 3, "eventualec"),
                         ("fuzz", 7, "causalec"), ("fuzz", 10, "eventualec"),
@@ -377,7 +373,7 @@ class TestQuiescence:
     def test_step_cap_is_never_passed(self, cap):
         # rounds that follow one event stop at the cap too, not only the
         # checks between events and between sweeps
-        sc = scenario_from_json(fig1_scenario_doc())
+        sc = scenario_from_json(bundled.doc("fig1"))
         sc.step_cap = cap
         r = run(sc, seed=3, probes=True)
         assert not r.quiescent
@@ -415,7 +411,7 @@ class TestQuiescence:
     def test_step_cap_stops_a_forced_round(self, forced_rounds, kind):
         # the cap lands between the encode and collect steps of the first
         # round of that kind, and the collect step is never taken
-        sc = scenario_from_json(fig1_scenario_doc())
+        sc = scenario_from_json(bundled.doc("fig1"))
         run(sc, seed=3, probes=True)
         before = next(b for k, b, _ in forced_rounds if k == kind)
         forced_rounds.clear()
@@ -493,8 +489,8 @@ class TestFairness:
         scans = collections.Counter()
         halts = []
         sims = [full_scan_run(fuzz_scenario(seed), seed, protocol) for seed in range(100)]
-        sims += [full_scan_run(scenario_from_json(builtin.BUNDLED[name]()), 0, protocol)
-                 for name in sorted(builtin.BUNDLED)]
+        sims += [full_scan_run(scenario_from_json(bundled.doc(name)), 0, protocol)
+                 for name in bundled.NAMES]
         for sim in sims:
             scans += sim.scans
             halts += sim.halts
@@ -512,7 +508,7 @@ class TestFairness:
         assert sim.halts == [True] and sim.scans["halted"]
 
     def test_every_live_server_acts_within_bounded_windows(self):
-        doc = fig1_scenario_doc()
+        doc = bundled.doc("fig1")
         doc["workload"]["ops"] = 30
         sc = scenario_from_json(doc)
         r = run(sc, seed=1, collect_trace=True)

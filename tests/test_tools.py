@@ -1,6 +1,7 @@
 """Guards for the offline tools in ``tools/``, which nothing else runs.
 
-``tools/fit_fig1_weights.py`` produced ``builtin.FIG1_EDGES``; a full search
+``tools/fit_fig1_weights.py`` produced the edge weights in
+``scenarios/fig1.json``'s ``latency_graph.edges``; a full search
 takes minutes, so these tests check its fixed parts and its final step (every
 weight frozen, no free coordinate left), which once crashed.
 ``tools/trace_sweep.py`` hashes 770 traced runs; these tests check its table,
@@ -14,7 +15,7 @@ import os
 
 import pytest
 
-from causalec.builtin import FIG1_EDGES
+from bundled import FIG1_EDGES
 
 TOOLS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "tools")
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden_traces.json")

@@ -6,8 +6,9 @@ baseline of worst case 6 with average 2.8 -- all five simultaneously.
 Multi-start Nelder-Mead over the ten symmetric edge weights gets an exact
 interior solution; a greedy pass then freezes one coordinate at a time onto
 a 0.25/0.05/0.025 grid and re-solves the rest, keeping the objective at
-zero.  The result is committed in causalec.builtin.FIG1_EDGES and verified
-by tests/test_acceptance.py in plain float arithmetic (errors < 1e-12).
+zero.  The result is committed as ``latency_graph.edges`` in
+scenarios/fig1.json and verified by tests/test_acceptance.py in plain float
+arithmetic (errors < 1e-12).
 
 Needs scipy (not a package dependency); rerun with (about 4.5 minutes on a
 2-core host):

@@ -1,8 +1,9 @@
 """The traced sweep: one SHA-256 over the traces and reports of 770 runs.
 
 A change that keeps behaviour must print the same line as its parent.  The
-table runs ``fig1`` and ``appendix_a`` (jittered delays) on seeds 0-59, the
-other five bundled scenarios on seeds 0-2, and ``fuzz_scenario`` 0-249, each
+table runs ``scenarios/fig1.json`` and ``scenarios/appendix_a.json`` (jittered
+delays) on seeds 0-59, the other five ``scenarios/*.json`` files on seeds 0-2,
+and ``fuzz_scenario`` 0-249, each
 under both protocol variants, as probed runs with the trace collected.  Each
 case contributes its trace SHA-256 and the SHA-256 of its
 ``verdicts_to_json`` report; the printed digest is the SHA-256 of those
@@ -15,15 +16,15 @@ standard error and exits 1.  From the root of a checkout (about 20 s on a
     python tools/trace_sweep.py
 """
 
+import glob
 import hashlib
 import json
 import os
 import sys
 
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
-                                "src"))
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+sys.path.insert(0, os.path.join(ROOT, "src"))
 
-from causalec import builtin  # noqa: E402
 from causalec.checker import check_all  # noqa: E402
 from causalec.harness import fuzz_scenario, verdicts_to_json  # noqa: E402
 from causalec.scenarios import scenario_from_json  # noqa: E402
@@ -31,6 +32,7 @@ from causalec.server import VARIANTS  # noqa: E402
 from causalec.simnet import run  # noqa: E402
 
 JITTERED = ("fig1", "appendix_a")
+SCENARIOS = os.path.join(ROOT, "scenarios")
 
 
 def cases():
@@ -38,7 +40,8 @@ def cases():
     for ``fuzz_scenario(seed)``."""
     out = []
     for protocol in VARIANTS:
-        for name in sorted(builtin.BUNDLED):
+        for path in sorted(glob.glob(os.path.join(SCENARIOS, "*.json"))):
+            name = os.path.basename(path)[:-len(".json")]
             out += [(name, seed, protocol) for seed in range(60 if name in JITTERED else 3)]
         out += [("fuzz", seed, protocol) for seed in range(250)]
     return out
@@ -49,7 +52,7 @@ def case_run(name, seed, protocol, collect_trace):
     if name == "fuzz":
         scenario = fuzz_scenario(seed)
     else:
-        scenario = scenario_from_json(builtin.BUNDLED[name]())
+        scenario = scenario_from_json(os.path.join(SCENARIOS, f"{name}.json"))
     result = run(scenario, seed, protocol=protocol, probes=True, collect_trace=collect_trace)
     report = json.dumps(verdicts_to_json(result, check_all(result)), sort_keys=True)
     return result, hashlib.sha256(report.encode()).hexdigest()
