@@ -191,6 +191,15 @@ def cmd_run(args) -> int:
         return 2
     if args.step_cap is not None:
         scenario = dataclasses.replace(scenario, step_cap=args.step_cap)
+    if args.out is not None:
+        # output files are named after the scenario; a name the file-system
+        # encoding cannot hold must fail before any seed runs
+        try:
+            os.fsencode(os.path.join(args.out, scenario.name))
+        except UnicodeEncodeError as e:
+            print(f"error: {args.scenario}: name {scenario.name!r} cannot be a file "
+                  f"name in the {e.encoding} file-system encoding", file=sys.stderr)
+            return 2
     run_seed = functools.partial(_run_one, scenario, protocol=args.protocol,
                                  collect_trace=args.out is not None)
     if args.workers > 1:
@@ -205,9 +214,9 @@ def cmd_run(args) -> int:
         if args.out:
             os.makedirs(args.out, exist_ok=True)
             base = os.path.join(args.out, f"{report['scenario']}-seed{report['seed']}")
-            with open(base + ".trace.jsonl", "w") as fh:
+            with open(base + ".trace.jsonl", "w", encoding="utf-8") as fh:
                 fh.write(text)
-            with open(base + ".report.json", "w") as fh:
+            with open(base + ".report.json", "w", encoding="utf-8") as fh:
                 json.dump(report, fh, indent=1)
         if args.format == "json":
             print(json.dumps(report, sort_keys=True))

@@ -5,7 +5,9 @@ all-pairs successor-bitmask checker, which scans the white-box order for
 irreflexivity, antisymmetry and transitivity, checks program order on every
 pair of a client's operations and read dictation against every operation.
 On arbitrary small histories both must agree on the verdict and the witness
-kind.
+kind.  Its read-dictation pass, which clears most reads by the newest-tag
+write in their past, is also compared with the whole-past evaluation of
+every completed read, on directed histories and on fuzz runs.
 """
 
 import copy
@@ -18,9 +20,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import bundled
-from causalec import server, simnet
+from causalec import checker, server, simnet
 from causalec.checker import (
     _leads_to,
+    _read_dictation,
+    build_causal_order,
     check_all,
     check_causal,
     check_eventual,
@@ -31,11 +35,11 @@ from causalec.checker import (
 )
 from causalec.coding import LinearCode
 from causalec.field import PrimeField
-from causalec.harness import fuzz_scenario
+from causalec.harness import fuzz_run, fuzz_scenario
 from causalec.latency import LatencyGraph
 from causalec.messages import Del, ValInq, ValRespEncoded
 from causalec.scenarios import ClientSpec, Scenario, ScriptOp, scenario_from_json
-from causalec.server import Server
+from causalec.server import CAUSAL, EVENTUAL, Server
 from causalec.simnet import OperationRecord, RunResult, Simulation, run
 from causalec.tags import ProtocolInvariantViolation, Tag
 
@@ -635,3 +639,80 @@ def test_order_is_transitive_and_antisymmetric_but_for_equal_write_stamps(rows):
             for c in ops:
                 if c is not a and c is not b and _leads_to(b, c):
                     assert _leads_to(a, c)
+
+
+# -- the read-dictation shortcut against the whole-past evaluation -------------------
+
+
+def whole_past_witness(result):
+    """The first read-dictation failure found by evaluating every completed
+    read's whole causal past (``build_causal_order``), or None."""
+    ops = result.operation_list()
+    zero = result.servers[1].code.zero_value()
+    for i, before in build_causal_order(ops).items():
+        ok, blockers = _read_dictation(ops, before, ops[i].value, zero)
+        if not ok:
+            return {"kind": "read-dictation", "read": ops[i].opid, "value": ops[i].value,
+                    "blocker": ops[blockers[0]].opid if blockers else None}
+    return None
+
+
+@pytest.fixture
+def whole_past_reads(monkeypatch):
+    """The opids of the reads whose whole past ``check_causal`` evaluated."""
+    seen = []
+    real = checker._causal_past
+
+    def causal_past(ops, i):
+        seen.append(ops[i].opid)
+        return real(ops, i)
+
+    monkeypatch.setattr(checker, "_causal_past", causal_past)
+    return seen
+
+
+# client 1 writes 1 at (1, 0) and client 2 writes 2 at (0, 1): concurrent,
+# and the first has the newer tag
+CONCURRENT = [(1, "write", 1, 1, 0, True, (1, 0)), (2, "write", 1, 2, 0, True, (0, 1))]
+# client 1 writes 1, then 2, which dominates it
+DOMINATED = [(1, "write", 1, 1, 0, True, (1, 0)), (1, "write", 1, 2, 1, True, (2, 0))]
+
+
+@pytest.mark.parametrize("rows,whole_past,witness", [
+    # returns the newest write in its past: cleared by the shortcut
+    (CONCURRENT + [(3, "read", 1, 1, 1, True, (1, 1))], [], None),
+    # returns a concurrent write, maximal in its past but not the newest
+    (CONCURRENT + [(3, "read", 1, 2, 1, True, (1, 1))], [(3, 1)], None),
+    # returns the older, dominated write
+    (DOMINATED + [(2, "read", 1, 1, 2, True, (2, 1))], [(2, 1)],
+     {"kind": "read-dictation", "read": (2, 1), "value": (1,), "blocker": (1, 2)}),
+    # an empty past (the writes are concurrent with the read): zero passes...
+    (CONCURRENT + [(3, "read", 1, 0, 1, True, (0, 0))], [], None),
+    # ...and a value, even one that a concurrent write holds, fails
+    (CONCURRENT + [(3, "read", 1, 2, 1, True, (0, 0))], [(3, 1)],
+     {"kind": "read-dictation", "read": (3, 1), "value": (2,), "blocker": None}),
+    # a completed read with no stamp follows every stamped write
+    (DOMINATED + [(2, "read", 1, 2, 2, True, None)], [(2, 1)], None),
+    (DOMINATED + [(2, "read", 1, 1, 2, True, None)], [(2, 1)],
+     {"kind": "read-dictation", "read": (2, 1), "value": (1,), "blocker": (1, 2)}),
+], ids=["newest", "concurrent-maximal", "dominated", "empty-zero", "empty-value",
+        "unstamped-newest", "unstamped-dominated"])
+def test_read_dictation_shortcut(whole_past_reads, rows, whole_past, witness):
+    h = history(rows)
+    verdict = check_causal(h)
+    assert whole_past_reads == whole_past
+    assert verdict.passed == (witness is None)
+    assert verdict.details.get("witness") == witness == whole_past_witness(h)
+    if witness is not None:
+        assert revalidate_witness(h, witness)
+
+
+def test_check_causal_equals_whole_past_evaluation_on_fuzz_runs():
+    failed = 0
+    for protocol in (CAUSAL, EVENTUAL):
+        for seed in range(300):
+            result, verdicts = fuzz_run(seed, protocol)
+            witness = verdicts[0].details.get("witness")
+            assert witness == whole_past_witness(result), (protocol, seed)
+            failed += witness is not None
+    assert failed  # eventualec breaks causality on some seeds

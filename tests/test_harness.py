@@ -183,16 +183,51 @@ def test_undecodable_file_exits_two(tmp_path, capsys, cmd, data, error):
     assert f"error: {path}{error}" in capsys.readouterr().err
 
 
+ASCII_LOCALE = dict(os.environ,
+                    PYTHONPATH=os.path.join(os.path.dirname(bundled.SCENARIOS), "src"),
+                    PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="POSIX")
+
+
+def harness_under_ascii_locale(tmp_path, name, *args):
+    """The harness run as a subprocess under the POSIX locale, on fig1
+    renamed ``name`` and written as UTF-8; ``FILE`` in ``args`` stands for
+    the document's path."""
+    doc = bundled.doc("fig1")
+    doc["name"] = name
+    path = tmp_path / "utf8.json"
+    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
+    argv = [str(path) if a == "FILE" else a for a in args]
+    return subprocess.run([sys.executable, "-m", "causalec.harness", *argv],
+                          env=ASCII_LOCALE, capture_output=True, text=True, timeout=120)
+
+
 def test_utf8_file_loads_under_an_ascii_locale(tmp_path):
     # the file was read in the locale's encoding, so under the POSIX locale a
     # valid UTF-8 name failed with "'ascii' codec can't decode" and exit 2
-    doc = bundled.doc("fig1")
-    doc["name"] = "diff\u00e9"
-    path = tmp_path / "utf8.json"
-    path.write_bytes(json.dumps(doc, ensure_ascii=False).encode("utf-8"))
-    env = dict(os.environ, PYTHONPATH=os.path.join(os.path.dirname(bundled.SCENARIOS), "src"),
-               PYTHONUTF8="0", PYTHONCOERCECLOCALE="0", LC_ALL="POSIX")
-    proc = subprocess.run([sys.executable, "-m", "causalec.harness", "latency", str(path)],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = harness_under_ascii_locale(tmp_path, "diff\u00e9", "latency", "FILE")
     assert proc.returncode == 0, proc.stderr
     assert "worst 4.50" in proc.stdout
+
+
+def test_unencodable_output_name_exits_two_before_running(tmp_path):
+    # the output files are named after the scenario; under the POSIX locale
+    # this once ran every seed and then ended in a UnicodeEncodeError
+    # traceback from opening the trace file
+    out = tmp_path / "out"
+    proc = harness_under_ascii_locale(tmp_path, "diff\u00e9", "run", "FILE",
+                                      "--seeds", "0..1", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "name 'diff\\xe9' cannot be a file name in the ascii file-system encoding" \
+        in proc.stderr
+    assert not out.exists()
+
+
+def test_encodable_output_name_writes_under_an_ascii_locale(tmp_path):
+    out = tmp_path / "out"
+    proc = harness_under_ascii_locale(tmp_path, "plain", "run", "FILE", "--out", str(out))
+    assert proc.returncode == 0, proc.stderr
+    report = json.loads((out / "plain-seed0.report.json").read_text(encoding="utf-8"))
+    trace = (out / "plain-seed0.trace.jsonl").read_bytes()
+    assert hashlib.sha256(trace).hexdigest() == report["trace_sha256"]

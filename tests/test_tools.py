@@ -5,10 +5,12 @@
 takes minutes, so these tests check its fixed parts and its final step (every
 weight frozen, no free coordinate left), which once crashed.
 ``tools/trace_sweep.py`` hashes 770 traced runs; these tests check its table,
-that it holds every case of the golden table, one case against it, and that
-it fails on a case whose untraced run differs.
+that it holds every case of the golden table, one case against it, that
+it fails on a case whose untraced run differs, and that its ``verdicts``
+line hashes the verdict lines alone.
 """
 
+import hashlib
 import importlib.util
 import json
 import os
@@ -84,3 +86,31 @@ def test_sweep_names_a_case_whose_untraced_run_differs(monkeypatch, capsys):
     out = capsys.readouterr()
     assert out.out.startswith("1 cases ")
     assert "untraced run differs: fig1/0/causalec" in out.err
+
+
+def test_sweep_verdicts_line_hashes_the_verdict_lines_alone(monkeypatch, capsys):
+    sweep = load_tool("trace_sweep")
+    monkeypatch.setattr(sweep, "cases", lambda: [("fig1", 0, "causalec"),
+                                                 ("ev_differential", 0, "eventualec")])
+    tail = "eventual: PASS\nstorage: PASS\nlocality+liveness: PASS\ninvariants: PASS\n"
+    lines = "causal: PASS\n" + tail + "causal: FAIL\n" + tail
+    want = f"2 verdicts {hashlib.sha256(lines.encode()).hexdigest()}"
+    sweep.main()
+    cases, verdicts = capsys.readouterr().out.splitlines()
+    assert cases.startswith("2 cases ")
+    assert verdicts == want
+
+    # a moved transition count changes the report, so the cases line, but
+    # not the verdicts line
+    real_run = sweep.run
+
+    def run(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        result.transitions += 1
+        return result
+
+    monkeypatch.setattr(sweep, "run", run)
+    sweep.main()
+    moved, verdicts = capsys.readouterr().out.splitlines()
+    assert moved != cases
+    assert verdicts == want
