@@ -133,8 +133,6 @@ class LinearCode:
         self._check_value(old_xk)
         self._check_value(new_xk)
         c = self.coeffs[server - 1][obj - 1]
-        if not c:
-            return symbol
         p = self.field.p
         return tuple([(s + c * (b - a)) % p for s, a, b in zip(symbol, old_xk, new_xk)])
 

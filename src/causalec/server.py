@@ -1,9 +1,9 @@
 """Server state machine for the coded store, in both protocol variants.
 
 One event (message receipt or internal action) executes a full handler body
-atomically and emits an ordered batch of messages; ``handle`` and the
-internal actions return ``(changed, sends)``.  The causal variant
-("causalec") and the eventually consistent one ("eventualec") differ only
+atomically and emits an ordered batch of messages; a message type's
+``_HANDLERS`` entry and the internal actions return ``(changed, sends)``.
+The causal variant ("causalec") and the eventually consistent one ("eventualec") differ only
 where ``variant`` is tested: apply readiness (causalec applies a remote
 write after the writes it depends on, and answers with it only the reads
 that asked for no newer version), the list-read guard (causalec serves
@@ -51,6 +51,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from operator import le
 from typing import Deque, Dict, Iterable, List, NamedTuple, Optional, Tuple
 
 from .coding import LinearCode
@@ -182,12 +183,23 @@ class Server:
         if prev is None or prev < tag:
             dmax[srv] = tag
             holders = self.code.holders[x]
-            if srv in holders and _min_moves(dmax, srv, prev, holders):
+            # in one pass, whether raising srv's entry from prev moved the minimum
+            # over all servers (gc) and over X's holders (held): an entry that is
+            # missing (the minimum is undefined) or at most prev keeps it in place
+            gc = held = True
+            for i in self._servers:
+                if i != srv:
+                    t = dmax.get(i)
+                    if t is None or prev is not None and t <= prev:
+                        gc = False
+                        if i in holders:
+                            held = False
+                            break
+            if held and srv in holders:
                 if obj in self.objects_here:
                     gc = True
                 else:
                     self._enc_dirty.add(obj)
-            gc = gc or _min_moves(dmax, srv, prev, self._servers)
         # GC collects the symbol's version once every server sent it
         if gc or (tag == self.m_tagvec[x] and all((tag, i) in dell for i in self._servers)):
             self._gc_dirty.add(obj)
@@ -386,14 +398,6 @@ class Server:
                 return self._answer_reads([entry], v)
         return []
 
-    def handle(self, frm: int, msg: Message) -> Tuple[bool, List[Send]]:
-        """Dispatch one received message; frm is a client id for Write/Read,
-        a server id otherwise.  A delivery always counts as a change."""
-        handler = _HANDLERS.get(type(msg))
-        if handler is None:
-            raise TypeError(f"server cannot handle {type(msg).__name__}")
-        return True, handler(self, frm, msg)
-
     # -- internal actions ----------------------------------------------------
 
     def _inqueue_head(self) -> int:
@@ -402,6 +406,8 @@ class Server:
         so these heads are exactly the minimal items of the whole queue.  A
         head from origin i can precede ``ts`` only if its own coordinate
         ``i`` is no larger, which is tested before the full comparison."""
+        if len(self.inqueue) == 1:
+            return next(iter(self.inqueue))
         heads = [(j, self.inqueue[j][0].tag.ts) for j in sorted(self.inqueue)]
         return next(j for j, ts in heads
                     if not any(i != j and other[i - 1] <= ts[i - 1]
@@ -415,9 +421,9 @@ class Server:
         item = queue[0]
         t = item.tag
         if self.variant == CAUSAL:
-            ready = (t.ts[j - 1] == self.vc[j - 1] + 1
-                     and all(t.ts[p] <= self.vc[p]
-                             for p in range(self.n) if p != j - 1))
+            ts, vc = t.ts, self.vc
+            ready = (ts[j - 1] == vc[j - 1] + 1 and all(map(le, ts[:j - 1], vc[:j - 1]))
+                     and all(map(le, ts[j:], vc[j:])))
             if not ready:
                 self._apply_dirty = False
                 return False, []
@@ -439,7 +445,8 @@ class Server:
         sends: List[Send] = []
         dirty, self._enc_dirty = self._enc_dirty, set()
         # held objects first, then the others, each in index order
-        for x in sorted(dirty, key=lambda x: (x not in self.objects_here, x)):
+        for x in dirty if len(dirty) == 1 else sorted(
+                dirty, key=lambda x: (x not in self.objects_here, x)):
             highest = self._highest(x)
             mt = self.m_tagvec[x - 1]
             if highest is None or not mt < highest[0]:
@@ -496,7 +503,7 @@ class Server:
         sends: List[Send] = []
         all_servers = self._servers
         dirty, self._gc_dirty = self._gc_dirty, set()
-        for x in sorted(dirty):
+        for x in dirty if len(dirty) == 1 else sorted(dirty):
             new_tmax = self._per_server_del_max(x, all_servers)
             if new_tmax is None:
                 new_tmax = self.zero_tag
@@ -589,28 +596,17 @@ class Server:
         )
 
 
-def _min_moves(dmax: Dict[int, Tag], srv: int, prev: Optional[Tag],
-               servers: Iterable[int]) -> bool:
-    """Whether raising ``srv``'s entry in ``dmax`` from ``prev`` (None: no
-    entry) moved the minimum over ``servers``, which is undefined while one
-    of them has no entry: ``srv`` held the only minimum, or was the last
-    server without an entry.  A tie at the minimum leaves it in place."""
-    for i in servers:
-        if i != srv:
-            t = dmax.get(i)
-            if t is None or (prev is not None and t <= prev):
-                return False
-    return True
-
-
-# handlers are looked up on the server at call time, so wrappers set on the
-# class see every dispatched message
+# per message type, its delivery step ``(server, frm, msg) -> (changed, sends)``,
+# which always counts as a change (frm: a client id for Write/Read, else a
+# server id); handlers are looked up on the server at call time, so wrappers
+# set on the class see every dispatched message
 _HANDLERS = {
-    Write: lambda s, frm, m: s.on_write(frm, m.opid, m.obj, m.value),
-    Read: lambda s, frm, m: s.on_read(frm, m.opid, m.obj),
-    App: lambda s, frm, m: s.on_app(frm, m.obj, m.value, m.tag),
-    Del: lambda s, frm, m: s.on_del(frm, m.obj, m.tag),
-    ValInq: lambda s, frm, m: s.on_val_inq(frm, m.clientid, m.opid, m.obj, m.wantedtagvec),
-    ValResp: lambda s, frm, m: s.on_val_resp(frm, m),
-    ValRespEncoded: lambda s, frm, m: s.on_val_resp_encoded(frm, m),
+    Write: lambda s, frm, m: (True, s.on_write(frm, m.opid, m.obj, m.value)),
+    Read: lambda s, frm, m: (True, s.on_read(frm, m.opid, m.obj)),
+    App: lambda s, frm, m: (True, s.on_app(frm, m.obj, m.value, m.tag)),
+    Del: lambda s, frm, m: (True, s.on_del(frm, m.obj, m.tag)),
+    ValInq: lambda s, frm, m: (True, s.on_val_inq(frm, m.clientid, m.opid, m.obj,
+                                                  m.wantedtagvec)),
+    ValResp: lambda s, frm, m: (True, s.on_val_resp(frm, m)),
+    ValRespEncoded: lambda s, frm, m: (True, s.on_val_resp_encoded(frm, m)),
 }

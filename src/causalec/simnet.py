@@ -19,9 +19,13 @@ servers due a forced round are a prefix of it.  A round records all of its
 steps but calls only the actions that have work (``Server.can_apply``,
 ``can_encode``, ``can_collect``); the others would change nothing.  Every
 server transition, a delivery or an internal action, is one
-``Simulation._server_step``.  A run stops at its step cap, and is then not
-quiescent.  Trace records stay structured; ``trace_lines`` writes them as
-JSON text.
+``Simulation._server_step``.  Calls that could take no step or check
+nothing new are not made: the round after a delivery when the server has
+no queued write and no round due, the fairness scan below the floor (no
+server is due), and the probe when the clock, the symbol, its tag vector
+and ``tmax`` equal the snapshot it last checked.  A run stops at its step
+cap, and is then not quiescent.  Trace records stay structured;
+``trace_lines`` writes them as JSON text.
 """
 
 from __future__ import annotations
@@ -38,9 +42,9 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from .client import Client
 from .field import Value
 from .latency import format_ms
-from .messages import Message, OpId, Read, ReadReturn, ValRespEncoded, Write, WriteReturnAck
+from .messages import Message, OpId, Read, ReadReturn, ValRespEncoded, Write
 from .scenarios import PROBE_CLIENT_BASE, Scenario, ScriptOp
-from .server import Send, Server
+from .server import _HANDLERS, Send, Server
 from .tags import ProtocolInvariantViolation, Tag
 
 FAIRNESS_STEPS = 8  # per server: the age of a last full round that forces one
@@ -217,13 +221,12 @@ class Simulation:
         self.ops: Dict[OpId, OperationRecord] = {}
         self.violations: List[str] = []
         self.locality_breaks = 0
-        self._chan_last: Dict[Tuple[int, int], int] = {}  # per server channel
-        # per server channel, the least delay in ticks and the number of
-        # delays a message draws from with rng (0: the delay is fixed)
+        # per server channel: the least delay in ticks, the number of delays
+        # a message draws from with rng (0: the delay is fixed), that
+        # number's bit length, and the arrival time of its last message
         draws, bounds = scenario.channel_delays()
-        self._links = {link: (lo, hi - lo + 1 if draws else 0)
+        self._links = {link: [lo, hi - lo + 1 if draws else 0, (hi - lo + 1).bit_length(), 0]
                        for link, (lo, hi) in bounds.items()}
-        self._randbelow = self.rng._randbelow
         self._names = {s: f"s{s}" for s in self.servers}
         # per server, the state the probes last checked and the digest last
         # recorded (None: not yet)
@@ -256,7 +259,8 @@ class Simulation:
                 moved: bool = False) -> None:
         """Count one transition; when tracing, log it with the digest of the
         server that took it (None for client and halt steps).  The step that
-        reaches the cap is the run's last.
+        reaches the cap is the run's last.  An untraced server step is
+        counted the same way where it is taken, without this call.
 
         A server's state changes only inside its own steps, and each step
         that changes it says so; a step that did not move therefore reuses
@@ -284,8 +288,9 @@ class Simulation:
         self._stopped = True
 
     def _probe_after(self, srv: Server) -> None:
-        """Check the server's state after a transition that moved and did not
-        raise; one that changed nothing and sent nothing left it as checked.
+        """Check the server's state after a transition that did not raise and
+        left it differing from the snapshot; any other transition left it as
+        checked.
 
         Each check is a pure function of its inputs in the snapshot ``(vc,
         m_tagvec, tmax, m_val)`` and of the write registry, whose entries are
@@ -318,15 +323,17 @@ class Simulation:
             self._fail(f"server {srv.id}: symbol tag vector decreased")
 
     def _server_step(self, srv: Server, event: Optional[tuple], action, *args) -> bool:
-        """One server transition, ``action(*args) -> (changed, sends)``.  A raise
+        """One server transition, ``action(*args) -> (changed, sends)``: an
+        internal action, or for a delivery its ``_HANDLERS`` entry.  A raise
         is a violation, recorded with no sends or notes; otherwise each send is
         scheduled (a coded symbol checked, a client response's ``ts`` stamped),
-        the step recorded and the server probed if it moved; returns whether it did.
+        the step recorded and the server probed if it left its snapshot; returns whether it moved.
 
         A server message takes its channel's least delay plus, when delays
-        are drawn, ``rng._randbelow(span)`` (``randint(lo, hi)``'s values),
-        clamped to stay FIFO; a message to a client has no delay and, as
-        virtual time never goes back, needs no clamp."""
+        are drawn, ``randint(lo, hi)``'s draw as CPython 3.11 makes it:
+        ``getrandbits(k)``, ``k`` the span's bit length, redrawn until below
+        the span.  It is clamped to stay FIFO; a message to a client has no
+        delay and, as virtual time never goes back, needs no clamp."""
         sid = srv.id
         try:
             changed, sends = action(*args)
@@ -336,18 +343,18 @@ class Simulation:
             self._record(self._names[sid], event, srv, moved=True)
             return False
         if sends:
-            now, heap, links, chan_last = self.now, self.heap, self._links, self._chan_last
-            seq, randbelow = self.seq, self._randbelow
+            now, heap, links = self.now, self.heap, self._links
+            seq, getrandbits = self.seq, self.rng.getrandbits
             for kind, dst, msg in sends:
-                mtype = type(msg)
                 if kind == "client":
                     t = now
-                    if mtype is WriteReturnAck or mtype is ReadReturn:
-                        rec = self.ops.get(msg.opid)
-                        if rec is not None and rec.ts is None:
-                            rec.ts = tuple(srv.vc)
+                    # an ack or a read return, for an invoked operation; a
+                    # repeated answer keeps the first stamp
+                    rec = self.ops[msg.opid]
+                    if rec.ts is None:
+                        rec.ts = tuple(srv.vc)
                 else:
-                    if mtype is ValRespEncoded:
+                    if type(msg) is ValRespEncoded:
                         # the last checked symbol under its own tag vector
                         # passes again, so only another pair is checked
                         snap = self._snapshots[sid]
@@ -357,36 +364,34 @@ class Simulation:
                                 srv.check_symbol_legitimacy(msg.symbol, msg.tagvec)
                             except ProtocolInvariantViolation as e:
                                 self._fail(f"outgoing response: {e}")
-                    lo, span = links[sid, dst]
-                    t = now + lo + randbelow(span) if span else now + lo
-                    last = chan_last.get((sid, dst), 0)
+                    lo, span, k, last = link = links[sid, dst]
+                    t = now + lo
+                    if span:
+                        r = getrandbits(k)
+                        while r >= span:
+                            r = getrandbits(k)
+                        t += r
                     if t < last:
                         t = last
-                    chan_last[sid, dst] = t
+                    link[3] = t
                 seq += 1
                 heappush(heap, (t, seq, "deliver", (kind, dst, "server", sid, msg)))
             self.seq = seq
         moved = changed or bool(sends)
-        self._record(self._names[sid], event, srv, sends, srv.notes, moved)
+        if self.collect_trace:
+            self._record(self._names[sid], event, srv, sends, srv.notes, moved)
+        else:  # a violation in the send loop may have stopped the run already
+            self.steps += 1
+            self._stopped |= self.steps >= self.step_cap
         srv.notes.clear()
         if moved:
-            self._probe_after(srv)
+            prev = self._snapshots[sid]
+            if (prev is None or srv.vc != prev[0] or srv.m_tagvec != prev[1]
+                    or srv.tmax != prev[2] or srv.m_val != prev[3]):
+                self._probe_after(srv)
         return moved
 
     # -- event processing -------------------------------------------------------
-
-    def _deliver_to_server(self, sid: int, src_kind: str, src: int, msg: Message) -> None:
-        srv = self.servers[sid]
-        event = (("recv", f"{'c' if src_kind == 'client' else 's'}{src}", msg)
-                 if self.collect_trace else None)
-        # locality: a write, or a read of the object this server stores
-        # uncoded, is answered in this very transition; one that raised is no break
-        if self._server_step(srv, event, srv.handle, src, msg) and (
-                type(msg) is Write
-                or type(msg) is Read and self.code.held[sid - 1] == (msg.obj,)):
-            rec = self.ops.get(msg.opid)
-            if rec is None or rec.ts is None:
-                self.locality_breaks += 1
 
     def _deliver_to_client(self, cid: int, src_kind: str, src: int, msg: Message) -> None:
         client = self.clients[cid]
@@ -432,7 +437,11 @@ class Simulation:
         while srv.inqueue:
             recorded = True
             if not srv.can_apply:
-                self._record(name, APPLY, srv)
+                if self.collect_trace:
+                    self._record(name, APPLY, srv)
+                else:  # _stopped is clear wherever a round counts a step
+                    self.steps += 1
+                    self._stopped = self.steps >= self.step_cap
                 break
             applied = self._server_step(srv, APPLY, srv.apply_inqueue)
             moved |= applied
@@ -441,7 +450,11 @@ class Simulation:
         if self._stopped or not (force or srv.round_due):
             return moved
         if not recorded:
-            self._record(name, APPLY, srv)
+            if self.collect_trace:
+                self._record(name, APPLY, srv)
+            else:
+                self.steps += 1
+                self._stopped = self.steps >= self.step_cap
         order = self._last_full_round  # this round's step count is above every other
         del order[sid]
         order[sid] = self.steps
@@ -450,28 +463,33 @@ class Simulation:
             return moved
         if srv.can_encode:
             moved |= self._server_step(srv, ENCODE, srv.encoding)
-        else:
+        elif self.collect_trace:
             self._record(name, ENCODE, srv)
+        else:
+            self.steps += 1
+            self._stopped = self.steps >= self.step_cap
         if self._stopped:
             return moved
         if srv.can_collect:
             moved |= self._server_step(srv, GC, srv.garbage_collection)
-        else:
+        elif self.collect_trace:
             self._record(name, GC, srv)
+        else:
+            self.steps += 1
+            self._stopped = self.steps >= self.step_cap
         return moved
 
     def _fairness_rounds(self) -> None:
-        """Called every 4 steps: force a round at each live server whose
-        last full round is ``_fair_window`` steps old, in id order.
+        """Called every 4 steps from ``_fair_floor`` on: force a round, in id
+        order, at each live server whose last full round is ``_fair_window``
+        steps old.
 
         ``_last_full_round`` holds the live servers least recent first: a
         server moves to the end at each full round, whose step count is
         above every earlier one, and leaves at its halt.  So the due servers
         are a prefix of it, and its first entry sets the floor below which
-        no server is due and the scan is skipped."""
+        no server is due and the event loop skips the scan."""
         self._next_fair_scan = self.steps + 4
-        if self.steps < self._fair_floor:
-            return
         cutoff = self.steps - self._fair_window
         due = []
         for s, last in self._last_full_round.items():
@@ -486,7 +504,7 @@ class Simulation:
     # -- main loop -----------------------------------------------------------------
 
     def _drain(self) -> None:
-        heap, halted = self.heap, self.halted
+        heap, halted, servers = self.heap, self.halted, self.servers
         while heap and not self._stopped:
             t, _, kind, payload = heappop(heap)
             if t > self.now:
@@ -498,8 +516,22 @@ class Simulation:
                 elif dst in halted:
                     continue
                 else:
-                    self._deliver_to_server(dst, src_kind, src, msg)
-                    self._service_round(dst)
+                    srv = servers[dst]
+                    mtype = type(msg)
+                    handler = _HANDLERS.get(mtype)
+                    if handler is None:
+                        raise TypeError(f"server cannot handle {mtype.__name__}")
+                    event = (("recv", f"{'c' if src_kind == 'client' else 's'}{src}", msg)
+                             if self.collect_trace else None)
+                    # locality: a write, or a read of the object this server stores
+                    # uncoded, is answered in this very transition; one that raised is no break
+                    if self._server_step(srv, event, handler, srv, src, msg) and (
+                            mtype is Write
+                            or mtype is Read and self.code.held[dst - 1] == (msg.obj,)):
+                        if self.ops[msg.opid].ts is None:
+                            self.locality_breaks += 1
+                    if srv.inqueue or srv.round_due:
+                        self._service_round(dst)
             elif kind == "invoke":
                 self._invoke(payload)
             else:
@@ -507,7 +539,10 @@ class Simulation:
                 del self._last_full_round[payload]
                 self._record(self._names[payload], ("halt",))
             if self.steps >= self._next_fair_scan:
-                self._fairness_rounds()
+                if self.steps < self._fair_floor:
+                    self._next_fair_scan = self.steps + 4
+                else:
+                    self._fairness_rounds()
 
     def run_to_quiescence(self) -> bool:
         while not self._stopped:

@@ -17,6 +17,7 @@ import pickle
 import random
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from bundled import FIG1_COEFFS
 from causalec import simnet
@@ -53,6 +54,24 @@ def tag(ts, cid):
 
 def sends_of(kind, sends):
     return [s for s in sends if isinstance(s.msg, kind)]
+
+
+def _min_moves(dmax, srv, prev, servers):
+    """Whether raising ``srv``'s entry in ``dmax`` from ``prev`` (None: no
+    entry) moved the minimum over ``servers``, which is undefined while one
+    of them has no entry: ``srv`` held the only minimum, or was the last
+    server without an entry.  A tie at the minimum leaves it in place."""
+    for i in servers:
+        if i != srv:
+            t = dmax.get(i)
+            if t is None or (prev is not None and t <= prev):
+                return False
+    return True
+
+
+# fig1's servers 1..5; X1 is held by 1, 3 and 4.  Three tags, so entries tie.
+NOTICE_TAGS = [tag([v, 0, 0, 0, 0], 1) for v in (1, 2, 3)]
+DEL_MAX = st.dictionaries(st.integers(1, 5), st.sampled_from(NOTICE_TAGS), max_size=5)
 
 
 class TestWrite:
@@ -150,6 +169,37 @@ class TestDeleteNotices:
         srv.on_del(2, 1, tag([0, 1, 0], 2))
         srv.on_del(2, 1, tag([0, 2, 0], 2))
         assert len(srv.dell[0]) == 2
+
+    @settings(derandomize=True, database=None, max_examples=600, deadline=None)
+    @given(st.integers(1, 5), st.integers(1, 5), st.sampled_from(NOTICE_TAGS), DEL_MAX)
+    # entries missing; a tie at the minimum; the sender outside the holders;
+    # the holders' minimum alone moving, at a holder
+    @example(me=1, frm=3, new=NOTICE_TAGS[2], entries={1: NOTICE_TAGS[0]})
+    @example(me=1, frm=4, new=NOTICE_TAGS[2],
+             entries={1: NOTICE_TAGS[1], 3: NOTICE_TAGS[1], 4: NOTICE_TAGS[0]})
+    @example(me=2, frm=1, new=NOTICE_TAGS[1],
+             entries={i: NOTICE_TAGS[0] for i in range(1, 6)})
+    @example(me=2, frm=5, new=NOTICE_TAGS[2],
+             entries={1: NOTICE_TAGS[1], 2: NOTICE_TAGS[1], 3: NOTICE_TAGS[2],
+                      4: NOTICE_TAGS[1], 5: NOTICE_TAGS[0]})
+    def test_one_pass_minima_match_two_scans(self, me, frm, new, entries):
+        # _add_del decides in one pass over the servers whether the notice
+        # moved the minimum over X1's holders and over all servers; the work
+        # sets it marks must follow the two _min_moves scans
+        srv = Server(me, fig1())
+        srv._del_max[0] = dict(entries)
+        srv._enc_dirty.clear()
+        srv._gc_dirty.clear()
+        prev = entries.get(frm)
+        srv._add_del(1, new, frm)
+        raised = prev is None or prev < new
+        holders = srv.code.holders[0]
+        held = raised and frm in holders and _min_moves(entries, frm, prev, holders)
+        everyone = raised and _min_moves(entries, frm, prev, range(1, 6))
+        here = 1 in srv.objects_here
+        assert (1 in srv._enc_dirty) == (held and not here)
+        assert (1 in srv._gc_dirty) == (everyone or held and here)
+        assert srv._del_max[0][frm] == (new if raised else prev)
 
 
 class TestApplyQueue:

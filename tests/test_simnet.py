@@ -24,10 +24,10 @@ from causalec.latency import (
     replication_baseline,
     to_ms,
 )
-from causalec.messages import App
+from causalec.messages import App, Del, WriteReturnAck
 from causalec.checker import check_all
 from causalec.scenarios import ClientSpec, Scenario, ScenarioError, ScriptOp, scenario_from_json
-from causalec.server import VARIANTS
+from causalec.server import VARIANTS, Send
 from causalec.simnet import FAIRNESS_STEPS, Simulation, run
 from causalec.tags import Tag
 
@@ -159,19 +159,38 @@ class TestChannels:
         draws, bounds = small_scenario().channel_delays()  # graph: fixed, no draw
         assert not draws and bounds[3, 1] == (3000, 3000)
 
-    def test_delay_draw_is_randints_sequence(self):
-        # Simulation._server_step draws lo + rng._randbelow(span), with the
-        # channel's span = hi - lo + 1 taken at set-up; every jittered trace
-        # depends on that being randint(lo, hi)
-        bounds = random.Random(5)
-        pairs = [(lo, lo + w) for lo, w in
-                 ((bounds.randint(0, 10**5), bounds.choice([0, 0, 1, 2, 7, 999, 2**31, 10**12]))
-                  for _ in range(2000))]
-        assert {hi - lo for lo, hi in pairs} >= {0, 1, 10**12}
-        a, b = random.Random(11), random.Random(11)
-        assert [a.randint(lo, hi) for lo, hi in pairs] == \
-            [lo + b._randbelow(hi - lo + 1) for lo, hi in pairs]
-        assert a.random() == b.random()  # equal bits consumed
+    def test_delay_draw_is_randints_sequence(self, monkeypatch):
+        # Simulation._server_step's send loop draws getrandbits(k) until it
+        # is below the channel's span = hi - lo + 1, with k the span's bit
+        # length taken at set-up; every jittered trace depends on that being
+        # randint(lo, hi), value for value and bit for bit
+        lo, spans = 1234, {2: 1, 3: 2**31, 4: 10**12}
+        sc = small_scenario(code=LinearCode(PrimeField(7), [[1]] * 4), graph=LatencyGraph(
+            4, {pair: 1 for pair in combinations(range(1, 5), 2)}))
+        monkeypatch.setattr(sc, "channel_delays", lambda: (
+            True, {(1, dst): (lo, lo + span - 1) for dst, span in spans.items()}))
+        sim = Simulation(sc, seed=11, collect_trace=False)
+        ref = random.Random()
+        ref.setstate(sim.rng.getstate())
+        notice = Del(1, Tag((1, 0, 0, 0), 1))
+        pick = random.Random(5)
+        for batch in range(300):
+            dsts = pick.sample(sorted(spans), pick.randint(1, 3))
+            sim.now = batch * 10**13  # later than every earlier arrival: no clamp
+            sim.heap.clear()
+            sim._server_step(sim.servers[1], None,
+                             lambda: (False, [Send("server", dst, notice) for dst in dsts]))
+            sent = sorted(sim.heap, key=lambda entry: entry[1])
+            assert [(entry[3][1], entry[0] - sim.now) for entry in sent] == \
+                [(dst, ref.randint(lo, lo + spans[dst] - 1)) for dst in dsts]
+        assert sim.rng.getstate() == ref.getstate()  # equal bits consumed
+
+    def test_server_rejects_a_message_it_has_no_handler_for(self):
+        sim = Simulation(small_scenario(), seed=0)
+        sim.heap.clear()
+        sim._push(0, "deliver", ("server", 1, "server", 2, WriteReturnAck((1, 1))))
+        with pytest.raises(TypeError, match="^server cannot handle WriteReturnAck$"):
+            sim.run_to_quiescence()
 
 
 class TestDeterminism:
@@ -427,8 +446,9 @@ class FullScanTwin(Simulation):
     """At every fairness scan, finds the due servers and the floor by a
     full scan over every live server's last full round, and asserts that
     the ordered scan forces the same rounds, in id order, and leaves the
-    same floor; a scan skipped under the floor must have nothing due.
-    ``last`` keeps every server's last full round, halted ones too.
+    same floor.  A scan is entered only at or above the floor; one skipped
+    under it, seen where it sets the next scan's step count, must have
+    nothing due.  ``last`` keeps every server's last full round, halted ones too.
     ``scans`` counts the full and skipped scans, the rounds forced and the
     full scans taken while a server is halted; ``halts`` says, per halt,
     whether the halted server was the least recent."""
@@ -451,13 +471,26 @@ class FullScanTwin(Simulation):
     def _live_last(self):
         return {s: last for s, last in self.last.items() if s not in self.halted}
 
-    def _fairness_rounds(self):
-        due = sorted(s for s, last in self._live_last().items()
-                     if self.steps - last >= self._fair_window)
-        if self.steps < self._fair_floor:
-            assert not due
+    def _due(self):
+        return sorted(s for s, last in self._live_last().items()
+                      if self.steps - last >= self._fair_window)
+
+    @property
+    def _next_fair_scan(self):
+        return self.next_scan
+
+    @_next_fair_scan.setter
+    def _next_fair_scan(self, steps):
+        # set after set-up and outside a full scan: this scan was skipped
+        if self.forced is None and hasattr(self, "last"):
+            assert self.steps < self._fair_floor
+            assert not self._due()
             self.scans["skipped"] += 1
-            return super()._fairness_rounds()
+        self.next_scan = steps
+
+    def _fairness_rounds(self):
+        assert self.steps >= self._fair_floor
+        due = self._due()
         self.forced = []
         super()._fairness_rounds()
         assert self.forced == due

@@ -7,13 +7,17 @@ weight frozen, no free coordinate left), which once crashed.
 ``tools/trace_sweep.py`` hashes 770 traced runs; these tests check its table,
 that it holds every case of the golden table, one case against it, that
 it fails on a case whose untraced run differs, and that its ``verdicts``
-line hashes the verdict lines alone.
+line hashes the verdict lines alone.  ``tools/bench_pairs.py`` runs the
+benchmark on two exported versions; these tests run one short pair of
+``HEAD`` against itself and check its claim rule.
 """
 
 import hashlib
 import importlib.util
 import json
 import os
+import subprocess
+import sys
 
 import pytest
 
@@ -114,3 +118,38 @@ def test_sweep_verdicts_line_hashes_the_verdict_lines_alone(monkeypatch, capsys)
     moved, verdicts = capsys.readouterr().out.splitlines()
     assert moved != cases
     assert verdicts == want
+
+
+def test_bench_pairs_head_against_itself_has_equal_fingerprints():
+    root = os.path.dirname(TOOLS)
+    if subprocess.run(["git", "-C", root, "rev-parse", "HEAD"],
+                      capture_output=True).returncode:
+        pytest.skip("not a git checkout")
+    proc = subprocess.run([sys.executable, os.path.join(TOOLS, "bench_pairs.py"),
+                           "--parent", "HEAD", "--change", "HEAD", "--seconds", "0",
+                           "scale:1"], capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "scale seed 1: fingerprints equal"
+
+
+def test_bench_pairs_claim_rule():
+    pairs = load_tool("bench_pairs")
+
+    def runs(parent, change):
+        return [({"metrics": {"m": p}}, {"metrics": {"m": c}}) for p, c in zip(parent, change)]
+
+    parent = [100, 101, 102, 103, 104, 105, 106, 107, 108, 109]
+    faster = [v - 10 for v in parent]
+    summary = pairs.compare(runs(parent, faster), "m", lower_is_better=True)
+    assert summary["change_better_pairs"] == 10 and summary["parent_iqr"] == 4.5
+    assert pairs.claim_met(summary, lower_is_better=True)
+    assert not pairs.claim_met(summary, lower_is_better=False)
+    # one more lost pair than nine tenths allows
+    assert not pairs.claim_met(pairs.compare(
+        runs(parent, faster[:8] + parent[8:]), "m", lower_is_better=True), True)
+    # every pair won, by less than the parent's spread
+    assert not pairs.claim_met(pairs.compare(
+        runs(parent, [v - 4 for v in parent]), "m", lower_is_better=True), True)
+    # nine pairs are too few
+    assert not pairs.claim_met(pairs.compare(
+        runs(parent[:9], faster[:9]), "m", lower_is_better=True), True)
