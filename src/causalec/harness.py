@@ -202,9 +202,13 @@ def cmd_run(args) -> int:
             return 2
     run_seed = functools.partial(_run_one, scenario, protocol=args.protocol,
                                  collect_trace=args.out is not None)
-    if args.workers > 1:
+    # the pool starts all its processes at once, so it never asks for more
+    # than there are seeds or CPUs; runs are deterministic, so the count
+    # changes only the wall time
+    workers = min(args.workers, len(args.seeds), os.cpu_count() or 1)
+    if workers > 1:
         # each task gets a pickled copy of the parsed scenario
-        with concurrent.futures.ProcessPoolExecutor(max_workers=args.workers) as pool:
+        with concurrent.futures.ProcessPoolExecutor(max_workers=workers) as pool:
             results = list(pool.map(run_seed, args.seeds))
     else:
         results = list(map(run_seed, args.seeds))
@@ -255,7 +259,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--step-cap", type=int_at_least(1), default=None)
     p_run.add_argument("--out", default=None, help="directory for traces and reports")
     p_run.add_argument("--format", choices=["table", "json"], default="table")
-    p_run.add_argument("--workers", type=int_at_least(1), default=1)
+    p_run.add_argument("--workers", type=int_at_least(1), default=1,
+                       help="processes to run seeds in: at most one per seed and per "
+                            "CPU, and with one the seeds run in this process")
     p_run.set_defaults(fn=cmd_run)
 
     p_lat = sub.add_parser("latency", help="latency profile of a scenario's code+graph")

@@ -3,6 +3,8 @@
 One event (message receipt or internal action) executes a full handler body
 atomically and emits an ordered batch of messages; a message type's
 ``_HANDLERS`` entry and the internal actions return ``(changed, sends)``.
+A delete notice has no entry: ``on_del`` never sends, and the simulator
+calls it directly.
 The causal variant ("causalec") and the eventually consistent one ("eventualec") differ only
 where ``variant`` is tested: apply readiness (causalec applies a remote
 write after the writes it depends on, and answers with it only the reads
@@ -41,10 +43,15 @@ State per server (all tag vectors indexed by object-1):
                     finds the head not ready: while clear, the head and the
                     clock it was tested against are as they were.
 * ``round_due``     the round schedule of trace format v1: set by every
-                    ``L[X]``, delete-notice or ``readl`` change and by a
+                    ``L[X]`` or ``readl`` change, by every ``_add_del`` (a
+                    notice received, or ``encoding``'s own) and by a
                     ``garbage_collection`` that changed something; the
-                    simulator clears it as a round's encode step begins.  It goes with
-                    trace format v2 (ROADMAP item 2).
+                    simulator clears it as a round's encode step begins.
+                    ``_add_del`` sets it before its repeat test, so a notice
+                    already in ``dell`` makes the round due although it
+                    changed nothing; moving the set below the test changes
+                    traces.  The flag goes with trace format v2 (ROADMAP
+                    items 2 and 3).
 """
 
 from __future__ import annotations
@@ -293,9 +300,8 @@ class Server:
 
     # -- server messages ---------------------------------------------------
 
-    def on_del(self, frm: int, obj: int, tag: Tag) -> List[Send]:
-        self._add_del(obj, tag, frm)
-        return []
+    def on_del(self, frm: int, obj: int, tag: Tag) -> None:
+        self._add_del(obj, tag, frm)  # a notice sends nothing
 
     def on_app(self, frm: int, obj: int, value: Value, tag: Tag) -> List[Send]:
         # the channel is FIFO and the origin's own clock entry rises with each
@@ -596,15 +602,15 @@ class Server:
         )
 
 
-# per message type, its delivery step ``(server, frm, msg) -> (changed, sends)``,
-# which always counts as a change (frm: a client id for Write/Read, else a
-# server id); handlers are looked up on the server at call time, so wrappers
-# set on the class see every dispatched message
+# per message type but Del, its delivery step ``(server, frm, msg) -> (changed,
+# sends)``, which always counts as a change (frm: a client id for Write/Read,
+# else a server id); handlers are looked up on the server at call time, so
+# wrappers set on the class see every dispatched message.  The simulator
+# delivers a Del straight to ``on_del``, looked up the same way.
 _HANDLERS = {
     Write: lambda s, frm, m: (True, s.on_write(frm, m.opid, m.obj, m.value)),
     Read: lambda s, frm, m: (True, s.on_read(frm, m.opid, m.obj)),
     App: lambda s, frm, m: (True, s.on_app(frm, m.obj, m.value, m.tag)),
-    Del: lambda s, frm, m: (True, s.on_del(frm, m.obj, m.tag)),
     ValInq: lambda s, frm, m: (True, s.on_val_inq(frm, m.clientid, m.opid, m.obj,
                                                   m.wantedtagvec)),
     ValResp: lambda s, frm, m: (True, s.on_val_resp(frm, m)),

@@ -17,14 +17,19 @@ first: a full round moves its server to the end, and its step count is above
 every earlier one, and a halt removes it, so the order stays sorted and the
 servers due a forced round are a prefix of it.  A round records all of its
 steps but calls only the actions that have work (``Server.can_apply``,
-``can_encode``, ``can_collect``); the others would change nothing.  Every
+``can_encode``, ``can_collect``); the others would change nothing.  An
+untraced round at a server with no queued write asks each predicate once
+and counts the steps without work in one addition, unless the step cap
+falls inside the round, whose steps are then taken one at a time.  Every
 server transition, a delivery or an internal action, is one
-``Simulation._server_step``.  Calls that could take no step or check
-nothing new are not made: the round after a delivery when the server has
-no queued write and no round due, the fairness scan below the floor (no
-server is due), and the probe when the clock, the symbol, its tag vector
-and ``tmax`` equal the snapshot it last checked.  A run stops at its step
-cap, and is then not quiescent.  Trace records stay structured;
+``Simulation._server_step``, but for a delete notice: it never sends, notes
+or raises, so the event loop hands it straight to ``Server.on_del``.  Calls
+that could take no step or check nothing new are not made: the round after
+a delivery when the server has no queued write and no round due, the
+fairness scan below the floor (no server is due), and the probe when the
+clock, the symbol's tag vector and ``tmax`` equal the snapshot it last
+checked and the symbol is the tuple the snapshot holds.  A run stops at its
+step cap, and is then not quiescent.  Trace records stay structured;
 ``trace_lines`` writes them as JSON text.
 """
 
@@ -42,7 +47,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 from .client import Client
 from .field import Value
 from .latency import format_ms
-from .messages import Message, OpId, Read, ReadReturn, ValRespEncoded, Write
+from .messages import Del, Message, OpId, Read, ReadReturn, ValRespEncoded, Write
 from .scenarios import PROBE_CLIENT_BASE, Scenario, ScriptOp
 from .server import _HANDLERS, Send, Server
 from .tags import ProtocolInvariantViolation, Tag
@@ -259,8 +264,9 @@ class Simulation:
                 moved: bool = False) -> None:
         """Count one transition; when tracing, log it with the digest of the
         server that took it (None for client and halt steps).  The step that
-        reaches the cap is the run's last.  An untraced server step is
-        counted the same way where it is taken, without this call.
+        reaches the cap is the run's last.  Untraced, ``_server_step``, a
+        delete notice and a round's one addition count where they are
+        taken, without this call.
 
         A server's state changes only inside its own steps, and each step
         that changes it says so; a step that did not move therefore reuses
@@ -289,8 +295,9 @@ class Simulation:
 
     def _probe_after(self, srv: Server) -> None:
         """Check the server's state after a transition that did not raise and
-        left it differing from the snapshot; any other transition left it as
-        checked.
+        left it differing from the snapshot, the symbol tested by identity (an
+        immutable tuple, which the snapshot holds); any other transition left
+        it as checked.
 
         Each check is a pure function of its inputs in the snapshot ``(vc,
         m_tagvec, tmax, m_val)`` and of the write registry, whose entries are
@@ -305,7 +312,7 @@ class Simulation:
         if (prev is not None and srv.m_tagvec == prev[1] and srv.tmax == prev[2]
                 and srv.m_val == prev[3]):
             if srv.vc != prev[0]:
-                self._snapshots[srv.id] = (srv.vc[:], prev[1], prev[2], prev[3])
+                self._snapshots[srv.id] = (srv.vc[:], prev[1], prev[2], srv.m_val)
                 if any(a < b for a, b in zip(srv.vc, prev[0])):
                     self._fail(f"server {srv.id}: vector clock went backwards")
             return
@@ -324,10 +331,11 @@ class Simulation:
 
     def _server_step(self, srv: Server, event: Optional[tuple], action, *args) -> bool:
         """One server transition, ``action(*args) -> (changed, sends)``: an
-        internal action, or for a delivery its ``_HANDLERS`` entry.  A raise
-        is a violation, recorded with no sends or notes; otherwise each send is
-        scheduled (a coded symbol checked, a client response's ``ts`` stamped),
-        the step recorded and the server probed if it left its snapshot; returns whether it moved.
+        internal action, or for a delivery other than a delete notice its
+        ``_HANDLERS`` entry.  A raise is a violation, recorded with no sends
+        or notes; otherwise each send is scheduled (a coded symbol checked, a
+        client response's ``ts`` stamped), the step recorded and the server
+        probed if it left its snapshot; returns whether it moved.
 
         A server message takes its channel's least delay plus, when delays
         are drawn, ``randint(lo, hi)``'s draw as CPython 3.11 makes it:
@@ -387,7 +395,7 @@ class Simulation:
         if moved:
             prev = self._snapshots[sid]
             if (prev is None or srv.vc != prev[0] or srv.m_tagvec != prev[1]
-                    or srv.tmax != prev[2] or srv.m_val != prev[3]):
+                    or srv.tmax != prev[2] or srv.m_val is not prev[3]):
                 self._probe_after(srv)
         return moved
 
@@ -427,21 +435,40 @@ class Simulation:
         (``Server.round_due``), which is cleared as they begin;
         forced rounds certify quiescence and fairness.  Each step whose
         action has no work is recorded without calling the action, which
-        would change nothing."""
+        would change nothing.  An untraced round with no queued write, when
+        the cap lies beyond its three steps, counts its steps without work
+        in one addition once the predicates have decided them."""
         if sid in self.halted or self._stopped:
             return False
         srv = self.servers[sid]
+        if not (srv.inqueue or self.collect_trace) and self.steps + 3 < self.step_cap:
+            if not (force or srv.round_due):
+                return False
+            order = self._last_full_round  # this round's step count is above every other
+            del order[sid]
+            order[sid] = self.steps + 1  # its apply step's
+            srv.round_due = False
+            if not srv.can_encode:
+                if not srv.can_collect:
+                    self.steps += 3
+                    return False
+                self.steps += 2
+                return self._server_step(srv, GC, srv.garbage_collection)
+            self.steps += 1
+            moved = self._server_step(srv, ENCODE, srv.encoding)
+            if self._stopped:
+                return moved
+            if srv.can_collect:
+                return self._server_step(srv, GC, srv.garbage_collection) or moved
+            self.steps += 1
+            return moved
         name = self._names[sid]
         moved = False
         recorded = False  # whether an apply step was taken
         while srv.inqueue:
             recorded = True
             if not srv.can_apply:
-                if self.collect_trace:
-                    self._record(name, APPLY, srv)
-                else:  # _stopped is clear wherever a round counts a step
-                    self.steps += 1
-                    self._stopped = self.steps >= self.step_cap
+                self._record(name, APPLY, srv)
                 break
             applied = self._server_step(srv, APPLY, srv.apply_inqueue)
             moved |= applied
@@ -450,12 +477,8 @@ class Simulation:
         if self._stopped or not (force or srv.round_due):
             return moved
         if not recorded:
-            if self.collect_trace:
-                self._record(name, APPLY, srv)
-            else:
-                self.steps += 1
-                self._stopped = self.steps >= self.step_cap
-        order = self._last_full_round  # this round's step count is above every other
+            self._record(name, APPLY, srv)
+        order = self._last_full_round
         del order[sid]
         order[sid] = self.steps
         srv.round_due = False
@@ -463,20 +486,14 @@ class Simulation:
             return moved
         if srv.can_encode:
             moved |= self._server_step(srv, ENCODE, srv.encoding)
-        elif self.collect_trace:
-            self._record(name, ENCODE, srv)
         else:
-            self.steps += 1
-            self._stopped = self.steps >= self.step_cap
+            self._record(name, ENCODE, srv)
         if self._stopped:
             return moved
         if srv.can_collect:
             moved |= self._server_step(srv, GC, srv.garbage_collection)
-        elif self.collect_trace:
-            self._record(name, GC, srv)
         else:
-            self.steps += 1
-            self._stopped = self.steps >= self.step_cap
+            self._record(name, GC, srv)
         return moved
 
     def _fairness_rounds(self) -> None:
@@ -515,6 +532,22 @@ class Simulation:
                     self._deliver_to_client(dst, src_kind, src, msg)
                 elif dst in halted:
                     continue
+                elif type(msg) is Del:
+                    # a notice never sends, never notes and cannot raise: it
+                    # is delivered, counted and probed with nothing else
+                    srv = servers[dst]
+                    srv.on_del(src, msg.obj, msg.tag)
+                    if self.collect_trace:
+                        self._record(self._names[dst], ("recv", f"s{src}", msg), srv,
+                                     moved=True)
+                    else:
+                        self.steps += 1
+                        self._stopped = self.steps >= self.step_cap
+                    prev = self._snapshots[dst]
+                    if (prev is None or srv.vc != prev[0] or srv.m_tagvec != prev[1]
+                            or srv.tmax != prev[2] or srv.m_val is not prev[3]):
+                        self._probe_after(srv)
+                    self._service_round(dst)  # a no-op unless a write is queued or the round due
                 else:
                     srv = servers[dst]
                     mtype = type(msg)

@@ -13,6 +13,7 @@ every completed read, on directed histories and on fuzz runs.
 import copy
 import dataclasses
 import inspect
+import operator
 import textwrap
 from types import SimpleNamespace
 
@@ -624,6 +625,53 @@ def test_check_causal_agrees_with_bitmask_oracle(rows):
         assert got == want
     assert revalidate_witness(h, got)
     assert revalidate_witness(h, want)
+
+
+# client, kind, object, a write's value, which write in its past a read
+# returns, and how many ops back lies the op (if any) whose stamp it joins
+ORDERED_OP = st.tuples(st.integers(1, 3), st.sampled_from(["read", "write"]), st.integers(1, 2),
+                       st.integers(1, 4), st.integers(0, 4), st.none() | st.integers(1, 3))
+
+
+def ordered_history(rows):
+    """A history in which antisymmetry and program order hold by
+    construction, so that every verdict is decided by read dictation.  Each
+    client's stamps increase along its ops: an op's stamp joins the client's
+    frontier (its last stamp) and, optionally, a recent op's stamp (what its
+    home server had seen), and a write then increments the client's own
+    entry, so no two writes are stamped alike.  A read's pick ``p`` returns
+    zero for 0 or an empty past, else the value of the ``p``-th newest-tag
+    write in its past, or of the oldest there: the newest is valid, and an
+    older one only when it is maximal there or holds the same value."""
+    frontier, stamps, writes, out = {}, [], [], []
+    for t, (client, kind, obj, value, pick, seen) in enumerate(rows):
+        ts = frontier.get(client, (0, 0, 0))
+        if seen is not None and seen <= len(stamps):
+            ts = tuple(map(max, ts, stamps[-seen]))
+        if kind == "write":
+            ts = ts[:client - 1] + (ts[client - 1] + 1,) + ts[client:]
+            writes.append((Tag(ts, client), obj, value))
+        else:
+            past = sorted(((tag, v) for tag, o, v in writes
+                           if o == obj and all(map(operator.le, tag.ts, ts))), reverse=True)
+            value = past[min(pick, len(past)) - 1][1] if pick and past else 0
+        frontier[client] = ts
+        stamps.append(ts)
+        out.append((client, kind, obj, value, t, True, ts))
+    return history(out)
+
+
+@settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+@given(st.lists(ORDERED_OP, min_size=1, max_size=9))
+def test_check_causal_agrees_with_bitmask_oracle_on_ordered_histories(rows):
+    h = ordered_history(rows)
+    verdict = check_causal(h)
+    want = oracle_witness(h.operation_list(), ZERO)
+    assert want is None or want["kind"] == "read-dictation"
+    assert verdict.passed == (want is None)
+    if want is not None:
+        assert verdict.details["witness"] == want
+        assert revalidate_witness(h, want)
 
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)

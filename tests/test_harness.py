@@ -1,5 +1,6 @@
 """CLI surface: exit codes, output formats, the bundled scenario files."""
 
+import concurrent.futures
 import hashlib
 import json
 import os
@@ -110,6 +111,44 @@ def test_workers_match_a_single_process(capsys):
         reports[workers] = capsys.readouterr().out
     assert [json.loads(line)["seed"] for line in reports["2"].splitlines()] == [0, 1, 2, 3]
     assert reports["2"] == reports["1"]
+
+
+class InProcessPool:
+    """Stands in for ``ProcessPoolExecutor``: records the worker count asked
+    for and maps in this process, so no process is started."""
+
+    requested = []
+
+    def __init__(self, max_workers):
+        self.requested.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+@pytest.mark.parametrize("seeds,workers,cpus,requested", [
+    ("0..2", "64", 16, [3]),  # one per seed
+    ("0..5", "64", 4, [4]),  # one per CPU
+    ("0", "8", 16, []),  # one seed runs in this process
+    ("0..2", "8", 1, []),  # so does one CPU
+])
+def test_worker_count_is_capped(monkeypatch, capsys, seeds, workers, cpus, requested):
+    fig1 = bundled.path("fig1")
+    monkeypatch.setattr(InProcessPool, "requested", [])
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    assert main(["run", fig1, "--seeds", seeds, "--workers", workers]) == 0
+    pooled = capsys.readouterr().out
+    assert InProcessPool.requested == requested
+    assert main(["run", fig1, "--seeds", seeds, "--workers", "1"]) == 0
+    assert capsys.readouterr().out == pooled
+    assert InProcessPool.requested == requested
 
 
 def test_malformed_scenario_exits_two(tmp_path, capsys):

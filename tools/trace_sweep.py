@@ -12,7 +12,9 @@ SHA-256 of each case's verdict lines (``Verdict.line``: the check's name
 and PASS, FAIL or INCONCLUSIVE) in table order.  It leaves out the trace
 and what the report says beside the verdicts, such as the transition count
 and a failure's witness, which a change of schedule moves; so a change that
-alters traces on purpose shows with it that no verdict changed.  Each case
+alters traces on purpose shows with it whether any verdict changed.  A new
+schedule can flip verdicts that a variant does not promise (eventualec's
+``causal``), so such a change compares the verdicts case by case.  Each case
 is also run untraced, as the benchmark's untraced workloads run; if that
 run's transition count or report hash differs from the traced run's, the
 tool names the case on standard error and exits 1.  From the root of a
