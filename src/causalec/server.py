@@ -22,6 +22,10 @@ State per server (all tag vectors indexed by object-1):
 * ``m_val/m_tagvec``the stored codeword symbol and the versions it encodes
 * ``readl``         pending reads: opid -> entry with per-server symbol slots
 * ``tmax[X]``       newest tag known to be deletable everywhere
+* ``_del_max[X]``   per server, the newest tag of its delete notices on X
+                    (the view of ``dell`` that GC's minima read); it starts
+                    at the zero tag, which no notice carries, as does
+                    ``_gc_del_sent[X]``, the last notice GC broadcast
 * ``_enc_dirty``, ``_gc_dirty`` exact work sets: the only objects
                     ``encoding`` and ``garbage_collection`` visit, each
                     emptied by its action.  X is marked only when one of that
@@ -136,10 +140,10 @@ class Server:
         self.tmax: List[Tag] = [zt] * self.k
         self.notes: List[tuple] = []  # per-transition annotations, drained by the simulator
         self._opid_counter = 0
-        self._gc_del_sent: List[Optional[Tag]] = [None] * self.k
+        self._gc_del_sent: List[Tag] = [zt] * self.k
         self._readl_opids_seen: set = set()
-        # incremental view of dell: per-object per-server newest tag
-        self._del_max: List[Dict[int, Tag]] = [{} for _ in range(self.k)]
+        # incremental view of dell: per object, each server's newest tag
+        self._del_max: List[List[Tag]] = [[zt] * self.n for _ in range(self.k)]
         self._servers = range(1, self.n + 1)
         self._others = [j for j in self._servers if j != sid]
         # when present, L insertions are checked against the known write values
@@ -185,23 +189,21 @@ class Server:
             return  # a repeated notice changes nothing
         dell[tag, srv] = None
         dmax = self._del_max[x]
-        prev = dmax.get(srv)
+        prev = dmax[srv - 1]
         gc = False
-        if prev is None or prev < tag:
-            dmax[srv] = tag
+        if prev < tag:
+            dmax[srv - 1] = tag
             holders = self.code.holders[x]
             # in one pass, whether raising srv's entry from prev moved the minimum
-            # over all servers (gc) and over X's holders (held): an entry that is
-            # missing (the minimum is undefined) or at most prev keeps it in place
+            # over all servers (gc) and over X's holders (held): an entry at
+            # most prev keeps it in place
             gc = held = True
-            for i in self._servers:
-                if i != srv:
-                    t = dmax.get(i)
-                    if t is None or prev is not None and t <= prev:
-                        gc = False
-                        if i in holders:
-                            held = False
-                            break
+            for i, t in enumerate(dmax, 1):
+                if t <= prev:
+                    gc = False
+                    if i in holders:
+                        held = False
+                        break
             if held and srv in holders:
                 if obj in self.objects_here:
                     gc = True
@@ -473,8 +475,7 @@ class Server:
                 # the symbol does not depend on X: its tag follows the newest
                 # version every holder of X has deleted past
                 threshold = self._per_server_del_max(x, self.code.holders[x - 1])
-                newer = [] if threshold is None else [
-                    t for t in self.L[x - 1] if mt < t <= threshold]
+                newer = [t for t in self.L[x - 1] if mt < t <= threshold]
                 if not newer:
                     continue
                 ht = max(newer)
@@ -489,20 +490,14 @@ class Server:
             changed = True
         return changed, sends
 
-    def _per_server_del_max(self, obj: int, servers: Iterable[int]) -> Optional[Tag]:
+    def _per_server_del_max(self, obj: int, servers: Iterable[int]) -> Tag:
         """max(U): the largest tag every listed server has deleted past.
 
-        None when some listed server has sent no delete notice yet (U empty).
+        The zero tag when some listed server has sent no delete notice yet
+        (U empty): no notice carries it, and it collects nothing.
         """
         dmax = self._del_max[obj - 1]
-        best = None
-        for i in servers:
-            t = dmax.get(i)
-            if t is None:
-                return None
-            if best is None or t < best:
-                best = t
-        return best
+        return min([dmax[i - 1] for i in servers])
 
     def garbage_collection(self) -> Tuple[bool, List[Send]]:
         changed = False
@@ -510,9 +505,7 @@ class Server:
         all_servers = self._servers
         dirty, self._gc_dirty = self._gc_dirty, set()
         for x in dirty if len(dirty) == 1 else sorted(dirty):
-            new_tmax = self._per_server_del_max(x, all_servers)
-            if new_tmax is None:
-                new_tmax = self.zero_tag
+            new_tmax = min(self._del_max[x - 1])  # max(U) over all servers
             if new_tmax != self.tmax[x - 1]:
                 self.tmax[x - 1] = new_tmax
                 changed = True
@@ -536,7 +529,7 @@ class Server:
                         changed = True
             if x in self.objects_here:
                 max_u = self._per_server_del_max(x, self.code.holders[x - 1])
-                if max_u is not None and self._gc_del_sent[x - 1] != max_u:
+                if self._gc_del_sent[x - 1] != max_u:
                     # only a new max goes out: re-broadcasting the same
                     # notice would only send repeat messages
                     self._gc_del_sent[x - 1] = max_u

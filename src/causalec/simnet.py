@@ -15,12 +15,10 @@ is in flight -- that fixed point is quiescence, and it is detected by forced
 rounds, not by timeouts.  The live servers are kept least recent full round
 first: a full round moves its server to the end, and its step count is above
 every earlier one, and a halt removes it, so the order stays sorted and the
-servers due a forced round are a prefix of it.  A round records all of its
+servers due a forced round are a prefix of it.  A round takes all of its
 steps but calls only the actions that have work (``Server.can_apply``,
-``can_encode``, ``can_collect``); the others would change nothing.  An
-untraced round at a server with no queued write asks each predicate once
-and counts the steps without work in one addition, unless the step cap
-falls inside the round, whose steps are then taken one at a time.  Every
+``can_encode``, ``can_collect``); the others would change nothing, so their
+steps are recorded without the call, or only counted when untraced.  Every
 server transition, a delivery or an internal action, is one
 ``Simulation._server_step``, but for a delete notice: it never sends, notes
 or raises, so the event loop hands it straight to ``Server.on_del``.  Calls
@@ -28,8 +26,10 @@ that could take no step or check nothing new are not made: the round after
 a delivery when the server has no queued write and no round due, the
 fairness scan below the floor (no server is due), and the probe when the
 clock, the symbol's tag vector and ``tmax`` equal the snapshot it last
-checked and the symbol is the tuple the snapshot holds.  A run stops at its
-step cap, and is then not quiescent.  Trace records stay structured;
+checked and the symbol is the tuple the snapshot holds; construction checks
+each server's constructed state once, and that is the first snapshot.  A
+run stops when its step count reaches ``step_cap``, which a violation
+lowers to 0, and is then not quiescent.  Trace records stay structured;
 ``trace_lines`` writes them as JSON text.
 """
 
@@ -222,6 +222,7 @@ class Simulation:
         self.now = 0
         self.seq = 0
         self.steps = 0
+        self.step_cap = scenario.step_cap  # the run stops when steps reach it
         self.trace: List[TraceRecord] = []
         self.ops: Dict[OpId, OperationRecord] = {}
         self.violations: List[str] = []
@@ -233,18 +234,22 @@ class Simulation:
         self._links = {link: [lo, hi - lo + 1 if draws else 0, (hi - lo + 1).bit_length(), 0]
                        for link, (lo, hi) in bounds.items()}
         self._names = {s: f"s{s}" for s in self.servers}
-        # per server, the state the probes last checked and the digest last
-        # recorded (None: not yet)
-        self._snapshots: Dict[int, Optional[tuple]] = dict.fromkeys(self.servers)
+        # per server, the state the probes last checked, from construction on,
+        # and the digest last recorded (None: not yet)
+        self._snapshots: Dict[int, tuple] = {}
+        for s, srv in self.servers.items():
+            self._snapshots[s] = (srv.vc[:], srv.m_tagvec[:], srv.tmax[:], srv.m_val)
+            try:
+                srv.check_invariants()
+            except ProtocolInvariantViolation as e:
+                self._fail(str(e))
         self._digests: Dict[int, Optional[tuple]] = dict.fromkeys(self.servers)
         # live server -> step count of its last full round, least recent first
         self._last_full_round: Dict[int, int] = dict.fromkeys(self.servers, 0)
         self.halted: Set[int] = set()  # a halted server processes nothing further
         self._next_fair_scan = 0
         self._fair_floor = 0  # no live server is due before this step count
-        self._stopped = False  # a violation or the step cap ends the run
         self._fair_window = FAIRNESS_STEPS * self.n
-        self.step_cap = scenario.step_cap
         for s, t in scenario.halts.items():
             self._push(t, "halt", s)
         for cid, script in self.scripts.items():
@@ -265,7 +270,7 @@ class Simulation:
         """Count one transition; when tracing, log it with the digest of the
         server that took it (None for client and halt steps).  The step that
         reaches the cap is the run's last.  Untraced, ``_server_step``, a
-        delete notice and a round's one addition count where they are
+        delete notice and a round's steps without work count where they are
         taken, without this call.
 
         A server's state changes only inside its own steps, and each step
@@ -274,8 +279,6 @@ class Simulation:
         A step that moved but left a digest equal to the last one reuses
         the last one too, so the trace writer's identity memo hits."""
         self.steps += 1
-        if self.steps >= self.step_cap:
-            self._stopped = True
         if not self.collect_trace:
             return
         digest = None
@@ -291,7 +294,7 @@ class Simulation:
     def _fail(self, text: str) -> None:
         """Record a violation; it stops the run."""
         self.violations.append(text)
-        self._stopped = True
+        self.step_cap = 0
 
     def _probe_after(self, srv: Server) -> None:
         """Check the server's state after a transition that did not raise and
@@ -305,12 +308,10 @@ class Simulation:
         ``tmax`` and ``m_val`` equal the stored copies, only the clock test
         runs, and only if the clock moved.  Otherwise ``check_invariants``
         runs and the clock and symbol tag vector must not have gone
-        backwards.  A server's first checked snapshot has no predecessor; the
-        constructor's all-zero clock and zero tags are below every later
-        value anyway."""
+        backwards.  The first snapshot is the constructed state, which
+        construction checked."""
         prev = self._snapshots[srv.id]
-        if (prev is not None and srv.m_tagvec == prev[1] and srv.tmax == prev[2]
-                and srv.m_val == prev[3]):
+        if srv.m_tagvec == prev[1] and srv.tmax == prev[2] and srv.m_val == prev[3]:
             if srv.vc != prev[0]:
                 self._snapshots[srv.id] = (srv.vc[:], prev[1], prev[2], srv.m_val)
                 if any(a < b for a, b in zip(srv.vc, prev[0])):
@@ -321,8 +322,6 @@ class Simulation:
             srv.check_invariants()
         except ProtocolInvariantViolation as e:
             self._fail(str(e))
-            return
-        if prev is None:
             return
         if any(a < b for a, b in zip(srv.vc, prev[0])):
             self._fail(f"server {srv.id}: vector clock went backwards")
@@ -366,8 +365,7 @@ class Simulation:
                         # the last checked symbol under its own tag vector
                         # passes again, so only another pair is checked
                         snap = self._snapshots[sid]
-                        if (snap is None or msg.symbol is not snap[3]
-                                or list(msg.tagvec) != snap[1]):
+                        if msg.symbol is not snap[3] or list(msg.tagvec) != snap[1]:
                             try:
                                 srv.check_symbol_legitimacy(msg.symbol, msg.tagvec)
                             except ProtocolInvariantViolation as e:
@@ -388,20 +386,19 @@ class Simulation:
         moved = changed or bool(sends)
         if self.collect_trace:
             self._record(self._names[sid], event, srv, sends, srv.notes, moved)
-        else:  # a violation in the send loop may have stopped the run already
+        else:
             self.steps += 1
-            self._stopped |= self.steps >= self.step_cap
         srv.notes.clear()
         if moved:
             prev = self._snapshots[sid]
-            if (prev is None or srv.vc != prev[0] or srv.m_tagvec != prev[1]
+            if (srv.vc != prev[0] or srv.m_tagvec != prev[1]
                     or srv.tmax != prev[2] or srv.m_val is not prev[3]):
                 self._probe_after(srv)
         return moved
 
     # -- event processing -------------------------------------------------------
 
-    def _deliver_to_client(self, cid: int, src_kind: str, src: int, msg: Message) -> None:
+    def _deliver_to_client(self, cid: int, src: int, msg: Message) -> None:
         client = self.clients[cid]
         opid = client.on_server_message(msg)
         self._record(f"c{cid}", ("recv", f"s{src}", msg) if self.collect_trace else None)
@@ -434,66 +431,54 @@ class Simulation:
         and collect steps are taken only when the server's round is due
         (``Server.round_due``), which is cleared as they begin;
         forced rounds certify quiescence and fairness.  Each step whose
-        action has no work is recorded without calling the action, which
-        would change nothing.  An untraced round with no queued write, when
-        the cap lies beyond its three steps, counts its steps without work
-        in one addition once the predicates have decided them."""
-        if sid in self.halted or self._stopped:
+        action has no work is taken without calling the action, which
+        would change nothing: recorded when tracing, else only counted."""
+        if sid in self.halted or self.steps >= self.step_cap:
             return False
         srv = self.servers[sid]
-        if not (srv.inqueue or self.collect_trace) and self.steps + 3 < self.step_cap:
-            if not (force or srv.round_due):
-                return False
-            order = self._last_full_round  # this round's step count is above every other
-            del order[sid]
-            order[sid] = self.steps + 1  # its apply step's
-            srv.round_due = False
-            if not srv.can_encode:
-                if not srv.can_collect:
-                    self.steps += 3
-                    return False
-                self.steps += 2
-                return self._server_step(srv, GC, srv.garbage_collection)
-            self.steps += 1
-            moved = self._server_step(srv, ENCODE, srv.encoding)
-            if self._stopped:
-                return moved
-            if srv.can_collect:
-                return self._server_step(srv, GC, srv.garbage_collection) or moved
-            self.steps += 1
-            return moved
+        trace = self.collect_trace
         name = self._names[sid]
         moved = False
         recorded = False  # whether an apply step was taken
         while srv.inqueue:
             recorded = True
             if not srv.can_apply:
-                self._record(name, APPLY, srv)
+                if trace:
+                    self._record(name, APPLY, srv)
+                else:
+                    self.steps += 1
                 break
             applied = self._server_step(srv, APPLY, srv.apply_inqueue)
             moved |= applied
-            if not applied or self._stopped:
+            if not applied or self.steps >= self.step_cap:
                 break
-        if self._stopped or not (force or srv.round_due):
+        if self.steps >= self.step_cap or not (force or srv.round_due):
             return moved
         if not recorded:
-            self._record(name, APPLY, srv)
+            if trace:
+                self._record(name, APPLY, srv)
+            else:
+                self.steps += 1
         order = self._last_full_round
         del order[sid]
         order[sid] = self.steps
         srv.round_due = False
-        if self._stopped:
+        if self.steps >= self.step_cap:
             return moved
         if srv.can_encode:
             moved |= self._server_step(srv, ENCODE, srv.encoding)
-        else:
+        elif trace:
             self._record(name, ENCODE, srv)
-        if self._stopped:
+        else:
+            self.steps += 1
+        if self.steps >= self.step_cap:
             return moved
         if srv.can_collect:
             moved |= self._server_step(srv, GC, srv.garbage_collection)
-        else:
+        elif trace:
             self._record(name, GC, srv)
+        else:
+            self.steps += 1
         return moved
 
     def _fairness_rounds(self) -> None:
@@ -522,14 +507,12 @@ class Simulation:
 
     def _drain(self) -> None:
         heap, halted, servers = self.heap, self.halted, self.servers
-        while heap and not self._stopped:
-            t, _, kind, payload = heappop(heap)
-            if t > self.now:
-                self.now = t
+        while heap and self.steps < self.step_cap:
+            self.now, _, kind, payload = heappop(heap)
             if kind == "deliver":
                 dst_kind, dst, src_kind, src, msg = payload
                 if dst_kind == "client":
-                    self._deliver_to_client(dst, src_kind, src, msg)
+                    self._deliver_to_client(dst, src, msg)
                 elif dst in halted:
                     continue
                 elif type(msg) is Del:
@@ -542,9 +525,8 @@ class Simulation:
                                      moved=True)
                     else:
                         self.steps += 1
-                        self._stopped = self.steps >= self.step_cap
                     prev = self._snapshots[dst]
-                    if (prev is None or srv.vc != prev[0] or srv.m_tagvec != prev[1]
+                    if (srv.vc != prev[0] or srv.m_tagvec != prev[1]
                             or srv.tmax != prev[2] or srv.m_val is not prev[3]):
                         self._probe_after(srv)
                     self._service_round(dst)  # a no-op unless a write is queued or the round due
@@ -578,12 +560,12 @@ class Simulation:
                     self._fairness_rounds()
 
     def run_to_quiescence(self) -> bool:
-        while not self._stopped:
+        while self.steps < self.step_cap:
             self._drain()
             swept = False
             for s in sorted(self.servers):
                 swept |= self._service_round(s, force=True)
-            if self._stopped:
+            if self.steps >= self.step_cap:
                 break
             if not swept and not self.heap:
                 return True

@@ -7,9 +7,12 @@ pair of a client's operations and read dictation against every operation.
 On arbitrary small histories both must agree on the verdict and the witness
 kind.  Its read-dictation pass, which clears most reads by the newest-tag
 write in their past, is also compared with the whole-past evaluation of
-every completed read, on directed histories and on fuzz runs.
+every completed read, on directed histories and on fuzz runs.  Histories
+valid by construction, each then given one fault from a bad-pattern class,
+must fail both checkers with the witness kind that class implies.
 """
 
+import collections
 import copy
 import dataclasses
 import inspect
@@ -526,6 +529,23 @@ class TestNarrowedProbeFaults:
             msg, symbol=corrupted(srv, msg.symbol)))
 
 
+def test_constructed_state_is_checked_before_the_first_step(monkeypatch):
+    # construction checks each server's state once, so a symbol corrupted
+    # there stops the run before it takes a step
+    original = Server.__init__
+
+    def init(srv, sid, *args, **kwargs):
+        original(srv, sid, *args, **kwargs)
+        if sid == 2:
+            srv.m_val = corrupted(srv, srv.m_val)
+
+    monkeypatch.setattr(Server, "__init__", init)
+    r = TestProbeFaults.run_fig1()
+    assert r.violations == ["server 2: stored symbol is not the encoding of its tag vector"]
+    assert r.transitions == 0 and r.trace == []
+    assert not probe_invariants(r).passed
+
+
 # -- reference oracle: the all-pairs bitmask checker --------------------------------
 
 
@@ -672,6 +692,109 @@ def test_check_causal_agrees_with_bitmask_oracle_on_ordered_histories(rows):
     if want is not None:
         assert verdict.details["witness"] == want
         assert revalidate_witness(h, want)
+
+
+# -- one fault per bad pattern (Bouajjani et al., POPL 2017) on a passing history --
+# Each fault names the first op it applies to, in table order, as (index,
+# column of the history row, new cell), or None when the history has no such op.
+
+VALUE, TS = 3, 6  # history row columns
+
+
+def past_writes(ops, read):
+    """The writes on the read's object in its causal past."""
+    return [w for w in ops if w.kind == "write" and w.obj == read.obj and _leads_to(w, read)]
+
+
+def overwritten_read(ops):
+    """WriteCORead: a read returns the value of a write in its past, and a
+    later write there, holding another value, overwrote every write there
+    that holds it."""
+    for i, r in enumerate(ops):
+        past = past_writes(ops, r) if r.kind == "read" else []
+        for w in past:
+            if all(any(_leads_to(u, v) and v.value != w.value for v in past)
+                   for u in past if u.value == w.value):
+                return i, VALUE, w.value[0]
+    return None
+
+
+def init_read(ops):
+    """WriteCOInitRead: a read whose past holds a write returns zero."""
+    return next(((i, VALUE, ZERO[0]) for i, r in enumerate(ops)
+                 if r.kind == "read" and past_writes(ops, r)), None)
+
+
+def thin_air_read(ops):
+    """ThinAirRead: a read returns a value that no write wrote (writes hold 1-4)."""
+    return next(((i, VALUE, 5) for i, r in enumerate(ops) if r.kind == "read"), None)
+
+
+def shared_stamp(ops):
+    """CyclicCO: a write takes an earlier write's stamp."""
+    writes = [i for i, op in enumerate(ops) if op.kind == "write"]
+    return (writes[1], TS, ops[writes[0]].ts) if len(writes) > 1 else None
+
+
+def smaller_stamp(ops):
+    """Program order: a client's later op gets a stamp below its last one's,
+    one entry decremented; a write's new stamp clashes with no other write's."""
+    last = {}
+    for i, op in enumerate(ops):
+        prev, last[op.client] = last.get(op.client), op
+        if prev is None or not any(prev.ts):
+            continue
+        k = next(k for k, c in enumerate(prev.ts) if c)
+        ts = prev.ts[:k] + (prev.ts[k] - 1,) + prev.ts[k + 1:]
+        if op.kind == "read" or all(w.ts != ts for w in ops if w.kind == "write"):
+            return i, TS, ts
+    return None
+
+
+FAULTS = {"WriteCORead": (overwritten_read, "read-dictation"),
+          "WriteCOInitRead": (init_read, "read-dictation"),
+          "ThinAirRead": (thin_air_read, "read-dictation"),
+          "CyclicCO": (shared_stamp, "antisymmetry"),
+          "program-order": (smaller_stamp, "program-order")}
+# one object, and writes twice as likely as reads: under ORDERED_OP, a read
+# whose past holds an overwritten write (WriteCORead) is rare
+FAULT_OP = st.tuples(st.integers(1, 3), st.sampled_from(["read", "write", "write"]), st.just(1),
+                     st.integers(1, 4), st.integers(0, 4), st.none() | st.integers(1, 3))
+
+
+def test_one_fault_on_a_passing_ordered_history_fails_both_checkers():
+    mutated = collections.Counter()
+
+    @settings(derandomize=True, database=None, max_examples=1000, deadline=None)
+    @given(st.lists(FAULT_OP, min_size=4, max_size=9))
+    def check(rows):
+        h = ordered_history(rows)
+        if not check_causal(h).passed:
+            return
+        ops = h.operation_list()
+        for name, (fault, kind) in FAULTS.items():
+            change = fault(ops)
+            if change is None:
+                continue
+            i, column, cell = change
+            table = [[op.client, op.kind, op.obj, op.value[0], op.t_invoke, True, op.ts]
+                     for op in ops]
+            table[i][column] = cell
+            bad = history(table)
+            verdict = check_causal(bad)
+            want = oracle_witness(bad.operation_list(), ZERO)
+            assert not verdict.passed and want is not None, name
+            got = verdict.details["witness"]
+            assert got["kind"] == want["kind"] == kind, name
+            if kind != "program-order":
+                assert got == want, name
+            if kind == "read-dictation":
+                assert got["read"] == ops[i].opid, name
+            assert revalidate_witness(bad, got), name
+            mutated[name] += 1
+
+    check()
+    assert min(mutated[name] for name in FAULTS) >= 20, mutated
 
 
 @settings(derandomize=True, database=None, max_examples=500, deadline=None)

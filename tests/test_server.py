@@ -187,7 +187,7 @@ class TestDeleteNotices:
         # moved the minimum over X1's holders and over all servers; the work
         # sets it marks must follow the two _min_moves scans
         srv = Server(me, fig1())
-        srv._del_max[0] = dict(entries)
+        srv._del_max[0] = [entries.get(i, srv.zero_tag) for i in range(1, 6)]
         srv._enc_dirty.clear()
         srv._gc_dirty.clear()
         prev = entries.get(frm)
@@ -199,7 +199,7 @@ class TestDeleteNotices:
         here = 1 in srv.objects_here
         assert (1 in srv._enc_dirty) == (held and not here)
         assert (1 in srv._gc_dirty) == (everyone or held and here)
-        assert srv._del_max[0][frm] == (new if raised else prev)
+        assert srv._del_max[0][frm - 1] == (new if raised else prev)
 
 
 class TestApplyQueue:
@@ -543,6 +543,9 @@ class TestGarbageCollection:
         t1 = tag([0, 1, 0, 0, 0], 2)
         for holder in (3, 4):
             srv.on_del(holder, 2, t1)
+            # X2's holder 2 (this server) has sent no notice yet
+            _, sends = srv.garbage_collection()
+            assert not sends_of(Del, sends)
         srv._add_del(2, t1, 2)
         _, sends = srv.garbage_collection()
         assert [s.dst for s in sends_of(Del, sends)] == [1, 3, 4, 5]

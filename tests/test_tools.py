@@ -9,15 +9,19 @@ that it holds every case of the golden table, one case against it, that
 it fails on a case whose untraced run differs, and that its ``verdicts``
 line hashes the verdict lines alone.  ``tools/bench_pairs.py`` runs the
 benchmark on two exported versions; these tests run one short pair of
-``HEAD`` against itself and check its claim rule.
+``HEAD`` against itself, check its claim rule, and stop it with SIGTERM
+while its first benchmark run is going, which must leave no child process
+and no temporary copy behind.
 """
 
 import hashlib
 import importlib.util
 import json
 import os
+import signal
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -120,16 +124,58 @@ def test_sweep_verdicts_line_hashes_the_verdict_lines_alone(monkeypatch, capsys)
     assert verdicts == want
 
 
-def test_bench_pairs_head_against_itself_has_equal_fingerprints():
-    root = os.path.dirname(TOOLS)
-    if subprocess.run(["git", "-C", root, "rev-parse", "HEAD"],
+def skip_unless_git_checkout():
+    if subprocess.run(["git", "-C", os.path.dirname(TOOLS), "rev-parse", "HEAD"],
                       capture_output=True).returncode:
         pytest.skip("not a git checkout")
+
+
+def test_bench_pairs_head_against_itself_has_equal_fingerprints():
+    skip_unless_git_checkout()
     proc = subprocess.run([sys.executable, os.path.join(TOOLS, "bench_pairs.py"),
                            "--parent", "HEAD", "--change", "HEAD", "--seconds", "0",
                            "scale:1"], capture_output=True, text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "scale seed 1: fingerprints equal"
+
+
+def bench_child(pid):
+    """The pid of ``pid``'s ``bench/run.py`` child, or None."""
+    with open(f"/proc/{pid}/task/{pid}/children") as fh:
+        children = fh.read().split()
+    for child in children:
+        try:
+            with open(f"/proc/{child}/cmdline", "rb") as fh:
+                if b"bench/run.py" in fh.read():
+                    return int(child)
+        except OSError:  # it exited in between
+            pass
+    return None
+
+
+def test_bench_pairs_sigterm_stops_its_run_and_removes_its_copies(tmp_path):
+    skip_unless_git_checkout()
+    if not os.path.exists(f"/proc/{os.getpid()}/task/{os.getpid()}/children"):
+        pytest.skip("no /proc children list")
+    proc = subprocess.Popen([sys.executable, os.path.join(TOOLS, "bench_pairs.py"),
+                             "--parent", "HEAD", "--change", "HEAD", "--seconds", "30",
+                             "scale:1"], env=dict(os.environ, TMPDIR=str(tmp_path)),
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+    try:
+        deadline = time.monotonic() + 120
+        child = None
+        while child is None and proc.poll() is None and time.monotonic() < deadline:
+            time.sleep(0.05)
+            child = bench_child(proc.pid)
+        assert child is not None, "no bench/run.py child started"
+        proc.send_signal(signal.SIGTERM)
+        assert proc.wait(timeout=60) == 143
+    finally:
+        if proc.poll() is None:
+            proc.kill()
+            proc.wait()
+    assert not os.path.exists(f"/proc/{child}")
+    assert os.listdir(tmp_path) == []
 
 
 def test_bench_pairs_claim_rule():

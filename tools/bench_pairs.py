@@ -25,6 +25,8 @@ whose fingerprints differ is named.  From the root of a checkout:
 
 prints one line per run and per pair, and writes the summary with ``--out``.
 It exits 1 when a run fails or is not correct, or when fingerprints differ.
+Sent SIGTERM during a run (or before the next one), it kills that
+``bench/run.py``, removes its copies and exits 143.
 """
 
 import argparse
@@ -35,6 +37,7 @@ import os
 import platform
 import re
 import shutil
+import signal
 import statistics
 import subprocess
 import sys
@@ -67,20 +70,32 @@ def export(version: str, dest: str) -> str:
     return commit
 
 
-def bench(copy: str, workload: str, seed: int, seconds: float) -> dict:
+def bench(copy: str, workload: str, seed: int, seconds: float, stop: list) -> dict:
     """One ``bench/run.py`` run in ``copy``: its result line, fingerprint and
-    checked-run count."""
+    checked-run count.  Once ``stop`` holds a signal number, the run is
+    killed and ``SystemExit(128 + signal)`` raised; the flag is polled, as a
+    handler that raised at once could fire while ``Popen`` is starting the
+    child, before anything owns it to kill it."""
     env = dict(os.environ, PYTHONDONTWRITEBYTECODE="1")
-    proc = subprocess.run(
-        [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
-         "--seconds", str(seconds), "--trace", "0"],
-        cwd=copy, env=env, capture_output=True, text=True)
-    lines = proc.stdout.splitlines()
+    with subprocess.Popen(
+            [sys.executable, "bench/run.py", "--workload", workload, "--seed", str(seed),
+             "--seconds", str(seconds), "--trace", "0"],
+            cwd=copy, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+            text=True) as proc:
+        while True:
+            try:
+                stdout, stderr = proc.communicate(timeout=0.1)
+                break
+            except subprocess.TimeoutExpired:
+                if stop:
+                    proc.kill()
+                    raise SystemExit(128 + stop[0]) from None
+    lines = stdout.splitlines()
     try:
         out = json.loads(lines[-1])
     except (IndexError, json.JSONDecodeError):
         raise RuntimeError(f"bench/run.py {workload} seed {seed} in {copy} printed no "
-                           f"result (exit {proc.returncode}): {proc.stderr[-2000:]}") from None
+                           f"result (exit {proc.returncode}): {stderr[-2000:]}") from None
     fingerprint = next((json.loads(line.split(" ", 1)[1]) for line in lines
                         if line.startswith("fingerprint ")), None)
     runs = next((int(m.group(1)) for m in map(re.compile(r"(\d+) checked runs ").match, lines)
@@ -149,6 +164,8 @@ def parse_args(argv):
 
 def main(argv=None) -> int:
     args = parse_args(argv)
+    stop = []  # a SIGTERM's number: bench kills its run and exits, and the copies go
+    signal.signal(signal.SIGTERM, lambda signum, frame: stop.append(signum))
     with open(os.path.join(ROOT, "BENCHMARK.json")) as fh:
         spec = json.load(fh)
     lower = {m["name"]: m["better"] == "lower" for m in spec["end_to_end"]}
@@ -164,7 +181,7 @@ def main(argv=None) -> int:
                 n += 1
                 got = {}
                 for side in order:
-                    got[side] = r = bench(copies[side], workload, seed, seconds)
+                    got[side] = r = bench(copies[side], workload, seed, seconds, stop)
                     records.append({"workload": workload, "seed": seed, "side": side,
                                     "first": order[0], **r})
                     ok &= r["correct"]
