@@ -21,7 +21,6 @@ from .checker import (
     probe_invariants,
     revalidate_witness,
 )
-from .client import Client, WellFormednessError
 from .coding import LinearCode, RecoverySet
 from .field import PrimeField, Value
 from .latency import (

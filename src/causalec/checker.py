@@ -370,4 +370,4 @@ def check_all(result: RunResult) -> List[Verdict]:
 
 
 def all_passed(verdicts: List[Verdict]) -> bool:
-    return all(v.passed or v.inconclusive for v in verdicts)
+    return all(verdicts)

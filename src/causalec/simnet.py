@@ -44,7 +44,6 @@ from heapq import heappop, heappush
 from itertools import islice
 from typing import Dict, Iterator, List, Optional, Sequence, Set, Tuple
 
-from .client import Client
 from .field import Value
 from .latency import format_ms
 from .messages import Del, Message, OpId, Read, ReadReturn, ValRespEncoded, Write
@@ -215,8 +214,8 @@ class Simulation:
         self.servers: Dict[int, Server] = {
             s: Server(s, self.code, self.protocol, write_registry=registry)
             for s in range(1, self.n + 1)}
-        self.clients: Dict[int, Client] = {
-            c.id: Client(c.id, c.home) for c in scenario.clients}
+        self.homes: Dict[int, int] = {c.id: c.home for c in scenario.clients}
+        self._opcounts: Dict[int, int] = {}  # per client, its last opid's count
         self.scripts: Dict[int, List[ScriptOp]] = scenario.build_scripts(seed)
         self.heap: List[tuple] = []
         self.now = 0
@@ -355,10 +354,11 @@ class Simulation:
             for kind, dst, msg in sends:
                 if kind == "client":
                     t = now
-                    # an ack or a read return, for an invoked operation; a
-                    # repeated answer keeps the first stamp
-                    rec = self.ops[msg.opid]
-                    if rec.ts is None:
+                    # an ack or a read return; a repeated answer keeps the
+                    # first stamp, and one to an operation never invoked
+                    # stamps nothing and fails where the client receives it
+                    rec = self.ops.get(msg.opid)
+                    if rec is not None and rec.ts is None:
                         rec.ts = tuple(srv.vc)
                 else:
                     if type(msg) is ValRespEncoded:
@@ -399,13 +399,14 @@ class Simulation:
     # -- event processing -------------------------------------------------------
 
     def _deliver_to_client(self, cid: int, src: int, msg: Message) -> None:
-        client = self.clients[cid]
-        opid = client.on_server_message(msg)
+        """Complete the client's pending operation, the one the response
+        names; a response to any other operation is a violation."""
         self._record(f"c{cid}", ("recv", f"s{src}", msg) if self.collect_trace else None)
-        if opid is None:  # a server answered an operation twice, or unasked
+        rec = self.ops.get(msg.opid)
+        if rec is None or rec.client != cid or rec.completed:
+            # a server answered an operation twice, unasked, or to another client
             self._fail(f"client {cid}: response to {msg.opid}, which is not pending")
             return
-        rec = self.ops[opid]
         rec.t_response = self.now
         if type(msg) is ReadReturn:
             rec.value = msg.value
@@ -414,17 +415,22 @@ class Simulation:
             self._push(max(self.now, script[0].time_ms), "invoke", cid)
 
     def _invoke(self, cid: int) -> None:
-        # an invoke is pushed only when the client has ops left and none pending
+        # an invoke is pushed only when the client has ops left and none
+        # pending, so each client is well-formed by construction
         op = self.scripts[cid].pop(0)
-        opid, send = self.clients[cid].invoke(op.kind, op.obj, op.value)
+        n = self._opcounts[cid] = self._opcounts.get(cid, 0) + 1
+        opid = (cid, n)
+        msg = Write(opid, op.obj, op.value) if op.kind == "write" else Read(opid, op.obj)
+        home = self.homes[cid]
         self.ops[opid] = OperationRecord(
             opid=opid, client=cid, kind=op.kind, obj=op.obj,
             value=op.value, t_invoke=self.now,
             probe=cid >= PROBE_CLIENT_BASE)
         self._record(f"c{cid}", ("invoke", op.kind, op.obj,
-                                 op.value if op.kind == "write" else None), None, (send,))
+                                 op.value if op.kind == "write" else None), None,
+                     (Send("server", home, msg),))
         # to the co-located home server, with no delay, as in _server_step
-        self._push(self.now, "deliver", (send.kind, send.dst, "client", cid, send.msg))
+        self._push(self.now, "deliver", ("server", home, "client", cid, msg))
 
     def _service_round(self, sid: int, force: bool = False) -> bool:
         """Apply-drain then encode and collect.  Unless forced, the encode
@@ -439,32 +445,22 @@ class Simulation:
         trace = self.collect_trace
         name = self._names[sid]
         moved = False
-        recorded = False  # whether an apply step was taken
-        while srv.inqueue:
-            recorded = True
-            if not srv.can_apply:
-                if trace:
-                    self._record(name, APPLY, srv)
-                else:
-                    self.steps += 1
-                break
-            applied = self._server_step(srv, APPLY, srv.apply_inqueue)
-            moved |= applied
-            if not applied or self.steps >= self.step_cap:
-                break
-        if self.steps >= self.step_cap or not (force or srv.round_due):
-            return moved
-        if not recorded:
+        # an apply that finds the head not ready clears can_apply and a raise
+        # lowers the cap, so the drain stops at the first apply that did not move
+        if srv.inqueue and srv.can_apply:
+            while srv.can_apply and self.steps < self.step_cap:
+                moved |= self._server_step(srv, APPLY, srv.apply_inqueue)
+        elif srv.inqueue or force or srv.round_due:
             if trace:
                 self._record(name, APPLY, srv)
             else:
                 self.steps += 1
+        if self.steps >= self.step_cap or not (force or srv.round_due):
+            return moved
         order = self._last_full_round
         del order[sid]
         order[sid] = self.steps
         srv.round_due = False
-        if self.steps >= self.step_cap:
-            return moved
         if srv.can_encode:
             moved |= self._server_step(srv, ENCODE, srv.encoding)
         elif trace:
@@ -580,7 +576,7 @@ class Simulation:
             for obj in range(1, self.code.k + 1):
                 idx += 1
                 cid = PROBE_CLIENT_BASE + idx
-                self.clients[cid] = Client(cid, s)
+                self.homes[cid] = s
                 self.scripts[cid] = [ScriptOp(self.now, "read", obj)]
                 self._push(self.now, "invoke", cid)
 
@@ -599,7 +595,7 @@ class Simulation:
             pending_opids=sorted(pending),
             halted=sorted(self.halted),
             servers=self.servers,
-            client_homes={cid: c.home for cid, c in self.clients.items()},
+            client_homes=self.homes,
         )
 
 

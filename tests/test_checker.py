@@ -41,7 +41,7 @@ from causalec.coding import LinearCode
 from causalec.field import PrimeField
 from causalec.harness import fuzz_run, fuzz_scenario
 from causalec.latency import LatencyGraph
-from causalec.messages import Del, ValInq, ValRespEncoded
+from causalec.messages import Del, ValInq, ValRespEncoded, WriteReturnAck
 from causalec.scenarios import ClientSpec, Scenario, ScriptOp, scenario_from_json
 from causalec.server import CAUSAL, EVENTUAL, Server
 from causalec.simnet import OperationRecord, RunResult, Simulation, run
@@ -367,6 +367,29 @@ class TestProbeFaults:
         self.assert_stopped(r, f"client {cid}: response to {ack.opid}, which is not pending",
                             f"c{cid}", ("recv", f"s{sid}", ack))
 
+    @pytest.mark.parametrize("fault", ["never_invoked", "other_client"])
+    def test_answer_to_an_operation_not_pending(self, monkeypatch, fault):
+        # the first ack names an opid that no client invoked (opids count from
+        # 1), or goes to a client other than the writer
+        original, fired = Server.on_write, []
+
+        def on_write(srv, clientid, opid, obj, value):
+            sends = original(srv, clientid, opid, obj, value)
+            if not fired:
+                ack = sends[0]
+                if fault == "never_invoked":
+                    sends[0] = ack._replace(msg=WriteReturnAck((clientid, 0)))
+                else:
+                    sends[0] = ack._replace(dst=1 if clientid != 1 else 2)
+                fired.append((sends[0].dst, srv.id, sends[0].msg))
+            return sends
+
+        monkeypatch.setattr(Server, "on_write", on_write)
+        r = self.run_fig1()
+        ((cid, sid, ack),) = fired
+        self.assert_stopped(r, f"client {cid}: response to {ack.opid}, which is not pending",
+                            f"c{cid}", ("recv", f"s{sid}", ack))
+
     def test_list_entry_not_matching_its_write(self, monkeypatch):
         # the corrupted value waits in the inqueue until it is applied to L[X]
         original, fired = Server.on_app, []
@@ -500,7 +523,7 @@ class TestNarrowedProbeFaults:
             snap = sims[-1]._snapshots[srv.id]
             for i, send in enumerate(sends):
                 msg = send.msg
-                if (fired or not isinstance(msg, ValRespEncoded) or snap is None
+                if (fired or not isinstance(msg, ValRespEncoded)
                         or msg.symbol is not snap[3] or list(msg.tagvec) != snap[1]):
                     continue
                 bad = fault(srv, msg)

@@ -24,7 +24,7 @@ from causalec.latency import (
     replication_baseline,
     to_ms,
 )
-from causalec.messages import App, Del, WriteReturnAck
+from causalec.messages import App, Del, Read, Write, WriteReturnAck
 from causalec.checker import check_all
 from causalec.scenarios import ClientSpec, Scenario, ScenarioError, ScriptOp, scenario_from_json
 from causalec.server import VARIANTS, Send
@@ -191,6 +191,38 @@ class TestChannels:
         sim._push(0, "deliver", ("server", 1, "server", 2, WriteReturnAck((1, 1))))
         with pytest.raises(TypeError, match="^server cannot handle WriteReturnAck$"):
             sim.run_to_quiescence()
+
+
+class TestOperations:
+    """The simulator keeps each client well-formed: one operation at a time,
+    invoked at its home server, with opids counted per client."""
+
+    def test_invokes_count_opids_per_client_and_go_home(self):
+        sc = scenario_from_json(bundled.doc("fig1"))
+        r = run(sc, seed=5, probes=True)
+        assert all(r.client_homes[c.id] == c.home for c in sc.clients)
+        invokes = [rec for rec in r.trace if rec.event[0] == "invoke"]
+        assert len(invokes) == len(r.ops)
+        assert any(op.probe for op in r.ops.values())
+        count = collections.Counter()
+        for rec in invokes:
+            cid = int(rec.node[1:])
+            count[cid] += 1
+            opid = (cid, count[cid])
+            kind, obj, value = rec.event[1:]
+            msg = Write(opid, obj, value) if kind == "write" else Read(opid, obj)
+            assert rec.emitted == (("server", r.client_homes[cid], msg),)
+            op = r.ops[opid]
+            assert (op.client, op.kind, op.obj, op.t_invoke) == (cid, kind, obj, rec.t)
+
+    def test_read_completion_carries_value(self):
+        # the value travels in the ReadReturn, from which the simulator records it
+        sc = Scenario(name="t", code=LinearCode(PrimeField(7), [[1], [1]]),
+                      graph=LatencyGraph(2, {(1, 2): 1}), clients=[ClientSpec(7, 2)],
+                      scripts={7: [ScriptOp(0, "write", 1, (4,)), ScriptOp(1000, "read", 1)]})
+        write, read = run(sc, seed=0).operation_list()
+        assert (read.opid, read.kind, read.obj, read.value) == ((7, 2), "read", 1, (4,))
+        assert (write.opid, write.kind, write.value) == ((7, 1), "write", (4,))
 
 
 class TestDeterminism:
@@ -389,8 +421,8 @@ class TestQuiescence:
         assert not r.quiescent
 
     # records 904-906 of the uncapped traced run are s5's apply, encode and gc
-    # steps of a round with no queued write and no work, which an untraced run
-    # counts in one addition unless the cap falls inside it
+    # steps of a round with no queued write and no work; caps 904-906 stop the
+    # run at each of them, traced and untraced alike
     @pytest.mark.parametrize("cap", [1, 7, 50, 904, 905, 906])
     def test_step_cap_is_never_passed(self, cap):
         # rounds that follow one event stop at the cap too, not only the
