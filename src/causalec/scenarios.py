@@ -9,9 +9,9 @@ field at any level included, so the CLI can report them usefully.
 ``scenario_from_json`` (a dict, or the path of a JSON file) checks what only
 a document has: JSON types and unknown, missing and duplicate fields.
 ``Scenario.__post_init__`` checks every other rule, so a scenario built in
-code obeys them too: client ids in 1..``PROBE_CLIENT_BASE - 1`` and homes,
-halted servers and channels in 1..N (indexed in insertion order), a code
-that recovers every object, the random workload, ``step_cap >= 1``,
+code obeys them too: N >= 2, client ids in 1..``PROBE_CLIENT_BASE - 1`` and
+homes, halted servers and channels in 1..N (indexed in insertion order), a
+code that recovers every object, the random workload, ``step_cap >= 1``,
 ``delays`` and, through ``_check_op``, each script op.  It names an op
 ``workload.ops[client 2][0]``; the loader maps that back to the op's place
 in the document, ``workload.ops[3]``.
@@ -89,6 +89,8 @@ class Scenario:
         if self.code.n != self.graph.n:
             raise ScenarioError(
                 f"latency_graph.n: {self.graph.n} servers but the code has {self.code.n} rows")
+        if self.code.n == 1:
+            raise ScenarioError("latency_graph.n: a store needs at least 2 servers, got 1")
         try:
             self.code.check_recoverable()
         except ValueError as e:

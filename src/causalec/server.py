@@ -1,10 +1,10 @@
 """Server state machine for the coded store, in both protocol variants.
 
 One event (message receipt or internal action) executes a full handler body
-atomically and emits an ordered batch of messages; a message type's
-``_HANDLERS`` entry and the internal actions return ``(changed, sends)``.
-A delete notice has no entry: ``on_del`` never sends, and the simulator
-calls it directly.
+atomically and emits an ordered batch of messages.  Each message type has
+one handler ``on_X(frm, msg)``, which returns its sends but for ``on_del``:
+a delete notice sends nothing, and the simulator calls it directly.  The
+internal actions return ``(changed, sends)``.
 The causal variant ("causalec") and the eventually consistent one ("eventualec") differ only
 where ``variant`` is tested: apply readiness (causalec applies a remote
 write after the writes it depends on, and answers with it only the reads
@@ -16,7 +16,7 @@ no operation, and that response answers every pending read on its object).
 State per server (all tag vectors indexed by object-1):
 
 * ``vc``            vector clock, one counter per server
-* ``inqueue``       pending remote writes: origin -> FIFO deque, never empty
+* ``inqueue``       pending ``App`` messages: origin -> FIFO deque, never empty
 * ``L[X]``          version history list: tag -> value
 * ``dell[X]``       delete notices seen: ordered set of (tag, server)
 * ``m_val/m_tagvec``the stored codeword symbol and the versions it encodes
@@ -110,12 +110,6 @@ class ReadLEntry:
     symbols: List[Optional[Value]]
 
 
-class InQueueItem(NamedTuple):
-    obj: int
-    value: Value
-    tag: Tag
-
-
 class Server:
     def __init__(self, sid: int, code: LinearCode, variant: str = CAUSAL,
                  write_registry: Optional[Dict[Tag, Tuple[int, Value]]] = None):
@@ -131,7 +125,7 @@ class Server:
         self.zero_tag = zt = zero_tag(self.n)
         self.zero_value = zv = code.zero_value()
         self.vc: List[int] = [0] * self.n
-        self.inqueue: Dict[int, Deque[InQueueItem]] = {}
+        self.inqueue: Dict[int, Deque[App]] = {}
         self.L: List[Dict[Tag, Value]] = [{zt: zv} for _ in range(self.k)]
         self.dell: List[Dict[Tuple[Tag, int], None]] = [{} for _ in range(self.k)]
         self.m_val: Value = zv
@@ -261,14 +255,15 @@ class Server:
 
     # -- client messages ---------------------------------------------------
 
-    def on_write(self, clientid: int, opid: OpId, obj: int, value: Value) -> List[Send]:
+    def on_write(self, frm: int, msg: Write) -> List[Send]:
+        obj, value = msg.obj, msg.value
         self.vc[self.id - 1] += 1
         self._apply_dirty = True
-        t = Tag(tuple(self.vc), clientid)
+        t = Tag(tuple(self.vc), frm)
         if self.write_registry is not None:
             self.write_registry[t] = (obj, value)
         self._l_insert(obj, t, value)
-        sends = [Send("client", clientid, WriteReturnAck(opid))]
+        sends = [Send("client", frm, WriteReturnAck(msg.opid))]
         app = App(obj, value, t)
         sends += [Send("server", j, app) for j in self._others]
         sends += self._answer_reads(
@@ -276,18 +271,19 @@ class Server:
             value)
         return sends
 
-    def on_read(self, clientid: int, opid: OpId, obj: int) -> List[Send]:
+    def on_read(self, frm: int, msg: Read) -> List[Send]:
+        opid, obj = msg.opid, msg.obj
         highest = self._highest(obj)
         if highest is not None:
             ht, hv = highest
             if self.variant == EVENTUAL or self.m_tagvec[obj - 1] <= ht:
-                return [Send("client", clientid, ReadReturn(opid, hv))]
+                return [Send("client", frm, ReadReturn(opid, hv))]
         if self.code.held[self.id - 1] == (obj,):  # this symbol is obj uncoded
             rs = self.code.is_recovery_set((self.id,), obj)
             v = self.code.decode(obj, rs, {self.id: self.m_val})
             self.notes.append(("decoded", obj, (self.id,), opid))
-            return [Send("client", clientid, ReadReturn(opid, v))]
-        return self._fetch(clientid, opid, obj)
+            return [Send("client", frm, ReadReturn(opid, v))]
+        return self._fetch(frm, opid, obj)
 
     def _fetch(self, clientid: int, opid: OpId, obj: int) -> List[Send]:
         """Start a remote read of obj at the symbol's tag vector: a pending
@@ -302,26 +298,25 @@ class Server:
 
     # -- server messages ---------------------------------------------------
 
-    def on_del(self, frm: int, obj: int, tag: Tag) -> None:
-        self._add_del(obj, tag, frm)  # a notice sends nothing
+    def on_del(self, frm: int, msg: Del) -> None:
+        self._add_del(msg.obj, msg.tag, frm)  # a notice sends nothing
 
-    def on_app(self, frm: int, obj: int, value: Value, tag: Tag) -> List[Send]:
+    def on_app(self, frm: int, msg: App) -> List[Send]:
         # the channel is FIFO and the origin's own clock entry rises with each
         # of its writes, so every origin's queue is a chain in causal order
         queue = self.inqueue.get(frm)
         last = queue[-1].tag.ts[frm - 1] if queue else self.vc[frm - 1]
-        if tag.ts[frm - 1] <= last:
+        if msg.tag.ts[frm - 1] <= last:
             raise ProtocolInvariantViolation(
-                f"server {self.id}: write {tag.render()} from server {frm} out of order")
-        self.inqueue.setdefault(frm, deque()).append(InQueueItem(obj, value, tag))
+                f"server {self.id}: write {msg.tag.render()} from server {frm} out of order")
+        self.inqueue.setdefault(frm, deque()).append(msg)
         self._apply_dirty = True
         return []
 
-    def on_val_inq(self, frm: int, clientid: int, opid: OpId, obj: int,
-                   wantedtagvec: TagVec) -> List[Send]:
-        wanted = wantedtagvec[obj - 1]
+    def on_val_inq(self, frm: int, msg: ValInq) -> List[Send]:
+        clientid, opid, obj, wantedtagvec = msg.clientid, msg.opid, msg.obj, msg.wantedtagvec
         if self.variant == CAUSAL:
-            v = self.L[obj - 1].get(wanted)
+            v = self.L[obj - 1].get(wantedtagvec[obj - 1])
             if v is not None:
                 return [Send("server", frm,
                              ValResp(obj, v, clientid, opid, wantedtagvec))]
@@ -344,8 +339,8 @@ class Server:
                 if wv is not None:
                     resp_val = self.code.reencode(self.id, x, resp_val, zv, wv)
                     resp_tagvec[x - 1] = wantedtagvec[x - 1]
-        msg = ValRespEncoded(resp_val, tuple(resp_tagvec), clientid, opid, obj, wantedtagvec)
-        return [Send("server", frm, msg)]
+        resp = ValRespEncoded(resp_val, tuple(resp_tagvec), clientid, opid, obj, wantedtagvec)
+        return [Send("server", frm, resp)]
 
     def _answered_read(self, msg) -> Optional[ReadLEntry]:
         """The pending read that a value response (``ValResp`` under causalec,
@@ -595,17 +590,16 @@ class Server:
         )
 
 
-# per message type but Del, its delivery step ``(server, frm, msg) -> (changed,
-# sends)``, which always counts as a change (frm: a client id for Write/Read,
-# else a server id); handlers are looked up on the server at call time, so
-# wrappers set on the class see every dispatched message.  The simulator
+# per message type but Del, the name of its handler ``(frm, msg) -> sends``
+# (frm: a client id for Write/Read, else a server id), whose delivery always
+# counts as a change; the simulator looks the name up on the server at each
+# delivery, so wrappers set on the class see every dispatched message.  It
 # delivers a Del straight to ``on_del``, looked up the same way.
 _HANDLERS = {
-    Write: lambda s, frm, m: (True, s.on_write(frm, m.opid, m.obj, m.value)),
-    Read: lambda s, frm, m: (True, s.on_read(frm, m.opid, m.obj)),
-    App: lambda s, frm, m: (True, s.on_app(frm, m.obj, m.value, m.tag)),
-    ValInq: lambda s, frm, m: (True, s.on_val_inq(frm, m.clientid, m.opid, m.obj,
-                                                  m.wantedtagvec)),
-    ValResp: lambda s, frm, m: (True, s.on_val_resp(frm, m)),
-    ValRespEncoded: lambda s, frm, m: (True, s.on_val_resp_encoded(frm, m)),
+    Write: "on_write",
+    Read: "on_read",
+    App: "on_app",
+    ValInq: "on_val_inq",
+    ValResp: "on_val_resp",
+    ValRespEncoded: "on_val_resp_encoded",
 }

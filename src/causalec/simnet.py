@@ -233,8 +233,8 @@ class Simulation:
         self._links = {link: [lo, hi - lo + 1 if draws else 0, (hi - lo + 1).bit_length(), 0]
                        for link, (lo, hi) in bounds.items()}
         self._names = {s: f"s{s}" for s in self.servers}
-        # per server, the state the probes last checked, from construction on,
-        # and the digest last recorded (None: not yet)
+        # per server, the state the probes last checked and, when tracing, the
+        # digest last recorded, both from construction on
         self._snapshots: Dict[int, tuple] = {}
         for s, srv in self.servers.items():
             self._snapshots[s] = (srv.vc[:], srv.m_tagvec[:], srv.tmax[:], srv.m_val)
@@ -242,7 +242,8 @@ class Simulation:
                 srv.check_invariants()
             except ProtocolInvariantViolation as e:
                 self._fail(str(e))
-        self._digests: Dict[int, Optional[tuple]] = dict.fromkeys(self.servers)
+        self._digests = ({s: srv.digest() for s, srv in self.servers.items()}
+                         if collect_trace else {})
         # live server -> step count of its last full round, least recent first
         self._last_full_round: Dict[int, int] = dict.fromkeys(self.servers, 0)
         self.halted: Set[int] = set()  # a halted server processes nothing further
@@ -283,7 +284,7 @@ class Simulation:
         digest = None
         if srv is not None:
             digest = self._digests[srv.id]
-            if moved or digest is None:
+            if moved:
                 new = srv.digest()
                 if new != digest:
                     digest = self._digests[srv.id] = new
@@ -328,12 +329,12 @@ class Simulation:
             self._fail(f"server {srv.id}: symbol tag vector decreased")
 
     def _server_step(self, srv: Server, event: Optional[tuple], action, *args) -> bool:
-        """One server transition, ``action(*args) -> (changed, sends)``: an
-        internal action, or for a delivery other than a delete notice its
-        ``_HANDLERS`` entry.  A raise is a violation, recorded with no sends
-        or notes; otherwise each send is scheduled (a coded symbol checked, a
-        client response's ``ts`` stamped), the step recorded and the server
-        probed if it left its snapshot; returns whether it moved.
+        """One server transition: an internal action, returning ``(changed,
+        sends)``, or the handler of any delivery but a delete notice, returning
+        its sends and always moving.  A raise is a violation, recorded with
+        no sends or notes; otherwise each send is scheduled (a coded symbol
+        checked, a client response's ``ts`` stamped), the step recorded and
+        the server probed if it left its snapshot; returns whether it moved.
 
         A server message takes its channel's least delay plus, when delays
         are drawn, ``randint(lo, hi)``'s draw as CPython 3.11 makes it:
@@ -342,12 +343,16 @@ class Simulation:
         delay and, as virtual time never goes back, needs no clamp."""
         sid = srv.id
         try:
-            changed, sends = action(*args)
+            out = action(*args)
         except ProtocolInvariantViolation as e:
             self._fail(str(e))
             srv.notes.clear()
             self._record(self._names[sid], event, srv, moved=True)
             return False
+        if type(out) is list:
+            changed, sends = True, out
+        else:
+            changed, sends = out
         if sends:
             now, heap, links = self.now, self.heap, self._links
             seq, getrandbits = self.seq, self.rng.getrandbits
@@ -450,11 +455,10 @@ class Simulation:
         if srv.inqueue and srv.can_apply:
             while srv.can_apply and self.steps < self.step_cap:
                 moved |= self._server_step(srv, APPLY, srv.apply_inqueue)
-        elif srv.inqueue or force or srv.round_due:
-            if trace:
-                self._record(name, APPLY, srv)
-            else:
-                self.steps += 1
+        elif trace:  # every caller enters forced, or with a write queued or the round due
+            self._record(name, APPLY, srv)
+        else:
+            self.steps += 1
         if self.steps >= self.step_cap or not (force or srv.round_due):
             return moved
         order = self._last_full_round
@@ -515,7 +519,7 @@ class Simulation:
                     # a notice never sends, never notes and cannot raise: it
                     # is delivered, counted and probed with nothing else
                     srv = servers[dst]
-                    srv.on_del(src, msg.obj, msg.tag)
+                    srv.on_del(src, msg)
                     if self.collect_trace:
                         self._record(self._names[dst], ("recv", f"s{src}", msg), srv,
                                      moved=True)
@@ -525,18 +529,18 @@ class Simulation:
                     if (srv.vc != prev[0] or srv.m_tagvec != prev[1]
                             or srv.tmax != prev[2] or srv.m_val is not prev[3]):
                         self._probe_after(srv)
-                    self._service_round(dst)  # a no-op unless a write is queued or the round due
+                    self._service_round(dst)  # a notice always makes the round due
                 else:
                     srv = servers[dst]
                     mtype = type(msg)
-                    handler = _HANDLERS.get(mtype)
-                    if handler is None:
+                    name = _HANDLERS.get(mtype)
+                    if name is None:
                         raise TypeError(f"server cannot handle {mtype.__name__}")
                     event = (("recv", f"{'c' if src_kind == 'client' else 's'}{src}", msg)
                              if self.collect_trace else None)
                     # locality: a write, or a read of the object this server stores
                     # uncoded, is answered in this very transition; one that raised is no break
-                    if self._server_step(srv, event, handler, srv, src, msg) and (
+                    if self._server_step(srv, event, getattr(srv, name), src, msg) and (
                             mtype is Write
                             or mtype is Read and self.code.held[dst - 1] == (msg.obj,)):
                         if self.ops[msg.opid].ts is None:

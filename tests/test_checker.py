@@ -41,7 +41,7 @@ from causalec.coding import LinearCode
 from causalec.field import PrimeField
 from causalec.harness import fuzz_run, fuzz_scenario
 from causalec.latency import LatencyGraph
-from causalec.messages import Del, ValInq, ValRespEncoded, WriteReturnAck
+from causalec.messages import ValRespEncoded, WriteReturnAck
 from causalec.scenarios import ClientSpec, Scenario, ScriptOp, scenario_from_json
 from causalec.server import CAUSAL, EVENTUAL, Server
 from causalec.simnet import OperationRecord, RunResult, Simulation, run
@@ -221,8 +221,8 @@ class TestLocalityLiveness:
     def test_unacknowledged_write_fails_locality_only(self, monkeypatch):
         on_write = Server.on_write
 
-        def drop_ack(self, clientid, opid, obj, value):
-            return on_write(self, clientid, opid, obj, value)[1:]
+        def drop_ack(self, frm, msg):
+            return on_write(self, frm, msg)[1:]
 
         monkeypatch.setattr(Server, "on_write", drop_ack)
         r = run(small({1: [ScriptOp(0, "write", 1, (5,))]}), seed=0)
@@ -265,7 +265,7 @@ class TestLocalityLiveness:
         assert seen == {False, True}
 
     def test_raising_write_handler_fails_invariants_only(self, monkeypatch):
-        def boom(self, clientid, opid, obj, value):
+        def boom(self, frm, msg):
             raise ProtocolInvariantViolation("boom")
 
         monkeypatch.setattr(Server, "on_write", boom)
@@ -315,11 +315,11 @@ class TestProbeFaults:
         # itself differs from the state the probes last checked
         original, fired = Server.on_del, []
 
-        def on_del(srv, frm, obj, tag):
-            sends = original(srv, frm, obj, tag)
+        def on_del(srv, frm, msg):
+            sends = original(srv, frm, msg)
             if not fired and tuple(srv.m_tagvec) in srv._encodings:
                 srv.m_val = corrupted(srv, srv.m_val)
-                fired.append((srv.id, ("recv", f"s{frm}", Del(obj, tag))))
+                fired.append((srv.id, ("recv", f"s{frm}", msg)))
             return sends
 
         monkeypatch.setattr(Server, "on_del", on_del)
@@ -332,15 +332,14 @@ class TestProbeFaults:
     def test_outgoing_symbol_corrupted_under_memoised_tag_vector(self, monkeypatch):
         original, fired = Server.on_val_inq, []
 
-        def on_val_inq(srv, frm, clientid, opid, obj, wanted):
-            sends = original(srv, frm, clientid, opid, obj, wanted)
+        def on_val_inq(srv, frm, msg):
+            sends = original(srv, frm, msg)
             for i, send in enumerate(sends):
                 if (not fired and isinstance(send.msg, ValRespEncoded)
                         and send.msg.tagvec in srv._encodings):
                     bad = dataclasses.replace(send.msg, symbol=corrupted(srv, send.msg.symbol))
                     sends[i] = send._replace(msg=bad)
-                    fired.append((srv.id, ("recv", f"s{frm}",
-                                           ValInq(clientid, opid, obj, wanted))))
+                    fired.append((srv.id, ("recv", f"s{frm}", msg)))
             return sends
 
         monkeypatch.setattr(Server, "on_val_inq", on_val_inq)
@@ -354,11 +353,11 @@ class TestProbeFaults:
         # the second ack answers an operation its client no longer waits on
         original, fired = Server.on_write, []
 
-        def on_write(srv, clientid, opid, obj, value):
-            sends = original(srv, clientid, opid, obj, value)
+        def on_write(srv, frm, msg):
+            sends = original(srv, frm, msg)
             if not fired:
                 sends.insert(0, sends[0])
-                fired.append((clientid, srv.id, sends[0].msg))
+                fired.append((frm, srv.id, sends[0].msg))
             return sends
 
         monkeypatch.setattr(Server, "on_write", on_write)
@@ -373,14 +372,14 @@ class TestProbeFaults:
         # 1), or goes to a client other than the writer
         original, fired = Server.on_write, []
 
-        def on_write(srv, clientid, opid, obj, value):
-            sends = original(srv, clientid, opid, obj, value)
+        def on_write(srv, frm, msg):
+            sends = original(srv, frm, msg)
             if not fired:
                 ack = sends[0]
                 if fault == "never_invoked":
-                    sends[0] = ack._replace(msg=WriteReturnAck((clientid, 0)))
+                    sends[0] = ack._replace(msg=WriteReturnAck((frm, 0)))
                 else:
-                    sends[0] = ack._replace(dst=1 if clientid != 1 else 2)
+                    sends[0] = ack._replace(dst=1 if frm != 1 else 2)
                 fired.append((sends[0].dst, srv.id, sends[0].msg))
             return sends
 
@@ -394,11 +393,11 @@ class TestProbeFaults:
         # the corrupted value waits in the inqueue until it is applied to L[X]
         original, fired = Server.on_app, []
 
-        def on_app(srv, frm, obj, value, tag):
+        def on_app(srv, frm, msg):
             if not fired:
-                value = corrupted(srv, value)
-                fired.append((srv.id, obj, tag))
-            return original(srv, frm, obj, value, tag)
+                msg = dataclasses.replace(msg, value=corrupted(srv, msg.value))
+                fired.append((srv.id, msg.obj, msg.tag))
+            return original(srv, frm, msg)
 
         monkeypatch.setattr(Server, "on_app", on_app)
         r = self.run_fig1()
@@ -429,14 +428,14 @@ class TestProbeFaults:
     def test_tmax_above_symbol_tag(self, monkeypatch):
         original, fired = Server.on_del, []
 
-        def on_del(srv, frm, obj, tag):
-            sends = original(srv, frm, obj, tag)
+        def on_del(srv, frm, msg):
+            sends = original(srv, frm, msg)
             if not fired:
-                mt = srv.m_tagvec[obj - 1]
-                srv.tmax[obj - 1] = above = Tag(mt.ts, mt.id + 1)
-                fired.append((srv.id, ("recv", f"s{frm}", Del(obj, tag)),
+                mt = srv.m_tagvec[msg.obj - 1]
+                srv.tmax[msg.obj - 1] = above = Tag(mt.ts, mt.id + 1)
+                fired.append((srv.id, ("recv", f"s{frm}", msg),
                               f"tmax {above.render()} exceeds symbol tag {mt.render()} "
-                              f"for X{obj}"))
+                              f"for X{msg.obj}"))
             return sends
 
         monkeypatch.setattr(Server, "on_del", on_del)
@@ -518,8 +517,8 @@ class TestNarrowedProbeFaults:
         sims = self.keep_simulations(monkeypatch)
         original, fired = Server.on_val_inq, []
 
-        def on_val_inq(srv, frm, clientid, opid, obj, wanted):
-            sends = original(srv, frm, clientid, opid, obj, wanted)
+        def on_val_inq(srv, frm, inq):
+            sends = original(srv, frm, inq)
             snap = sims[-1]._snapshots[srv.id]
             for i, send in enumerate(sends):
                 msg = send.msg
@@ -529,8 +528,7 @@ class TestNarrowedProbeFaults:
                 bad = fault(srv, msg)
                 if bad is not None:
                     sends[i] = send._replace(msg=bad)
-                    fired.append((srv.id, ("recv", f"s{frm}",
-                                           ValInq(clientid, opid, obj, wanted))))
+                    fired.append((srv.id, ("recv", f"s{frm}", inq)))
             return sends
 
         monkeypatch.setattr(Server, "on_val_inq", on_val_inq)

@@ -13,7 +13,7 @@ from causalec.checker import (
 )
 from causalec.coding import LinearCode
 from causalec.field import PrimeField
-from causalec.messages import App, ReadReturn, ValInq, ValResp
+from causalec.messages import App, Read, ReadReturn, ValInq, ValResp
 from causalec.scenarios import scenario_from_json
 from causalec.server import EVENTUAL, ReadLEntry, Server
 from causalec.simnet import run
@@ -34,20 +34,20 @@ class TestGuardDiffs:
         t_old = tag([0, 1, 0], 2)
         srv.L[0] = {t_old: (5,)}
         srv.m_tagvec[0] = tag([0, 2, 0], 2)  # symbol is newer than the list
-        sends = srv.on_read(7, (7, 1), 1)
+        sends = srv.on_read(7, Read((7, 1), 1))
         assert sends[0].msg == ReadReturn((7, 1), (5,))
 
     def test_empty_list_falls_through_to_shared_branches(self):
         srv = Server(1, replicated(), EVENTUAL)
         srv.L[0].clear()
         srv.m_val = (4,)
-        sends = srv.on_read(7, (7, 1), 1)
+        sends = srv.on_read(7, Read((7, 1), 1))
         assert sends[0].msg == ReadReturn((7, 1), (4,))  # singleton decode
 
     def test_apply_is_unconditional(self):
         srv = Server(1, replicated(), EVENTUAL)
         t = tag([0, 5, 0], 2)  # causal variant would wait for 1..4
-        srv.on_app(2, 1, (4,), t)
+        srv.on_app(2, App(1, (4,), t))
         changed, _ = srv.apply_inqueue()
         assert changed
         assert srv.vc == [0, 5, 0]
@@ -57,7 +57,7 @@ class TestGuardDiffs:
         srv = Server(1, replicated(), EVENTUAL)
         wanted = tag([0, 9, 0], 2)
         srv._readl_add(ReadLEntry(9, (9, 1), 1, (wanted,), [None] * 3))
-        srv.on_app(2, 1, (4,), tag([0, 1, 0], 2))
+        srv.on_app(2, App(1, (4,), tag([0, 1, 0], 2)))
         _, sends = srv.apply_inqueue()
         assert sends[0].msg == ReadReturn((9, 1), (4,))
 
@@ -65,14 +65,14 @@ class TestGuardDiffs:
         srv = Server(1, replicated(), EVENTUAL)
         t1, t2 = tag([0, 1, 0], 2), tag([0, 2, 0], 2)
         srv.L[0] = {t1: (3,), t2: (6,)}
-        sends = srv.on_val_inq(2, 9, (9, 1), 1, (tag([0, 9, 0], 2),))
+        sends = srv.on_val_inq(2, ValInq(9, (9, 1), 1, (tag([0, 9, 0], 2),)))
         msg = sends[0].msg
         assert isinstance(msg, ValResp) and msg.value == (6,)
         assert msg.clientid is None and msg.opid is None
 
     def test_internal_inquiry_always_encoded(self):
         srv = Server(1, replicated(), EVENTUAL)
-        sends = srv.on_val_inq(2, LOCALHOST, (-2, 1), 1, (zero_tag(3),))
+        sends = srv.on_val_inq(2, ValInq(LOCALHOST, (-2, 1), 1, (zero_tag(3),)))
         assert not isinstance(sends[0].msg, ValResp)
 
     def test_value_response_answers_every_matching_read(self):

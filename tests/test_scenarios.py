@@ -66,8 +66,16 @@ def _zero_coeffs():
     return doc
 
 
+def _one_server():
+    return {"code": {"field_p": 7, "coeffs": [[1]]}, "latency_graph": {"n": 1, "edges": []},
+            "clients": [{"id": 1, "home": 1}], "workload": {"kind": "random", "ops": 5}}
+
+
 # (malformed document, the field path its ScenarioError must start with)
 MALFORMED = {
+    # GC dropped the lone symbol's version, and the fetch to re-encode went to
+    # no other server: a read stayed pending and the storage verdict failed
+    "one_server": (_one_server, r"latency_graph\.n: a store needs at least 2 servers"),
     "home_not_int": (_set(["clients", 0, "home"], "x"), r"clients\[0\]\.home:"),
     "id_not_int": (_set(["clients", 0, "id"], "y"), r"clients\[0\]\.id:"),
     "halt_server_not_int": (
@@ -200,8 +208,9 @@ def test_cli_exits_two_on_every_malformed_field(tmp_path, capsys):
     for case, (build, field_path) in sorted(MALFORMED.items()):
         path = tmp_path / f"{case}.json"
         path.write_text(json.dumps(build()))
-        assert main(["run", str(path), "--seeds", "0"]) == 2, case
-        assert re.search(field_path, capsys.readouterr().err), case
+        for command in (["run", str(path), "--seeds", "0"], ["latency", str(path)]):
+            assert main(command) == 2, (case, command[0])
+            assert re.search(field_path, capsys.readouterr().err), (case, command[0])
 
 
 def _fig1(**changes):

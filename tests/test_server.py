@@ -26,10 +26,12 @@ from causalec.field import PrimeField
 from causalec.messages import (
     App,
     Del,
+    Read,
     ReadReturn,
     ValInq,
     ValResp,
     ValRespEncoded,
+    Write,
     WriteReturnAck,
 )
 from causalec.harness import fuzz_scenario, random_code
@@ -77,7 +79,7 @@ DEL_MAX = st.dictionaries(st.integers(1, 5), st.sampled_from(NOTICE_TAGS), max_s
 class TestWrite:
     def test_fresh_write_acks_and_fans_out(self):
         srv = Server(1, replicated())
-        sends = srv.on_write(7, (7, 1), 1, (5,))
+        sends = srv.on_write(7, Write((7, 1), 1, (5,)))
         assert srv.vc == [1, 0, 0]
         assert srv.L[0][tag([1, 0, 0], 7)] == (5,)
         ack = sends[0]
@@ -91,8 +93,8 @@ class TestWrite:
 
     def test_second_write_advances_own_slot(self):
         srv = Server(1, replicated())
-        srv.on_write(7, (7, 1), 1, (5,))
-        srv.on_write(7, (7, 2), 1, (6,))
+        srv.on_write(7, Write((7, 1), 1, (5,)))
+        srv.on_write(7, Write((7, 2), 1, (6,)))
         assert srv.vc == [2, 0, 0]
         assert tag([2, 0, 0], 7) in srv.L[0]
 
@@ -100,7 +102,7 @@ class TestWrite:
         srv = Server(1, replicated())
         entry = ReadLEntry(9, (9, 1), 1, (zero_tag(3),), [None, None, None])
         srv._readl_add(entry)
-        sends = srv.on_write(7, (7, 1), 1, (5,))
+        sends = srv.on_write(7, Write((7, 1), 1, (5,)))
         returns = sends_of(ReadReturn, sends)
         assert [(s.dst, s.msg) for s in returns] == [(9, ReadReturn((9, 1), (5,)))]
         assert not srv.readl
@@ -109,7 +111,7 @@ class TestWrite:
         srv = Server(1, replicated())
         entry = ReadLEntry(LOCALHOST, (-1, 1), 1, (zero_tag(3),), [None] * 3)
         srv._readl_add(entry)
-        sends = srv.on_write(7, (7, 1), 1, (5,))
+        sends = srv.on_write(7, Write((7, 1), 1, (5,)))
         assert not sends_of(ReadReturn, sends)
         assert (-1, 1) in srv.readl
 
@@ -117,28 +119,28 @@ class TestWrite:
 class TestRead:
     def test_initial_read_returns_zero_from_the_sentinel(self):
         srv = Server(1, replicated())
-        sends = srv.on_read(7, (7, 1), 1)
+        sends = srv.on_read(7, Read((7, 1), 1))
         assert sends == [type(sends[0])("client", 7, ReadReturn((7, 1), (0,)))]
 
     def test_list_hit_returns_highest_tagged(self):
         srv = Server(1, replicated())
-        srv.on_write(7, (7, 1), 1, (5,))
-        srv.on_write(7, (7, 2), 1, (6,))
-        sends = srv.on_read(8, (8, 1), 1)
+        srv.on_write(7, Write((7, 1), 1, (5,)))
+        srv.on_write(7, Write((7, 2), 1, (6,)))
+        sends = srv.on_read(8, Read((8, 1), 1))
         assert sends[0].msg == ReadReturn((8, 1), (6,))
 
     def test_local_decode_when_list_is_empty(self):
         srv = Server(1, fig1())
         srv.L[0].clear()  # locally stored object, history already collected
         srv.m_val = (4,)
-        sends = srv.on_read(7, (7, 1), 1)
+        sends = srv.on_read(7, Read((7, 1), 1))
         assert sends[0].msg == ReadReturn((7, 1), (4,))
         assert ("decoded", 1, (1,), (7, 1)) in srv.notes
 
     def test_remote_fanout_when_not_locally_decodable(self):
         srv = Server(1, fig1())
         srv.L[2].clear()  # X3 is not stored at server 1
-        sends = srv.on_read(7, (7, 1), 3)
+        sends = srv.on_read(7, Read((7, 1), 3))
         inqs = sends_of(ValInq, sends)
         assert [s.dst for s in inqs] == [2, 3, 4, 5]
         assert inqs[0].msg == ValInq(7, (7, 1), 3, tuple(srv.m_tagvec))
@@ -152,7 +154,7 @@ class TestRead:
         t_new = tag([2, 0, 0, 0, 0], 1)
         srv.L[0] = {t_old: (5,)}
         srv.m_tagvec[0] = t_new
-        sends = srv.on_read(7, (7, 1), 1)
+        sends = srv.on_read(7, Read((7, 1), 1))
         assert sends_of(ValInq, sends), "older history than the symbol must not serve the read"
 
 
@@ -160,14 +162,14 @@ class TestDeleteNotices:
     def test_set_semantics(self):
         srv = Server(1, replicated())
         t = tag([0, 1, 0], 2)
-        srv.on_del(2, 1, t)
-        srv.on_del(2, 1, t)
+        srv.on_del(2, Del(1, t))
+        srv.on_del(2, Del(1, t))
         assert list(srv.dell[0]) == [(t, 2)]
 
     def test_distinct_tags_retained(self):
         srv = Server(1, replicated())
-        srv.on_del(2, 1, tag([0, 1, 0], 2))
-        srv.on_del(2, 1, tag([0, 2, 0], 2))
+        srv.on_del(2, Del(1, tag([0, 1, 0], 2)))
+        srv.on_del(2, Del(1, tag([0, 2, 0], 2)))
         assert len(srv.dell[0]) == 2
 
     @settings(derandomize=True, database=None, max_examples=600, deadline=None)
@@ -205,22 +207,22 @@ class TestDeleteNotices:
 class TestApplyQueue:
     def test_out_of_order_app_raises(self):
         srv = Server(1, replicated())
-        srv.on_app(2, 1, (1,), tag([0, 2, 0], 2))
+        srv.on_app(2, App(1, (1,), tag([0, 2, 0], 2)))
         with pytest.raises(ProtocolInvariantViolation, match="out of order"):
-            srv.on_app(2, 1, (2,), tag([0, 1, 0], 2))
+            srv.on_app(2, App(1, (2,), tag([0, 1, 0], 2)))
 
     def test_app_behind_applied_clock_raises(self):
         srv = Server(1, replicated())
-        srv.on_app(2, 1, (1,), tag([0, 1, 0], 2))
+        srv.on_app(2, App(1, (1,), tag([0, 1, 0], 2)))
         srv.apply_inqueue()
         with pytest.raises(ProtocolInvariantViolation, match="out of order"):
-            srv.on_app(2, 1, (2,), tag([0, 1, 0], 2))
+            srv.on_app(2, App(1, (2,), tag([0, 1, 0], 2)))
 
     def test_lower_origin_applies_first_among_ready_heads(self):
         srv = Server(1, replicated(4))
         t3, t2 = tag([0, 0, 1, 0], 3), tag([0, 1, 0, 0], 2)
-        srv.on_app(3, 1, (3,), t3)
-        srv.on_app(2, 1, (2,), t2)
+        srv.on_app(3, App(1, (3,), t3))
+        srv.on_app(2, App(1, (2,), t2))
         changed, _ = srv.apply_inqueue()
         assert changed and srv.vc == [0, 1, 0, 0] and list(srv.L[0])[-1] == t2
         changed, _ = srv.apply_inqueue()
@@ -232,13 +234,13 @@ class TestApplyQueue:
         t2 = tag([0, 1, 1, 0], 2)  # depends on server 3's first write
         t3 = tag([0, 0, 1, 0], 3)
         t4 = tag([0, 0, 0, 1], 4)
-        srv.on_app(2, 1, (2,), t2)
-        srv.on_app(4, 1, (4,), t4)
+        srv.on_app(2, App(1, (2,), t2))
+        srv.on_app(4, App(1, (4,), t4))
         # server 2's head goes first and is blocked, so the ready head from
         # server 4 waits behind it
         changed, _ = srv.apply_inqueue()
         assert not changed and srv.vc == [0, 0, 0, 0]
-        srv.on_app(3, 1, (3,), t3)
+        srv.on_app(3, App(1, (3,), t3))
         applied = []
         while srv.inqueue:
             changed, _ = srv.apply_inqueue()
@@ -250,7 +252,7 @@ class TestApplyQueue:
     def test_ready_head_applies(self):
         srv = Server(1, replicated())
         t = tag([0, 1, 0], 2)
-        srv.on_app(2, 1, (4,), t)
+        srv.on_app(2, App(1, (4,), t))
         changed, sends = srv.apply_inqueue()
         assert changed and not sends
         assert srv.vc == [0, 1, 0]
@@ -259,14 +261,14 @@ class TestApplyQueue:
 
     def test_gap_blocks(self):
         srv = Server(1, replicated())
-        srv.on_app(2, 1, (4,), tag([0, 2, 0], 2))  # needs vc[2] == 1 first
+        srv.on_app(2, App(1, (4,), tag([0, 2, 0], 2)))  # needs vc[2] == 1 first
         changed, sends = srv.apply_inqueue()
         assert not changed and not sends
         assert srv.vc == [0, 0, 0] and srv.inqueue
 
     def test_unseen_dependency_blocks(self):
         srv = Server(1, replicated())
-        srv.on_app(2, 1, (4,), tag([0, 1, 1], 2))  # depends on a server-3 write
+        srv.on_app(2, App(1, (4,), tag([0, 1, 1], 2)))  # depends on a server-3 write
         changed, _ = srv.apply_inqueue()
         assert not changed
 
@@ -275,7 +277,7 @@ class TestApplyQueue:
         entry = ReadLEntry(9, (9, 1), 1, (zero_tag(3),), [None] * 3)
         srv._readl_add(entry)
         t = tag([0, 1, 0], 2)
-        srv.on_app(2, 1, (4,), t)
+        srv.on_app(2, App(1, (4,), t))
         _, sends = srv.apply_inqueue()
         assert sends[0].msg == ReadReturn((9, 1), (4,))
         assert not srv.readl
@@ -285,7 +287,7 @@ class TestApplyQueue:
         wanted = tag([0, 5, 0], 2)
         entry = ReadLEntry(9, (9, 1), 1, (wanted,), [None] * 3)
         srv._readl_add(entry)
-        srv.on_app(2, 1, (4,), tag([0, 1, 0], 2))
+        srv.on_app(2, App(1, (4,), tag([0, 1, 0], 2)))
         _, sends = srv.apply_inqueue()
         assert not sends and (9, 1) in srv.readl
 
@@ -296,7 +298,7 @@ class TestValInq:
         t = tag([1, 0, 0, 0, 0], 1)
         srv.L[1][t] = (6,)
         wanted = (zero_tag(5), t, zero_tag(5))
-        sends = srv.on_val_inq(4, 9, (9, 1), 2, wanted)
+        sends = srv.on_val_inq(4, ValInq(9, (9, 1), 2, wanted))
         assert sends == [type(sends[0])(
             "server", 4, ValResp(2, (6,), 9, (9, 1), wanted))]
 
@@ -304,7 +306,7 @@ class TestValInq:
         srv = Server(4, fig1())
         srv.m_val = (3,)
         srv.L[2].clear()  # otherwise the sentinel serves the zero-tag request
-        sends = srv.on_val_inq(1, 9, (9, 1), 3, tuple(srv.m_tagvec))
+        sends = srv.on_val_inq(1, ValInq(9, (9, 1), 3, tuple(srv.m_tagvec)))
         msg = sends[0].msg
         assert isinstance(msg, ValRespEncoded)
         assert msg.symbol == (3,) and msg.tagvec == tuple(srv.m_tagvec)
@@ -320,7 +322,7 @@ class TestValInq:
         srv.m_tagvec[1] = t2
         srv.L[2].clear()
         wanted = (zero_tag(5),) * 3  # requester knows no versions at all
-        msg = srv.on_val_inq(5, 9, (9, 1), 3, wanted)[0].msg
+        msg = srv.on_val_inq(5, ValInq(9, (9, 1), 3, wanted))[0].msg
         assert msg.symbol == (0,)
         assert msg.tagvec[1] == zero_tag(5)
 
@@ -334,7 +336,7 @@ class TestValInq:
         srv.m_tagvec[1] = t_old
         srv.L[2].clear()
         wanted = (zero_tag(5), t_new, zero_tag(5))
-        msg = srv.on_val_inq(5, 9, (9, 1), 3, wanted)[0].msg
+        msg = srv.on_val_inq(5, ValInq(9, (9, 1), 3, wanted))[0].msg
         assert msg.symbol == (5,)
         assert msg.tagvec[1] == t_new
 
@@ -493,7 +495,7 @@ class TestEncoding:
         changed, sends = srv.encoding()
         assert not changed, "no notices from the holders yet"
         for holder in (2, 3, 4):
-            srv.on_del(holder, 2, t1)
+            srv.on_del(holder, Del(2, t1))
         changed, sends = srv.encoding()
         assert changed
         assert srv.m_tagvec[1] == t1
@@ -509,7 +511,7 @@ class TestGarbageCollection:
         srv.L[1] = {zero_tag(5): (0,), t1: (3,)}
         srv.encoding()
         for other in (1, 3, 4, 5):
-            srv.on_del(other, 2, t1)
+            srv.on_del(other, Del(2, t1))
         changed, _ = srv.garbage_collection()
         assert changed
         assert srv.tmax[1] == t1
@@ -525,7 +527,7 @@ class TestGarbageCollection:
                            (zero_tag(5), t1, zero_tag(5)), [None] * 5)
         srv._readl_add(entry)
         for other in (1, 3, 4, 5):
-            srv.on_del(other, 2, t2)
+            srv.on_del(other, Del(2, t2))
         srv._add_del(2, t2, 2)
         srv.garbage_collection()
         assert t1 in srv.L[1], "a pending read still wants this version"
@@ -542,7 +544,7 @@ class TestGarbageCollection:
         srv = Server(2, fig1())
         t1 = tag([0, 1, 0, 0, 0], 2)
         for holder in (3, 4):
-            srv.on_del(holder, 2, t1)
+            srv.on_del(holder, Del(2, t1))
             # X2's holder 2 (this server) has sent no notice yet
             _, sends = srv.garbage_collection()
             assert not sends_of(Del, sends)
@@ -574,9 +576,9 @@ class FullSweepTwin(Server):
         self.seen["localhost fetch" if entry.clientid == LOCALHOST else "remote read"] += 1
         return super()._readl_add(entry)
 
-    def on_del(self, frm, obj, tag):
-        self.seen["held notice"] += obj in self.objects_here
-        return super().on_del(frm, obj, tag)
+    def on_del(self, frm, msg):
+        self.seen["held notice"] += msg.obj in self.objects_here
+        return super().on_del(frm, msg)
 
     def _against_full_sweep(self, action, dirty):
         self.seen["calls"] += 1
@@ -652,11 +654,12 @@ class UnmovedTwin(Server):
     def can_collect(self):
         return self._skip_is_exact(Server.can_collect, Server.garbage_collection)
 
-    def on_del(self, frm, obj, tag):
+    def on_del(self, frm, msg):
+        obj = msg.obj
         held = obj in self.objects_here
         enc_was, gc_was = obj in self._enc_dirty, obj in self._gc_dirty
         before = self._notice_inputs(obj)
-        sends = super().on_del(frm, obj, tag)
+        sends = super().on_del(frm, msg)
         after = self._notice_inputs(obj)
         tmax_moved = before[0] != after[0]
         holders_moved = before[1] != after[1]
@@ -796,14 +799,14 @@ class TestUnmovedSteps:
         # write, since that write can name only writes this server has made,
         # so the flag's set in on_write is pinned here
         srv = Server(1, replicated())
-        srv.on_app(2, 1, (4,), tag([0, 1, 1], 2))  # waits for server 3's write
+        srv.on_app(2, App(1, (4,), tag([0, 1, 1], 2)))  # waits for server 3's write
         assert srv.apply_inqueue() == (False, []) and not srv.can_apply
-        srv.on_app(3, 1, (5,), tag([0, 0, 1], 3))
+        srv.on_app(3, App(1, (5,), tag([0, 0, 1], 3)))
         assert srv.can_apply
         assert srv.apply_inqueue()[0] and srv.apply_inqueue()[0] and not srv.inqueue
-        srv.on_app(2, 1, (6,), tag([1, 2, 1], 2))  # waits for this server's write
+        srv.on_app(2, App(1, (6,), tag([1, 2, 1], 2)))  # waits for this server's write
         assert srv.apply_inqueue() == (False, []) and not srv.can_apply
-        srv.on_write(9, (9, 1), 1, (3,))
+        srv.on_write(9, Write((9, 1), 1, (3,)))
         assert srv.can_apply
         assert srv.apply_inqueue()[0] and not srv.inqueue
 
@@ -833,7 +836,7 @@ class TestRoundSchedule:
     def test_remote_read_is_due_with_empty_work_sets(self):
         srv = self.settled(1)  # server 1 stores X1 only
         srv.L[1].clear()  # X2's history drained: the read must go remote
-        assert sends_of(ValInq, srv.on_read(9, (9, 1), 2))
+        assert sends_of(ValInq, srv.on_read(9, Read((9, 1), 2)))
         assert not srv._enc_dirty and not srv._gc_dirty
         assert srv.round_due
         assert self.round(srv) == ((False, []), (False, []))
@@ -845,12 +848,12 @@ class TestRoundSchedule:
         srv._l_insert(2, t1, (3,))
         srv.encoding()  # the symbol takes t1 and server 2's own notice
         for other in (1, 3, 4, 5):
-            srv.on_del(other, 2, t1)
+            srv.on_del(other, Del(2, t1))
         self.drained(srv)
         assert srv.tmax[1] == t1
         # server 3 ties at the minimum, then sits above it
         for newer in (t2, t3):
-            srv.on_del(3, 2, newer)
+            srv.on_del(3, Del(2, newer))
             assert not srv._enc_dirty and not srv._gc_dirty
             assert srv.round_due
             self.drained(srv)
@@ -858,7 +861,7 @@ class TestRoundSchedule:
     def test_read_removal_at_or_above_the_symbol_is_due_with_empty_work_sets(self):
         srv = self.settled(1)  # server 1 stores X1 only
         srv.L[1].clear()  # X2's history drained: the read goes remote
-        assert sends_of(ValInq, srv.on_read(9, (9, 1), 2))
+        assert sends_of(ValInq, srv.on_read(9, Read((9, 1), 2)))
         self.drained(srv)
         (entry,) = srv.readl.values()
         assert list(entry.tagvec) == srv.m_tagvec
@@ -869,8 +872,8 @@ class TestRoundSchedule:
 
     def test_not_ready_apply_is_due_with_empty_work_sets(self):
         srv = self.settled(1)
-        srv.on_app(2, 2, (4,), tag([0, 1, 1, 0, 0], 2))  # waits for server 3's write
-        srv.on_del(3, 2, tag([0, 0, 1, 0, 0], 3))  # X2 still lacks holder 4's notice
+        srv.on_app(2, App(2, (4,), tag([0, 1, 1, 0, 0], 2)))  # waits for server 3's write
+        srv.on_del(3, Del(2, tag([0, 0, 1, 0, 0], 3)))  # X2 still lacks holder 4's notice
         assert srv.apply_inqueue() == (False, []) and not srv.can_apply
         assert not srv._enc_dirty and not srv._gc_dirty
         assert srv.round_due
@@ -879,11 +882,11 @@ class TestRoundSchedule:
 
     def test_notice_on_held_object_is_due_with_empty_work_sets(self):
         srv = self.settled(2)  # server 2 stores X2
-        srv.on_del(3, 2, tag([0, 0, 2, 0, 0], 3))
+        srv.on_del(3, Del(2, tag([0, 0, 2, 0, 0], 3)))
         self.round(srv)
         assert not srv.round_due
         # older than server 3's last notice and not the symbol's tag
-        srv.on_del(3, 2, tag([0, 0, 1, 0, 0], 3))
+        srv.on_del(3, Del(2, tag([0, 0, 1, 0, 0], 3)))
         assert not srv._enc_dirty and not srv._gc_dirty
         assert srv.round_due
         assert self.round(srv) == ((False, []), (False, []))

@@ -27,7 +27,7 @@ from causalec.latency import (
 from causalec.messages import App, Del, Read, Write, WriteReturnAck
 from causalec.checker import check_all
 from causalec.scenarios import ClientSpec, Scenario, ScenarioError, ScriptOp, scenario_from_json
-from causalec.server import VARIANTS, Send
+from causalec.server import _HANDLERS, VARIANTS, Send, Server
 from causalec.simnet import FAIRNESS_STEPS, Simulation, run
 from causalec.tags import Tag
 
@@ -223,6 +223,37 @@ class TestOperations:
         write, read = run(sc, seed=0).operation_list()
         assert (read.opid, read.kind, read.obj, read.value) == ((7, 2), "read", 1, (4,))
         assert (write.opid, write.kind, write.value) == ((7, 1), "write", (4,))
+
+
+class TestHandlerLookup:
+    """The simulator looks each handler up on the server at each delivery, so
+    a wrapper set on ``Server`` (a benchmark span, a test's injected fault)
+    sees every message that a server receives."""
+
+    def test_every_entry_names_a_server_method(self):
+        for mtype, name in _HANDLERS.items():
+            assert callable(getattr(Server, name, None)), mtype.__name__
+
+    def test_class_wrappers_see_every_delivery(self, monkeypatch):
+        handlers = {**_HANDLERS, Del: "on_del"}  # a notice takes its own path
+        calls = collections.Counter()
+        for name in handlers.values():
+            def counted(srv, frm, msg, name=name, original=getattr(Server, name)):
+                calls[name] += 1
+                return original(srv, frm, msg)
+            monkeypatch.setattr(Server, name, counted)
+        delivered = set()
+        # no bundled scenario delivers a ValResp; fuzz system 10 does under both
+        for scenario, seed in [(s, 0) for s in bundled.NAMES] + [("fuzz", 10)]:
+            for protocol in VARIANTS:
+                calls.clear()
+                r = traced_run(scenario, seed, protocol)
+                received = collections.Counter(
+                    handlers[type(rec.event[2])] for rec in r.trace
+                    if rec.event[0] == "recv" and rec.node.startswith("s"))
+                assert calls == received, (scenario, protocol)
+                delivered.update(received)
+        assert delivered == set(handlers.values())
 
 
 class TestDeterminism:
