@@ -285,8 +285,10 @@ def scenario_from_json(doc) -> Scenario:
         path = f"latency_graph.edges[{i}]"
         if not isinstance(e, list) or len(e) != 3:
             raise ScenarioError(f"{path}: must be [i, j, weight], got {e!r}")
-        weights[_integer(e[0], path + "[0]", 1), _integer(e[1], path + "[1]", 1)] = \
-            _number(e[2], path + "[2]", high=MAX_LATENCY)
+        pair = _integer(e[0], path + "[0]", 1), _integer(e[1], path + "[1]", 1)
+        if pair in weights or pair[::-1] in weights:
+            raise ScenarioError(f"{path}: edge ({pair[0]},{pair[1]}) listed twice")
+        weights[pair] = _number(e[2], path + "[2]", high=MAX_LATENCY)
     try:
         graph = LatencyGraph(n, weights)
     except ValueError as e:  # a bad edge set

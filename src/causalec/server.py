@@ -28,20 +28,40 @@ State per server (all tag vectors indexed by object-1):
                     ``_gc_del_sent[X]``, the last notice GC broadcast
 * ``_enc_dirty``, ``_gc_dirty`` exact work sets: the only objects
                     ``encoding`` and ``garbage_collection`` visit, each
-                    emptied by its action.  X is marked only when one of that
-                    action's inputs for X changed: an ``L[X]`` insertion
-                    (both); a change of the symbol's own tag for X (both); a
-                    new delete notice that moves a minimum of ``_del_max[X]``
-                    -- over all N servers (GC: ``tmax``) or over X's holders
-                    (GC's broadcast ``max_u`` when X is held, encoding when it
-                    is not) -- or that completes the set of notices naming the
-                    symbol's tag for X from every server (GC); a ``readl``
-                    removal (GC for each object whose entry tag is below the
-                    symbol's, as only those tags are protected from
-                    collection; encoding for a localhost fetch's object).
+                    emptied by its action.  Every object outside a set is at
+                    that action's fixed point, and X is marked only when a
+                    change gives the action work on X.  Both start empty:
+                    the constructed state is a fixed point of both, as each
+                    ``L[X]`` holds only the zero version, which is the
+                    symbol's tag and ``tmax``, and ``dell`` is empty.
+                    - An ``L[X]`` insertion of ``tag`` marks encoding when
+                      ``tag`` is above the symbol's tag and, for a held X,
+                      the symbol's version is in ``L[X]`` or no localhost
+                      fetch of it is pending (that fetch marks X as it
+                      ends), or, for an X not held, ``tag`` is at most the
+                      holders' notice minimum: otherwise there is no newer
+                      version to encode.  It marks GC when ``tag`` is below
+                      ``tmax``, or equal to it and either the symbol's tag
+                      or of an X not held: only such a tag can be doomed,
+                      and a higher ``max(L[X])`` only makes GC do less.
+                    - ``encoding`` leaves each object it visits at its
+                      fixed point.  Raising X's symbol tag marks GC only for
+                      an X not held whose ``tmax`` was the old symbol tag
+                      and is in ``L[X]``, an entry doomed once the symbol
+                      is above it; for a held X it only protects more.
+                    - A new delete notice marks X when it moves a minimum of
+                      ``_del_max[X]`` -- over all N servers (GC: ``tmax``)
+                      or over X's holders (GC's broadcast ``max_u`` when X
+                      is held, encoding when it is not) -- or completes the
+                      set of notices naming the symbol's tag for X from
+                      every server (GC).
+                    - A ``readl`` removal marks GC for each X whose entry
+                      tag is below the symbol's (only those are protected),
+                      in ``L[X]`` and doomed: below ``tmax``, or at it for
+                      an X not held.  It marks encoding for a localhost
+                      fetch's object.
                     Adding to ``readl`` and a GC collection can only make the
-                    actions do less, so they mark nothing; an action leaves
-                    each object it visits at a fixed point.
+                    actions do less, so they mark nothing.
 * ``_apply_dirty``  set by ``on_app`` and by every ``vc`` change (``on_write``
                     and an applied write), cleared when ``apply_inqueue``
                     finds the head not ready: while clear, the head and the
@@ -144,8 +164,8 @@ class Server:
         self.write_registry = write_registry
         # probe memo: tag vector -> the symbol this server encodes for it
         self._encodings: Dict[TagVec, Value] = {}
-        self._enc_dirty = set(self.object_indices())
-        self._gc_dirty = set(self.object_indices())
+        self._enc_dirty = set()
+        self._gc_dirty = set()
         self._apply_dirty = False
         self.round_due = True
 
@@ -214,10 +234,23 @@ class Server:
                 raise ProtocolInvariantViolation(
                     f"server {self.id}: list entry {tag.render()} on X{obj} does not "
                     f"match the write with that tag")
-        self.L[obj - 1][tag] = value
-        self._enc_dirty.add(obj)
-        self._gc_dirty.add(obj)
+        x = obj - 1
+        lx = self.L[x]
+        lx[tag] = value
+        mt = self.m_tagvec[x]
+        held = obj in self.objects_here
+        if mt < tag and ((mt in lx or not self._fetching(obj, mt)) if held
+                         else tag <= self._per_server_del_max(obj, self.code.holders[x])):
+            self._enc_dirty.add(obj)
+        tmax = self.tmax[x]
+        if tag < tmax or tag == tmax and (tag == mt or not held):
+            self._gc_dirty.add(obj)
         self.round_due = True
+
+    def _fetching(self, obj: int, tag: Tag) -> bool:
+        """Whether a localhost fetch of obj's version ``tag`` is pending."""
+        return any(e.clientid == LOCALHOST and e.obj == obj and e.tagvec[obj - 1] == tag
+                   for e in self.readl.values())
 
     def _readl_add(self, entry: ReadLEntry) -> None:
         if entry.opid in self._readl_opids_seen:
@@ -229,10 +262,12 @@ class Server:
 
     def _readl_remove(self, opid: OpId) -> None:
         entry = self.readl.pop(opid)
-        # the entry may have kept a version below the symbol's from
-        # collection, and a localhost fetch blocks a second one
-        self._gc_dirty.update([x for x, t, mt in zip(self.object_indices(), entry.tagvec,
-                                                     self.m_tagvec) if t < mt])
+        # the entry may have kept a doomed version from collection, and a
+        # localhost fetch blocks a second one
+        here = self.objects_here
+        self._gc_dirty.update([x for x, t, mt, tm, lx in zip(self.object_indices(), entry.tagvec,
+                                                             self.m_tagvec, self.tmax, self.L)
+                               if t < mt and t in lx and (t < tm or t == tm and x not in here)])
         if entry.clientid == LOCALHOST:
             self._enc_dirty.add(entry.obj)
         self.round_due = True
@@ -459,8 +494,7 @@ class Server:
                 old = self.L[x - 1].get(mt)
                 if old is None:
                     # the symbol's version is gone from L[X]: fetch it once
-                    if not any(e.clientid == LOCALHOST and e.obj == x
-                               and e.tagvec[x - 1] == mt for e in self.readl.values()):
+                    if not self._fetching(x, mt):
                         sends += self._fetch(LOCALHOST, self._next_internal_opid(), x)
                         changed = True
                     continue
@@ -475,10 +509,10 @@ class Server:
                     continue
                 ht = max(newer)
                 dsts = self._others
-            # the re-mark rule: X's symbol tag is an input of both actions
+                # tmax's entry goes once the symbol's tag is above it
+                if self.tmax[x - 1] == mt and mt in self.L[x - 1]:
+                    self._gc_dirty.add(x)
             self.m_tagvec[x - 1] = ht
-            self._enc_dirty.add(x)
-            self._gc_dirty.add(x)
             self._add_del(x, ht, self.id)
             notice = Del(x, ht)
             sends += [Send("server", j, notice) for j in dsts]

@@ -71,8 +71,21 @@ def _one_server():
             "clients": [{"id": 1, "home": 1}], "workload": {"kind": "random", "ops": 5}}
 
 
+def _repeated_edge(second):
+    """A three-server document whose last edge lists a pair a second time."""
+    return lambda: {
+        "code": {"field_p": 7, "coeffs": [[1], [1], [1]]},
+        "latency_graph": {"n": 3, "edges": [[1, 2, 1], [1, 3, 1], [2, 3, 1], second]},
+        "clients": [{"id": 1, "home": 1}], "workload": {"kind": "random", "ops": 5}}
+
+
 # (malformed document, the field path its ScenarioError must start with)
 MALFORMED = {
+    # the loader kept the last weight: (2,3) ran at 2
+    "edge_listed_twice": (_repeated_edge([2, 3, 2]),
+                          r"latency_graph\.edges\[3\]: edge \(2,3\) listed twice"),
+    "edge_listed_twice_reversed": (_repeated_edge([3, 2, 1]),
+                                   r"latency_graph\.edges\[3\]: edge \(3,2\) listed twice"),
     # GC dropped the lone symbol's version, and the fetch to re-encode went to
     # no other server: a read stayed pending and the storage verdict failed
     "one_server": (_one_server, r"latency_graph\.n: a store needs at least 2 servers"),

@@ -8,7 +8,8 @@ whole runs that a step reporting no change changed nothing, that every step
 the simulator records without calling its action has nothing to do, and
 that each delete notice marks exactly the objects whose minima it moves; and
 ``TestRoundSchedule``, which pins the round-due flags apart from the work
-sets.
+sets; and ``TestMarkingRules``, which pins each work-set marking rule in one
+step against a copy that visits every object the step left unmarked.
 """
 
 import collections
@@ -19,6 +20,7 @@ import random
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import bundled
 from bundled import FIG1_COEFFS
 from causalec import simnet
 from causalec.coding import LinearCode
@@ -36,7 +38,8 @@ from causalec.messages import (
 )
 from causalec.harness import fuzz_scenario, random_code
 from causalec.latency import LatencyGraph
-from causalec.scenarios import ClientSpec, RandomWorkload, Scenario, ScriptOp
+from causalec.scenarios import (
+    ClientSpec, RandomWorkload, Scenario, ScriptOp, scenario_from_json)
 from causalec.server import CAUSAL, VARIANTS, ReadLEntry, Server
 from causalec.tags import LOCALHOST, ProtocolInvariantViolation, Tag, zero_tag
 
@@ -458,7 +461,8 @@ class TestEncoding:
         srv = Server(2, fig1())  # stores X2 plainly
         t1 = tag([0, 1, 0, 0, 0], 2)
         t2 = tag([0, 2, 0, 0, 0], 2)
-        srv.L[1] = {zero_tag(5): (0,), t1: (3,)}
+        srv._l_insert(2, t1, (3,))
+        assert srv.L[1] == {zero_tag(5): (0,), t1: (3,)}
         changed, sends = srv.encoding()
         assert changed
         assert srv.m_val == (3,) and srv.m_tagvec[1] == t1
@@ -467,7 +471,7 @@ class TestEncoding:
         assert [(s.dst, s.msg.tag) for s in dels] == [(3, t1), (4, t1)]
         assert (t1, 2) in srv.dell[1]
         # a yet newer version advances the symbol again
-        srv.L[1][t2] = (5,)
+        srv._l_insert(2, t2, (5,))
         changed, _ = srv.encoding()
         assert changed and srv.m_val == (5,) and srv.m_tagvec[1] == t2
 
@@ -477,6 +481,7 @@ class TestEncoding:
         t2 = tag([0, 2, 0, 0, 0], 2)
         srv.m_tagvec[1] = t1  # encoded version no longer in the list
         srv.L[1] = {t2: (5,)}
+        srv._enc_dirty.add(2)  # the state is written directly, so mark X2
         changed, sends = srv.encoding()
         assert changed
         inqs = sends_of(ValInq, sends)
@@ -484,7 +489,8 @@ class TestEncoding:
         assert inqs[0].msg.clientid == LOCALHOST
         (entry,) = srv.readl.values()
         assert entry.clientid == LOCALHOST and entry.tagvec[1] == t1
-        # a second pass must not spawn a duplicate inquiry
+        # a second pass over X2 must not spawn a duplicate inquiry
+        srv._enc_dirty.add(2)
         changed, sends = srv.encoding()
         assert not changed and not sends
 
@@ -492,6 +498,7 @@ class TestEncoding:
         srv = Server(5, fig1())  # X2 not stored at server 5
         t1 = tag([0, 1, 0, 0, 0], 2)
         srv.L[1] = {t1: (3,)}
+        srv._enc_dirty.add(2)  # the state is written directly, so mark X2
         changed, sends = srv.encoding()
         assert not changed, "no notices from the holders yet"
         for holder in (2, 3, 4):
@@ -508,7 +515,8 @@ class TestGarbageCollection:
     def test_full_acknowledgement_drains_history(self):
         srv = Server(2, fig1())
         t1 = tag([0, 1, 0, 0, 0], 2)
-        srv.L[1] = {zero_tag(5): (0,), t1: (3,)}
+        srv._l_insert(2, t1, (3,))
+        assert srv.L[1] == {zero_tag(5): (0,), t1: (3,)}
         srv.encoding()
         for other in (1, 3, 4, 5):
             srv.on_del(other, Del(2, t1))
@@ -639,6 +647,7 @@ class UnmovedTwin(Server):
         result = action(self)
         if result == (False, []):
             self.seen["unmoved"] += 1
+            self.seen[f"unmoved {action.__name__}"] += 1
             assert (self.digest(), self.m_val) == before, action.__name__
         return result
 
@@ -794,6 +803,15 @@ class TestUnmovedSteps:
         assert seen["unmoved"] and all(seen[k] for k in skips)
         assert seen["notice marking nothing"]
 
+    def test_bundled_scenarios_call_encoding_only_with_work(self, seen):
+        for name in bundled.NAMES:
+            for variant in VARIANTS:
+                for seed in range(3):
+                    simnet.run(scenario_from_json(bundled.path(name)), seed,
+                               protocol=variant, collect_trace=False, probes=True)
+        assert seen["skipped encoding"] and seen["unmoved apply_inqueue"]
+        assert seen["unmoved encoding"] == 0
+
     def test_every_queue_or_clock_change_sets_the_apply_flag(self):
         # in a whole run a server's own write never unblocks a queued remote
         # write, since that write can name only writes this server has made,
@@ -891,3 +909,126 @@ class TestRoundSchedule:
         assert srv.round_due
         assert self.round(srv) == ((False, []), (False, []))
         assert not srv.round_due
+
+
+def drain(srv):
+    """Run the internal actions until neither work set holds an object."""
+    while srv.can_encode or srv.can_collect:
+        srv.encoding()
+        srv.garbage_collection()
+
+
+def assert_unmarked_are_fixed_points(srv):
+    """Each action, over a copy that visits only the objects outside its
+    work set, finds nothing to do and leaves the state as it is."""
+    for action, work in ((Server.encoding, "_enc_dirty"),
+                         (Server.garbage_collection, "_gc_dirty")):
+        twin = full_sweep_copy(srv)
+        setattr(twin, work, set(srv.object_indices()) - getattr(srv, work))
+        assert action(twin) == (False, []), action.__name__
+        for name in FullSweepTwin.STATE:
+            assert getattr(twin, name) == getattr(srv, name), name
+
+
+class TestMarkingRules:
+    """Each marking rule in one step on fig1's code, checked against a copy
+    that visits every object the step left unmarked.  X1 is held by servers
+    1, 3 and 4, X2 by 2, 3 and 4."""
+
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_constructed_server_has_empty_work_sets(self, variant):
+        for sid in range(1, 6):
+            srv = Server(sid, fig1(), variant)
+            assert not srv._enc_dirty and not srv._gc_dirty
+            assert_unmarked_are_fixed_points(srv)
+            assert srv.encoding() == (False, []) and srv.garbage_collection() == (False, [])
+
+    def test_insert_at_or_below_the_symbol_tag_marks_no_encoding(self):
+        srv = Server(2, fig1())  # vc (0,1,0,0,0) after this write
+        srv.on_write(9, Write((9, 1), 2, (3,)))
+        drain(srv)
+        assert srv.m_tagvec[1] == tag([0, 1, 0, 0, 0], 9)
+        # server 3's concurrent write orders below the symbol's tag
+        srv.on_app(3, App(2, (4,), tag([0, 0, 1, 0, 0], 3)))
+        assert srv.apply_inqueue()[0]
+        assert 2 not in srv._enc_dirty
+        assert_unmarked_are_fixed_points(srv)
+
+    def test_insert_above_tmax_marks_no_collection(self):
+        srv = Server(2, fig1())
+        srv.on_write(9, Write((9, 1), 2, (3,)))
+        assert srv._enc_dirty == {2} and not srv._gc_dirty
+        assert_unmarked_are_fixed_points(srv)
+
+    def test_pending_fetch_suppresses_encoding_marks_until_its_response(self):
+        srv = Server(2, fig1())
+        t1 = tag([0, 1, 0, 0, 0], 9)
+        srv.on_write(9, Write((9, 1), 2, (3,)))
+        drain(srv)
+        for other in (1, 3, 4, 5):  # every server deleted past t1: X2's history empties
+            srv.on_del(other, Del(2, t1))
+        drain(srv)
+        assert srv.m_tagvec[1] == srv.tmax[1] == t1 and srv.L[1] == {}
+        srv.on_app(3, App(2, (5,), tag([0, 1, 1, 0, 0], 3)))
+        srv.apply_inqueue()
+        assert 2 in srv._enc_dirty
+        _, sends = srv.encoding()  # t1 is gone from L[X2]: fetch it
+        assert sends_of(ValInq, sends)
+        (entry,) = srv.readl.values()
+        srv.on_app(4, App(2, (6,), tag([0, 1, 1, 1, 0], 4)))
+        assert srv.apply_inqueue()[0]
+        assert 2 not in srv._enc_dirty
+        assert_unmarked_are_fixed_points(srv)
+        srv.on_val_resp(3, ValResp(2, (3,), LOCALHOST, entry.opid, entry.tagvec))
+        assert 2 in srv._enc_dirty and not srv.readl
+        assert srv.encoding()[0] and srv.m_tagvec[1] == tag([0, 1, 1, 1, 0], 4)
+
+    def test_read_removal_above_tmax_marks_no_collection(self):
+        srv = Server(1, fig1())
+        srv.on_write(9, Write((9, 1), 1, (3,)))
+        drain(srv)
+        srv.L[1].clear()  # X2's history drained: the read goes remote
+        assert sends_of(ValInq, srv.on_read(8, Read((8, 1), 2)))
+        (entry,) = srv.readl.values()
+        srv.on_write(9, Write((9, 2), 1, (4,)))
+        drain(srv)
+        # the read's X1 tag is now below the symbol's and above tmax
+        assert srv.tmax[0] < entry.tagvec[0] < srv.m_tagvec[0]
+        srv.on_val_resp(2, ValResp(2, (5,), 8, (8, 1), entry.tagvec))
+        assert not srv.readl and 1 not in srv._gc_dirty
+        assert_unmarked_are_fixed_points(srv)
+
+    def test_insert_at_the_holders_minimum_marks_encoding(self):
+        srv = Server(1, fig1())  # X2 is not held here
+        t1 = tag([0, 1, 0, 0, 0], 2)
+        for holder in (2, 3, 4):  # the holders' notices outrun the write
+            srv.on_del(holder, Del(2, t1))
+        drain(srv)
+        srv.on_app(2, App(2, (3,), t1))
+        assert srv.apply_inqueue()[0]
+        assert 2 in srv._enc_dirty
+        assert srv.encoding()[0] and srv.m_tagvec[1] == t1
+
+    def test_read_removal_at_tmax_marks_collection_when_not_held(self):
+        srv = Server(1, fig1())  # X2 is not held here
+        t1, t2 = tag([0, 1, 0, 0, 0], 2), tag([0, 1, 1, 0, 0], 3)
+        srv.on_app(2, App(2, (3,), t1))
+        srv.apply_inqueue()
+        for holder in (2, 3, 4):
+            srv.on_del(holder, Del(2, t1))
+        drain(srv)
+        srv.L[2].clear()  # X3's history drained: the read goes remote
+        assert sends_of(ValInq, srv.on_read(8, Read((8, 1), 3)))
+        (entry,) = srv.readl.values()
+        srv.on_app(3, App(2, (4,), t2))
+        srv.apply_inqueue()
+        for holder in (2, 3, 4):
+            srv.on_del(holder, Del(2, t2))
+        srv.on_del(5, Del(2, t1))
+        drain(srv)
+        # t1 is tmax and below the symbol's tag: only the read keeps it
+        assert entry.tagvec[1] == srv.tmax[1] == t1 and srv.m_tagvec[1] == t2
+        assert t1 in srv.L[1]
+        srv.on_val_resp(5, ValResp(3, (5,), 8, (8, 1), entry.tagvec))
+        assert 2 in srv._gc_dirty
+        assert srv.garbage_collection()[0] and t1 not in srv.L[1]

@@ -7,7 +7,8 @@ weight frozen, no free coordinate left), which once crashed.
 ``tools/trace_sweep.py`` hashes 770 traced runs; these tests check its table,
 that it holds every case of the golden table, one case against it, that
 it fails on a case whose untraced run differs, and that its ``verdicts``
-line hashes the verdict lines alone.  ``tools/bench_pairs.py`` runs the
+and ``traces`` lines hash the verdict lines and the trace hashes alone.
+``tools/bench_pairs.py`` runs the
 benchmark on two exported versions; these tests run one short pair of
 ``HEAD`` against itself, check its claim rule, and stop it with SIGTERM
 while its first benchmark run is going, which must leave no child process
@@ -104,7 +105,7 @@ def test_sweep_verdicts_line_hashes_the_verdict_lines_alone(monkeypatch, capsys)
     lines = "causal: PASS\n" + tail + "causal: FAIL\n" + tail
     want = f"2 verdicts {hashlib.sha256(lines.encode()).hexdigest()}"
     sweep.main()
-    cases, verdicts = capsys.readouterr().out.splitlines()
+    cases, verdicts, _ = capsys.readouterr().out.splitlines()
     assert cases.startswith("2 cases ")
     assert verdicts == want
 
@@ -119,9 +120,35 @@ def test_sweep_verdicts_line_hashes_the_verdict_lines_alone(monkeypatch, capsys)
 
     monkeypatch.setattr(sweep, "run", run)
     sweep.main()
-    moved, verdicts = capsys.readouterr().out.splitlines()
+    moved, verdicts, _ = capsys.readouterr().out.splitlines()
     assert moved != cases
     assert verdicts == want
+
+
+def test_sweep_traces_line_hashes_the_trace_hashes_alone(monkeypatch, capsys):
+    sweep = load_tool("trace_sweep")
+    table = [("fig1", 0, "causalec"), ("ev_differential", 0, "eventualec")]
+    monkeypatch.setattr(sweep, "cases", lambda: table)
+    traces = "".join(sweep.case_hashes(*case)[0] for case in table)
+    want = f"2 traces {hashlib.sha256(traces.encode()).hexdigest()}"
+    sweep.main()
+    cases, _, line = capsys.readouterr().out.splitlines()
+    assert line == want
+
+    # a moved transition count changes the report, so the cases line, but
+    # not the traces line
+    real_run = sweep.run
+
+    def run(*args, **kwargs):
+        result = real_run(*args, **kwargs)
+        result.transitions += 1
+        return result
+
+    monkeypatch.setattr(sweep, "run", run)
+    sweep.main()
+    moved, _, line = capsys.readouterr().out.splitlines()
+    assert moved != cases
+    assert line == want
 
 
 def skip_unless_git_checkout():

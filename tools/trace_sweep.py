@@ -1,6 +1,6 @@
 """The traced sweep: one SHA-256 over the traces and reports of 770 runs.
 
-A change that keeps behaviour must print the same line as its parent.  The
+A change that keeps behaviour must print the same lines as its parent.  The
 table runs ``scenarios/fig1.json`` and ``scenarios/appendix_a.json`` (jittered
 delays) on seeds 0-59, the other five ``scenarios/*.json`` files on seeds 0-2,
 and ``fuzz_scenario`` 0-249, each
@@ -14,7 +14,10 @@ and what the report says beside the verdicts, such as the transition count
 and a failure's witness, which a change of schedule moves; so a change that
 alters traces on purpose shows with it whether any verdict changed.  A new
 schedule can flip verdicts that a variant does not promise (eventualec's
-``causal``), so such a change compares the verdicts case by case.  Each case
+``causal``), so such a change compares the verdicts case by case.  The
+``traces`` line's digest is the SHA-256 of the cases' trace SHA-256s alone,
+in table order: a change that keeps every trace but alters the reports shows
+with it that no trace moved.  Each case
 is also run untraced, as the benchmark's untraced workloads run; if that
 run's transition count or report hash differs from the traced run's, the
 tool names the case on standard error and exits 1.  From the root of a
@@ -77,6 +80,7 @@ def main():
     table = cases()
     combined = hashlib.sha256()
     verdicts = hashlib.sha256()
+    traces = hashlib.sha256()
     failed = False
     for case in table:
         traced, report, lines = case_run(*case, collect_trace=True)
@@ -86,11 +90,14 @@ def main():
             print(f"untraced run differs: {'/'.join(map(str, case))} (transitions "
                   f"{traced.transitions} traced, {untraced.transitions} untraced)",
                   file=sys.stderr)
-        combined.update(traced.trace_sha256().encode())
+        trace = traced.trace_sha256().encode()
+        combined.update(trace)
         combined.update(report.encode())
         verdicts.update(lines.encode())
+        traces.update(trace)
     print(f"{len(table)} cases {combined.hexdigest()}")
     print(f"{len(table)} verdicts {verdicts.hexdigest()}")
+    print(f"{len(table)} traces {traces.hexdigest()}")
     if failed:
         sys.exit(1)
 
