@@ -18,9 +18,12 @@ on column X is ``e_X``, and its extra columns are then the decode coefficients.
 A minimal recovery set is linearly independent (a dependent set has a proper
 subset with the same span), and over an independent set the combination
 giving ``e_X`` is unique, so S is minimal iff no coefficient of it is zero.
-``minimal_recovery_sets`` is one depth-first search over independent sets in
-ascending server order, for all objects at once; each object's sets are
-ordered by size, then lexicographically.
+A read decodes with ``recovery_set_within``: the first minimal set, by size
+then members, inside the servers that answered, found from those servers
+alone, with spans and answers memoized on the code.  ``recovered_by``, which
+adds rows in a given order, serves the latency analysis and
+``check_recoverable``.  ``minimal_recovery_sets`` lists every minimal set by
+one depth-first search; no run calls it, and the tests hold the lookup to it.
 """
 
 from __future__ import annotations
@@ -68,6 +71,11 @@ class LinearCode:
         self.k = len(coeffs[0])
         self.coeffs = tuple(tuple(c % field.p for c in row) for row in coeffs)
         self._minimal: Optional[Tuple[Tuple[RecoverySet, ...], ...]] = None
+        # memos keyed by server bitmask (bit i-1 for server i): per mask its
+        # rows' span and whether they are independent (``_mask_span``), and
+        # per (object, mask) the answer of ``recovery_set_within``
+        self._spans: Dict[int, Tuple[Basis, bool]] = {0: ({}, True)}
+        self._within: Dict[Tuple[int, int], Optional[RecoverySet]] = {}
         # placement, in index order: per server its objects, per object its holders
         self.held = tuple(tuple(j + 1 for j, c in enumerate(row) if c) for row in self.coeffs)
         self.holders = tuple(tuple(i + 1 for i, row in enumerate(self.coeffs) if row[x])
@@ -174,11 +182,18 @@ class LinearCode:
             return None
         return v[self.k:]
 
-    def _span(self, servers: Iterable[int]) -> Basis:
-        basis: Basis = {}
-        for s in servers:
-            basis = self._insert(basis, s) or basis
-        return basis
+    def _mask_span(self, mask: int) -> Tuple[Basis, bool]:
+        """The span of the rows of the servers in ``mask``, added in ascending
+        order, and whether those rows are independent: one ``_insert`` of the
+        highest server into the memoized span of the others."""
+        got = self._spans.get(mask)
+        if got is None:
+            top = mask.bit_length()
+            basis, independent = self._mask_span(mask ^ (1 << (top - 1)))
+            grown = self._insert(basis, top)
+            got = (basis, False) if grown is None else (grown, independent)
+            self._spans[mask] = got
+        return got
 
     def is_recovery_set(self, servers, obj: int) -> Optional[RecoverySet]:
         """RecoverySet with decode coefficients iff ``servers`` suffice for ``obj``;
@@ -188,11 +203,56 @@ class LinearCode:
             raise ValueError(f"server indices {members} out of range 1..{self.n}")
         if not 1 <= obj <= self.k:
             raise ValueError(f"object index {obj} out of range 1..{self.k}")
-        a = self._decoder(self._span(members), obj)
+        a = self._decoder(self._mask_span(sum(1 << (s - 1) for s in members))[0], obj)
         if a is None:
             return None
         return RecoverySet(object=obj, members=frozenset(members),
                            decode_coeffs={s: a[s - 1] for s in members})
+
+    def recovery_set_within(self, obj: int, mask: int) -> Optional[RecoverySet]:
+        """The first of ``minimal_recovery_sets(obj)`` whose members are all in
+        ``mask`` (bit i-1 for server i), or None if no such set exists.
+
+        Over independent rows the combination giving ``e_X`` is unique, so
+        its support is the only minimal set inside.  Over dependent rows
+        every minimal set inside, being independent, misses some member, so
+        the answer is the least of those for ``mask`` less one server.
+        """
+        key = (obj, mask)
+        if key in self._within:
+            return self._within[key]
+        basis, independent = self._mask_span(mask)
+        a = self._decoder(basis, obj)
+        if a is None:
+            rs = None
+        elif independent:
+            members = [j for j in range(1, self.n + 1) if a[j - 1]]
+            rs = RecoverySet(object=obj, members=frozenset(members),
+                             decode_coeffs={j: a[j - 1] for j in members})
+        else:
+            subs = (self.recovery_set_within(obj, mask ^ (1 << i))
+                    for i in range(mask.bit_length()) if mask >> i & 1)
+            rs = min((r for r in subs if r is not None),
+                     key=lambda r: (len(r.members), sorted(r.members)))
+        self._within[key] = rs
+        return rs
+
+    def recovered_by(self, order: Iterable[int]) -> List[Optional[int]]:
+        """Per object X, the server of ``order`` whose row brings ``e_X`` into
+        the span of the rows added in that order, or None if none does."""
+        found: List[Optional[int]] = [None] * self.k
+        basis: Basis = {}
+        for s in order:
+            grown = self._insert(basis, s)
+            if grown is None:
+                continue
+            basis = grown
+            for x in range(1, self.k + 1):
+                if found[x - 1] is None and self._decoder(basis, x) is not None:
+                    found[x - 1] = s
+            if len(basis) == self.k:
+                break
+        return found
 
     def minimal_recovery_sets(self, obj: int) -> Tuple[RecoverySet, ...]:
         """All inclusion-minimal recovery sets for ``obj``, by size then members.
@@ -231,15 +291,11 @@ class LinearCode:
             for x, sets in enumerate(found, start=1))
 
     def check_recoverable(self) -> None:
-        """Raise unless the rows have rank K, so every object is recoverable;
-        rows are added only until the rank reaches K."""
-        basis: Basis = {}
-        for s in range(1, self.n + 1):
-            basis = self._insert(basis, s) or basis
-            if len(basis) == self.k:
-                return
-        obj = next(x for x in range(1, self.k + 1) if self._decoder(basis, x) is None)
-        raise ValueError(f"object {obj} cannot be recovered from any server set")
+        """Raise unless the rows have rank K, so every object is recoverable."""
+        found = self.recovered_by(range(1, self.n + 1))
+        if None in found:
+            raise ValueError(f"object {found.index(None) + 1} cannot be recovered "
+                             "from any server set")
 
     def decode(self, obj: int, rs: RecoverySet, symbols: Mapping[int, Value]) -> Value:
         """Combine symbols of a recovery set into the object value."""

@@ -4,7 +4,8 @@ latency tables.
 ``run`` executes one seeded simulation per requested seed, follows each with
 probe reads, applies every checker, and exits nonzero if any verdict fails.
 ``latency`` prints the read-latency profile of the scenario's code on its
-graph next to the best replication baseline.
+graph next to the best replication baseline, or says why that exhaustive
+search was skipped.
 """
 
 from __future__ import annotations
@@ -109,30 +110,39 @@ def verdicts_to_json(result: RunResult, verdicts: List[Verdict]) -> dict:
 
 
 def latency_report_json(code: LinearCode, graph: LatencyGraph) -> dict:
+    """The latency profile; ``replication`` is None, and ``replication_skipped``
+    says why, when the baseline's exhaustive search refuses the graph."""
     coded = analyze_latency(graph, code)
-    repl = replication_baseline(graph, code.k)
-    return {
+    report = {
         "per_pair": {f"s{s}/x{k}": v for (s, k), v in sorted(coded.per_pair.items())},
         "coded": {"worst": coded.worst,
                   "average": coded.average,
                   "average_2dp": round(coded.average, 2)},
-        "replication": {"worst": repl.best_worst,
-                        "average": repl.best_average,
-                        "average_2dp": round(repl.best_average, 2)},
     }
+    try:
+        repl = replication_baseline(graph, code.k)
+    except ValueError as e:
+        return {**report, "replication": None, "replication_skipped": str(e)}
+    report["replication"] = {"worst": repl.best_worst,
+                             "average": repl.best_average,
+                             "average_2dp": round(repl.best_average, 2)}
+    return report
 
 
 def latency_report_table(code: LinearCode, graph: LatencyGraph) -> str:
-    coded = analyze_latency(graph, code)
-    repl = replication_baseline(graph, code.k)
+    report = latency_report_json(code, graph)
     lines = ["read latency by (server, object):"]
     header = "server " + " ".join(f"   X{k}" for k in range(1, code.k + 1))
     lines.append(header)
     for s in range(1, code.n + 1):
-        row = " ".join(f"{coded.per_pair[(s, k)]:5.2f}" for k in range(1, code.k + 1))
+        row = " ".join(f"{report['per_pair'][f's{s}/x{k}']:5.2f}" for k in range(1, code.k + 1))
         lines.append(f"  s{s}   {row}")
-    lines.append(f"coded store:          worst {coded.worst:.2f}  average {coded.average:.2f}")
-    lines.append(f"replication baseline: worst {repl.best_worst:.2f}  average {repl.best_average:.2f}")
+    coded, repl = report["coded"], report["replication"]
+    lines.append(f"coded store:          worst {coded['worst']:.2f}  average {coded['average']:.2f}")
+    if repl is None:
+        lines.append(f"replication baseline: skipped, {report['replication_skipped']}")
+    else:
+        lines.append(f"replication baseline: worst {repl['worst']:.2f}  average {repl['average']:.2f}")
     return "\n".join(lines)
 
 

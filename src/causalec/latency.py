@@ -2,10 +2,13 @@
 
 Fetching from several servers costs the maximum of the individual link
 latencies, so the best read latency of object k at server s is the minimum
-over k's recovery sets of that maximum (zero when s can decode alone).  The
-replication baseline searches every placement of whole objects, at most one
-per server (equal storage), to get the best achievable worst case and
-average.
+over k's recovery sets of that maximum (zero when s can decode alone).
+Recovery sets are closed upward, so that minimum is a bottleneck: add
+servers nearest first, s itself at 0, and it is the latency of the server
+whose row brings ``e_k`` into the span (the matroid greedy argument;
+Edmonds, "Matroids and the Greedy Algorithm", 1971).  The replication
+baseline searches every placement of whole objects, at most one per server
+(equal storage), to get the best achievable worst case and average.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ from typing import Dict, List, Mapping, Optional, Tuple
 from .coding import LinearCode
 
 MS = 1000  # virtual-time ticks per latency unit; keeps time rational
+PLACEMENT_LIMIT = 2_000_000  # placements the replication baseline searches at most
 
 
 def to_ms(x) -> int:
@@ -78,14 +82,17 @@ def analyze_latency(graph: LatencyGraph, code: LinearCode) -> LatencyReport:
     """Best-recovery-set read latency for every (server, object) pair."""
     if graph.n != code.n:
         raise ValueError(f"graph has {graph.n} servers but code has {code.n}")
+    servers = range(1, code.n + 1)
+    last: Dict[int, List[Optional[int]]] = {
+        s: code.recovered_by(sorted(servers, key=lambda j: graph.delay_ms(s, j)))
+        for s in servers}
     per_pair: Dict[Tuple[int, int], float] = {}
     for obj in range(1, code.k + 1):
-        sets = code.minimal_recovery_sets(obj)
-        for s in range(1, graph.n + 1):
-            best = min(
-                max((graph.weight(s, j) for j in rs.members if j != s), default=0.0)
-                for rs in sets)
-            per_pair[(s, obj)] = best
+        for s in servers:
+            j = last[s][obj - 1]
+            if j is None:
+                raise ValueError(f"object {obj} is not recoverable under this code")
+            per_pair[(s, obj)] = graph.weight(s, j)
     vals = list(per_pair.values())
     return LatencyReport(per_pair, max(vals), sum(vals) / len(vals))
 
@@ -109,8 +116,9 @@ def replication_baseline(graph: LatencyGraph, k: int) -> ReplicationReport:
     if k > n:
         raise ValueError(f"cannot place {k} objects on {n} servers holding one each")
     choices: List[Tuple[int, ...]] = [()] + [(obj,) for obj in range(1, k + 1)]
-    if len(choices) ** n > 2_000_000:
-        raise ValueError("placement space too large for exhaustive search")
+    if len(choices) ** n > PLACEMENT_LIMIT:
+        raise ValueError(f"placement space too large for exhaustive search: "
+                         f"{len(choices)}^{n} placements, over {PLACEMENT_LIMIT:,}")
     best_worst: Optional[float] = None
     best_avg: Optional[float] = None
     arg_worst = arg_avg = None

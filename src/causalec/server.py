@@ -314,7 +314,7 @@ class Server:
             if self.variant == EVENTUAL or self.m_tagvec[obj - 1] <= ht:
                 return [Send("client", frm, ReadReturn(opid, hv))]
         if self.code.held[self.id - 1] == (obj,):  # this symbol is obj uncoded
-            rs = self.code.is_recovery_set((self.id,), obj)
+            rs = self.code.recovery_set_within(obj, 1 << (self.id - 1))
             v = self.code.decode(obj, rs, {self.id: self.m_val})
             self.notes.append(("decoded", obj, (self.id,), opid))
             return [Send("client", frm, ReadReturn(opid, v))]
@@ -421,20 +421,15 @@ class Server:
                     f"server {self.id}: error flag set for X{x}")
             modified = self.code.reencode(frm, x, modified, old, new)
         entry.symbols[frm - 1] = modified
-        sets = self.code.minimal_recovery_sets(entry.obj)
-        # the sets are by size: none fits fewer symbols than the first holds
-        if self.n - entry.symbols.count(None) < len(sets[0].members):
+        answered = sum(1 << i for i, w in enumerate(entry.symbols) if w is not None)
+        rs = self.code.recovery_set_within(entry.obj, answered)
+        if rs is None:
             return []
-        populated = {i + 1 for i, w in enumerate(entry.symbols) if w is not None}
-        for rs in sets:
-            if rs.members <= populated:
-                symbols = {j: entry.symbols[j - 1] for j in rs.members}
-                v = self.code.decode(entry.obj, rs, symbols)
-                self.notes.append(("decoded", entry.obj, tuple(sorted(rs.members)), entry.opid))
-                if entry.clientid == LOCALHOST:
-                    self._l_insert(entry.obj, self.m_tagvec[entry.obj - 1], v)
-                return self._answer_reads([entry], v)
-        return []
+        v = self.code.decode(entry.obj, rs, {j: entry.symbols[j - 1] for j in rs.members})
+        self.notes.append(("decoded", entry.obj, tuple(sorted(rs.members)), entry.opid))
+        if entry.clientid == LOCALHOST:
+            self._l_insert(entry.obj, self.m_tagvec[entry.obj - 1], v)
+        return self._answer_reads([entry], v)
 
     # -- internal actions ----------------------------------------------------
 

@@ -12,9 +12,15 @@ from itertools import combinations, product
 
 import pytest
 
+import bundled
 from bundled import ALT_COEFFS, FIG1_COEFFS
+from causalec.checker import check_all
 from causalec.coding import LinearCode, RecoverySet
 from causalec.field import PrimeField
+from causalec.harness import fuzz_scenario, random_code
+from causalec.scenarios import scenario_from_json
+from causalec.server import VARIANTS
+from causalec.simnet import run
 
 # a 5x3 sample with denser mixing, used alongside the bundled example code
 CHAIN_COEFFS = [[1, 0, 0], [0, 1, 0], [1, 1, 0], [1, 1, 1], [2, 1, 1]]
@@ -285,6 +291,82 @@ class TestRecoverySets:
                 for rs in sets:
                     for extra in range(1, n + 1):
                         assert code.is_recovery_set(rs | {extra}, obj) is not None
+
+
+def rank(p, rows):
+    """Rank of the non-empty ``rows`` over GF(p) by plain Gauss-Jordan elimination."""
+    rows, r = [list(row) for row in rows], 0
+    for c in range(len(rows[0])):
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] % p), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = pow(rows[r][c], p - 2, p)
+        for i in range(len(rows)):
+            if i != r and rows[i][c] % p:
+                f = rows[i][c] * inv
+                rows[i] = [(a - f * b) % p for a, b in zip(rows[i], rows[r])]
+        r += 1
+    return r
+
+
+def lookup_codes():
+    """The codes the lookup is held to: fuzz systems 0-99, the bundled
+    scenarios, a dense 8/4 GF(257) code, and the 8/4 and 10/5 codes that the
+    scale benchmark draws (``random_code`` on ``0x5CA1E + n``)."""
+    codes = [fuzz_scenario(i).code for i in range(100)]
+    codes += [LinearCode.from_json(bundled.doc(name)["code"]) for name in bundled.NAMES]
+    rng = random.Random(257)
+    codes.append(code_of([[rng.randint(1, 256) for _ in range(4)] for _ in range(8)], p=257))
+    codes += [random_code(random.Random(0x5CA1E + n), n, k) for n, k in ((8, 4), (10, 5))]
+    return codes
+
+
+class TestRecoverySetWithin:
+    """``recovery_set_within`` against the listed minimal sets."""
+
+    def test_first_listed_set_inside_every_mask(self):
+        # a dependent mask takes the removal path; a one-server mask that
+        # recovers is a replication-style reader decoding its own symbol
+        seen = {"dependent": 0, "own row": 0}
+        rng = random.Random(33)
+        for listed in lookup_codes():
+            code = LinearCode(listed.field, listed.coeffs)
+            masks = list(range(1 << code.n))
+            rng.shuffle(masks)  # the memos must not depend on the query order
+            for obj in range(1, code.k + 1):
+                sets = [(sum(1 << (j - 1) for j in rs.members), rs)
+                        for rs in listed.minimal_recovery_sets(obj)]
+                for mask in masks:
+                    want = next((rs for m, rs in sets if m & mask == m), None)
+                    assert code.recovery_set_within(obj, mask) == want, (obj, mask)
+                    if want is None:
+                        continue
+                    servers = [j for j in range(1, code.n + 1) if mask >> (j - 1) & 1]
+                    if rank(code.field.p, [code.coeffs[j - 1] for j in servers]) < len(servers):
+                        seen["dependent"] += 1
+                    if len(servers) == 1:
+                        seen["own row"] += 1
+        assert seen["dependent"] and seen["own row"], seen
+
+    def test_no_simulated_run_lists_minimal_sets(self, monkeypatch):
+        calls = {"listed": 0, "lookups": 0}
+        listed, within = LinearCode.minimal_recovery_sets, LinearCode.recovery_set_within
+
+        def counting(key, fn):
+            def wrapper(*args):
+                calls[key] += 1
+                return fn(*args)
+            return wrapper
+
+        monkeypatch.setattr(LinearCode, "minimal_recovery_sets", counting("listed", listed))
+        monkeypatch.setattr(LinearCode, "recovery_set_within", counting("lookups", within))
+        scenarios = [(scenario_from_json(bundled.path(name)), seed, protocol)
+                     for name in bundled.NAMES for seed in range(3) for protocol in VARIANTS]
+        scenarios += [(fuzz_scenario(i), i, protocol) for i in range(20) for protocol in VARIANTS]
+        for scenario, seed, protocol in scenarios:
+            check_all(run(scenario, seed, protocol=protocol, collect_trace=False, probes=True))
+        assert calls["listed"] == 0 and calls["lookups"] > 0, calls
 
 
 class TestDecode:

@@ -192,6 +192,47 @@ def test_latency_json(scenario_dir, capsys):
     assert report["coded"]["average_2dp"] == 2.7
 
 
+def big12(tmp_path):
+    """A valid 12-server, 6-object document: 7^12 replica placements, past
+    what the replication baseline searches."""
+    doc = bundled.doc("fig1")
+    doc["name"] = "big12"
+    doc["code"]["coeffs"] = [[int(i == j) for j in range(6)] for i in range(6)] + [
+        [(i * j + 1) % 7 for j in range(6)] for i in range(1, 7)]
+    doc["latency_graph"] = {"n": 12, "edges": [[i, j, 1 + (i * j) % 5]
+                                               for i in range(1, 13) for j in range(i + 1, 13)]}
+    doc["clients"] = [{"id": 1, "home": 1}]
+    path = tmp_path / "big12.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_latency_skips_an_oversized_replication_search(tmp_path, capsys):
+    # the baseline's ValueError once ended the command in a traceback, exit 1
+    path = big12(tmp_path)
+    assert main(["latency", str(path)]) == 0
+    out = capsys.readouterr().out
+    assert "coded store:          worst" in out
+    assert ("replication baseline: skipped, placement space too large for exhaustive "
+            "search: 7^12 placements, over 2,000,000") in out
+    assert main(["latency", str(path), "--format", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["per_pair"]) == 72
+    assert report["replication"] is None
+    assert report["replication_skipped"].startswith("placement space too large")
+
+
+def test_package_runs_as_a_module():
+    proc = subprocess.run([sys.executable, "-m", "causalec", "latency",
+                           os.path.join(bundled.SCENARIOS, "fig1.json")],
+                          env=dict(os.environ, PYTHONPATH=os.path.join(
+                              os.path.dirname(bundled.SCENARIOS), "src")),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert "worst 4.50" in proc.stdout
+    assert "replication baseline: worst 6.00  average 2.80" in proc.stdout
+
+
 def test_latency_malformed_exits_two(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text("{}")
